@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import struct
 import sys
 import time
@@ -274,10 +273,9 @@ def cmd_run(config_path: str) -> int:
     write_timeseries_csv(csv_path, traj.reports)
     files.append(csv_path.name)
 
-    profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
     if traj.samples:
-        for tag, smp in (("initial", traj.samples[0]), ("final", traj.samples[-1])):
-            _, head, _, _ = evolution._evaluate(smp.state.h.values, profile, config)
+        for tag, smp, head in (("initial", traj.samples[0], traj.initial_head),
+                               ("final", traj.samples[-1], traj.final_head)):
             snap_path = out_dir / f"snapshot_{tag}.mskt"
             write_snapshot(snap_path,
                            _snapshot_from_eval(smp.t, smp.state.h.values, f.values, head))
@@ -506,26 +504,7 @@ def _spectral_tail_fraction(field: PeriodicField1D) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("MUSKAT_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        return
-    if n <= 0:  # 0 = auto
-        return
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-
-
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = argparse.ArgumentParser(
         prog="muskat",
         description="Porous-strip interface evolution with a permeability jump",

@@ -25,7 +25,7 @@ from .errors import (
     NonSPDSystem,
     SolverDivergence,
 )
-from .pressure import solve_head
+from .pressure import HeadSolution, solve_head
 from .spectral_core import PeriodicField1D, mean, project_zero_mean
 
 __all__ = ["SimConfig", "SimState", "Trajectory", "TrajectorySample",
@@ -50,7 +50,7 @@ class SimConfig:
     t_end: float = 1.0
     gap_tol: float = 0.05
     j_min: float = 0.1
-    solver: str = "direct"
+    solver: str = "krylov"
     report_every: int = 1
     output_dir: str | None = None
 
@@ -69,8 +69,8 @@ class SimConfig:
             raise ValueError("gap_tol must be positive")
         if not (0.0 < self.j_min < 1.0):
             raise ValueError("j_min must lie in (0, 1)")
-        if self.solver not in ("direct", "cg"):
-            raise ValueError("solver must be 'direct' or 'cg'")
+        if self.solver not in ("krylov", "direct"):
+            raise ValueError("solver must be 'krylov' or 'direct'")
         if self.report_every < 1:
             raise ValueError("report_every must be >= 1")
         return self
@@ -106,10 +106,16 @@ class TrajectorySample:
 
 @dataclass
 class Trajectory:
-    """Reported samples plus termination metadata and per-step ledgers."""
+    """Reported samples plus termination metadata and per-step ledgers.
+
+    initial_head and final_head are the head solutions of the first and the
+    last sample, kept so that snapshots need no second solve.
+    """
 
     config: SimConfig
     samples: list[TrajectorySample] = field(default_factory=list)
+    initial_head: HeadSolution | None = None
+    final_head: HeadSolution | None = None
     termination: str = TERMINATION_COMPLETED
     error: str | None = None
     error_time: float | None = None
@@ -221,6 +227,9 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
         _, head, metric, _ = current_eval
         rep = diagnostics.report(state, head, metric, history)
         state.last_report = rep
+        if not traj.samples:
+            traj.initial_head = head
+        traj.final_head = head
         traj.samples.append(TrajectorySample(state.t, state, rep))
 
     try:

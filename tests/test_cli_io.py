@@ -18,7 +18,9 @@ from muskat.cli_io import (
     write_snapshot,
     write_timeseries_csv,
 )
+from muskat import evolution
 from muskat.diagnostics import EnergyReport
+from muskat.diffeo import PermeabilityProfile
 
 
 def write_config(path, **overrides):
@@ -66,6 +68,12 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
+
+    def test_cg_solver_rejected(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, solver="cg")
+        with pytest.raises(ConfigError, match="solver"):
+            load_config(cfg_path)
 
 
 class TestTimeseries:
@@ -150,6 +158,44 @@ class TestCmdRun:
             assert cmd_run(str(cfg_path)) == 0
             outputs.append((tmp_path / name / "timeseries.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("solver", ["krylov", "direct"])
+    def test_snapshots_need_no_solve_outside_run(self, tmp_path, monkeypatch, solver):
+        calls = {"inside": 0, "outside": 0, "in_run": False}
+        real_solve, real_run = evolution.solve_head, evolution.run
+
+        def counted_solve(*args, **kwargs):
+            calls["inside" if calls["in_run"] else "outside"] += 1
+            return real_solve(*args, **kwargs)
+
+        def flagged_run(*args, **kwargs):
+            calls["in_run"] = True
+            try:
+                return real_run(*args, **kwargs)
+            finally:
+                calls["in_run"] = False
+
+        monkeypatch.setattr(evolution, "solve_head", counted_solve)
+        monkeypatch.setattr(evolution, "run", flagged_run)
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, solver=solver)
+        assert cmd_run(str(cfg_path)) == 0
+        assert calls["outside"] == 0
+        assert calls["inside"] > 0
+
+        # the snapshots equal those written from a fresh solve, byte for byte
+        config, _, f = load_config(cfg_path)
+        profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
+        for tag in ("initial", "final"):
+            snap = read_snapshot(tmp_path / "out" / f"snapshot_{tag}.mskt")
+            _, head, _, _ = evolution._evaluate(snap.h, profile, config)
+            fresh = Snapshot(snap.t, snap.h, snap.f, head.p_plus.values,
+                             head.p_minus.values, head.w1_plus.values,
+                             head.w2_plus.values, head.w1_minus.values,
+                             head.w2_minus.values)
+            write_snapshot(tmp_path / f"fresh_{tag}.mskt", fresh)
+            assert ((tmp_path / f"fresh_{tag}.mskt").read_bytes()
+                    == (tmp_path / "out" / f"snapshot_{tag}.mskt").read_bytes())
 
     def test_gap_violation_exit_and_manifest(self, tmp_path):
         cfg_path = tmp_path / "run.json"

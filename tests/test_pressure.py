@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
+from muskat import pressure
 from muskat.diffeo import (
     LOWER,
     UPPER,
@@ -15,7 +20,12 @@ from muskat.diffeo import (
     vertical_derivative,
 )
 from muskat.diagnostics import dispersion_rate, dissipation_l2
-from muskat.errors import NoContraction, NonSPDSystem, ResolutionMismatch
+from muskat.errors import (
+    NoContraction,
+    NonSPDSystem,
+    ResolutionMismatch,
+    SolverDivergence,
+)
 from muskat.pressure import picard_head, solve_head
 from muskat.spectral_core import PeriodicField1D, x1_derivative
 
@@ -188,12 +198,68 @@ class TestPicard:
 
 
 class TestSolverOptions:
-    def test_cg_matches_direct(self):
+    def test_krylov_matches_direct(self):
         x = PeriodicField1D.zeros(64).x1
         args = setup(64, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
         direct = solve_head(*args, solver="direct")
-        cg = solve_head(*args, solver="cg")
-        assert np.max(np.abs(direct.p_plus.values - cg.p_plus.values)) < 1e-8
+        krylov = solve_head(*args, solver="krylov")
+        assert np.max(np.abs(direct.p_plus.values - krylov.p_plus.values)) < 1e-8
+        assert np.max(np.abs(direct.p_minus.values - krylov.p_minus.values)) < 1e-8
+        assert np.max(np.abs(direct.gamma_trace_w2.values
+                             - krylov.gamma_trace_w2.values)) < 1e-8
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        h_modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0)), min_size=1, max_size=3),
+        f_modes=st.lists(st.tuples(st.integers(0, 4), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0)), max_size=2),
+        h_amp=st.floats(0.0, 0.1, allow_subnormal=False),
+        f_amp=st.floats(0.0, 0.15, allow_subnormal=False),
+        betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+    )
+    def test_krylov_matches_direct_property(self, h_modes, f_modes, h_amp, f_amp, betas):
+        # per-mode amplitude amp / k keeps every slope below amp, far from a
+        # degenerate strip map
+        n1 = 32
+
+        def field(modes, amp):
+            return PeriodicField1D.from_modes(
+                n1, [(k, amp * c / max(k, 1), amp * s / max(k, 1)) for k, c, s in modes]
+            ).values
+
+        args = setup(n1, 9, field(h_modes, h_amp), field(f_modes, f_amp), *betas)
+        direct = solve_head(*args, solver="direct")
+        krylov = solve_head(*args, solver="krylov")
+        for name in ("p_plus", "p_minus", "gamma_trace_w2"):
+            diff = np.max(np.abs(getattr(direct, name).values - getattr(krylov, name).values))
+            assert diff <= 1e-8, name
+        assert abs(direct.top_flux_total - krylov.top_flux_total) <= 1e-8
+
+    @pytest.mark.parametrize("x1_order", [2, 4])
+    @pytest.mark.parametrize("n1, m_minus, m_plus", [(4, 3, 3), (64, 3, 3), (4, 7, 4),
+                                                     (64, 9, 17)])
+    def test_flat_inverse_matches_lu(self, n1, m_minus, m_plus, x1_order):
+        plan = pressure._plan(n1, m_minus, m_plus, x1_order)
+        flat = [pressure._flat_pack(StripGrid(LOWER, n1, m_minus), 0.3),
+                pressure._flat_pack(StripGrid(UPPER, n1, m_plus), 1.7)]
+        l0_full, _, _ = pressure._assemble(plan, *flat)
+        lu = splu(l0_full[:, :plan.n_free].tocsc())
+        inverse = pressure._flat_inverse(n1, m_minus, m_plus, x1_order, 1.7, 0.3)
+        r = np.random.default_rng(n1 + m_minus + m_plus).normal(size=plan.n_free)
+        expected = lu.solve(r)
+        assert np.max(np.abs(inverse.solve(r) - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+    def test_krylov_failure_raises_without_fallback(self, monkeypatch):
+        x = PeriodicField1D.zeros(64).x1
+        args = setup(64, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
+        monkeypatch.setattr(pressure, "KRYLOV_MAXITER", 1)
+        with pytest.raises(SolverDivergence, match="stalled"):
+            solve_head(*args, solver="krylov")
+        # b . (A b) = 0 for a skew matrix: the first step breaks down
+        skew = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        with pytest.raises(SolverDivergence, match="broke down"):
+            pressure._bicgstab(skew, np.array([1.0, 0.0]), lambda r: r, 1e-12)
 
     def test_unknown_solver_rejected(self):
         args = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
