@@ -183,14 +183,21 @@ def write_snapshot(path: str | Path, snap: Snapshot) -> None:
 
 
 def read_snapshot(path: str | Path) -> Snapshot:
+    """Parse a snapshot; ValueError unless the file is exactly the size its
+    header declares."""
     data = Path(path).read_bytes()
     if data[:4] != SNAPSHOT_MAGIC:
         raise ValueError("not a snapshot file (bad magic)")
+    off = 28
+    if len(data) < off:
+        raise ValueError(f"snapshot header needs {off} bytes, file has {len(data)}")
     version, n1, n2p, n2m = struct.unpack_from("<IIII", data, 4)
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
+    expected = off + 8 * n1 * (2 + 3 * (n2p + n2m))
+    if len(data) != expected:
+        raise ValueError(f"snapshot header declares {expected} bytes, file has {len(data)}")
     (t,) = struct.unpack_from("<d", data, 20)
-    off = 28
 
     def take(count):
         nonlocal off

@@ -9,11 +9,11 @@ on the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeo import MetricPack, PermeabilityProfile, StripGrid, vertical_derivative
+from .diffeo import MetricPack, PermeabilityProfile, StripGrid
 from .errors import InsufficientData
 from .pressure import HeadSolution
 from .spectral_core import PeriodicField1D, deriv, sobolev_norm, x1_derivative
@@ -120,30 +120,6 @@ def _tangential_second_sq(w: np.ndarray, grid: StripGrid) -> float:
     return _strip_l2_sq(x1_derivative(w, order=2), grid)
 
 
-def _h2_norm_sq(values: np.ndarray, grid: StripGrid) -> float:
-    """Full squared H^2 norm of one component on a strip."""
-    d1 = x1_derivative(values)
-    d2 = vertical_derivative(values, grid.dx2)
-    d11 = x1_derivative(values, order=2)
-    d12 = vertical_derivative(d1, grid.dx2)
-    d22 = vertical_derivative(d2, grid.dx2)
-    return sum(_strip_l2_sq(a, grid) for a in (values, d1, d2, d11, d12, d22))
-
-
-def velocity_h2_sq(head: HeadSolution, pack_plus: MetricPack,
-                   pack_minus: MetricPack) -> float:
-    """Squared H^2 norm over both strips of the back-mapped velocity v."""
-    total = 0.0
-    for pack, w1, w2 in (
-        (pack_plus, head.w1_plus, head.w2_plus),
-        (pack_minus, head.w1_minus, head.w2_minus),
-    ):
-        v1 = w1.values / pack.J
-        v2 = (pack.d1 * w1.values) / pack.J + w2.values
-        total += _h2_norm_sq(v1, pack.grid) + _h2_norm_sq(v2, pack.grid)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # energy report
 # ---------------------------------------------------------------------------
@@ -164,7 +140,6 @@ class EnergyReport:
     l2_h: float
     h2_h: float
     h2p5_h: float
-    E_running: float
     script_E: float
     script_D: float
     rt_margin: float
@@ -175,23 +150,10 @@ class EnergyReport:
 
 @dataclass
 class History:
-    """Running accumulators backing E_running and the energy-law residual."""
+    """The initial squared L^2 norm of h, the reference of the energy-law
+    residual."""
 
-    samples: list = field(default_factory=list)
     h0_l2_sq: float | None = None
-    max_h2_sq: float = 0.0
-    integral_v2_h25: float = 0.0
-    _last_t: float | None = None
-    _last_integrand: float = 0.0
-
-    def push(self, t: float, h2_sq: float, integrand: float):
-        self.max_h2_sq = max(self.max_h2_sq, h2_sq)
-        if self._last_t is not None and t > self._last_t:
-            self.integral_v2_h25 += 0.5 * (t - self._last_t) * (
-                self._last_integrand + integrand
-            )
-        self._last_t = t
-        self._last_integrand = integrand
 
 
 def report(state, head: HeadSolution, metric, history: History) -> EnergyReport:
@@ -228,23 +190,18 @@ def report(state, head: HeadSolution, metric, history: History) -> EnergyReport:
 
     coupling = sobolev_norm(hpp, 0.5) / math.sqrt(script_d) if script_d > 0 else float("nan")
 
-    v2_sq = velocity_h2_sq(head, pack_plus, pack_minus)
-    history.push(t, h2_h ** 2, v2_sq + h2p5_h ** 2)
-    e_running = history.max_h2_sq + history.integral_v2_h25
-
     rep = EnergyReport(
-        t=t, l2_h=l2_h, h2_h=h2_h, h2p5_h=h2p5_h, E_running=e_running,
+        t=t, l2_h=l2_h, h2_h=h2_h, h2p5_h=h2p5_h,
         script_E=script_e, script_D=script_d, rt_margin=rt_margin,
         l2_law_residual=l2_residual, coupling_ratio=coupling,
     )
     flags = tuple(
-        name for name in ("l2_h", "h2_h", "h2p5_h", "E_running", "script_E",
+        name for name in ("l2_h", "h2_h", "h2p5_h", "script_E",
                           "script_D", "rt_margin", "l2_law_residual",
                           "coupling_ratio")
         if not np.isfinite(getattr(rep, name))
     )
     rep.nan_flags = flags
-    history.samples.append(rep)
     return rep
 
 

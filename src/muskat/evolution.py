@@ -21,7 +21,6 @@ from .diffeo import (
 from .errors import (
     DiffeoDegenerate,
     GapViolation,
-    NoContraction,
     NonSPDSystem,
     SolverDivergence,
 )
@@ -94,7 +93,6 @@ class SimState:
     t: float = 0.0
     step_count: int = 0
     diss_l2_integral: float = 0.0
-    last_report: diagnostics.EnergyReport | None = None
 
 
 @dataclass
@@ -193,7 +191,6 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
         t=state.t + dt,
         step_count=state.step_count + 1,
         diss_l2_integral=state.diss_l2_integral + diss_inc,
-        last_report=state.last_report,
     )
 
 
@@ -226,7 +223,6 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
     def sample(current_eval):
         _, head, metric, _ = current_eval
         rep = diagnostics.report(state, head, metric, history)
-        state.last_report = rep
         if not traj.samples:
             traj.initial_head = head
         traj.final_head = head
@@ -234,7 +230,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
 
     try:
         current_eval = _evaluate(state.h.values, profile, config)
-    except (DiffeoDegenerate, NonSPDSystem, SolverDivergence, NoContraction) as exc:
+    except (DiffeoDegenerate, NonSPDSystem, SolverDivergence) as exc:
         traj.termination = (TERMINATION_DEGENERATE
                             if isinstance(exc, DiffeoDegenerate)
                             else TERMINATION_SOLVER)
@@ -261,7 +257,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
             traj.error = str(exc)
             traj.error_time = state.t
             return traj
-        except (NonSPDSystem, SolverDivergence, NoContraction) as exc:
+        except (NonSPDSystem, SolverDivergence) as exc:
             traj.termination = TERMINATION_SOLVER
             traj.error = str(exc)
             traj.error_time = state.t

@@ -6,28 +6,38 @@ line, continuity of P and of the vertical K-flux across the permeability
 line, and zero flux through the floor.  The pulled-back velocity is
 w = -K grad P; the interface moves with the trace of w2 on the top line.
 
-Discretization: vertex-centered cell balances on the two stacked strip grids
-sharing the permeability-line nodes.  The vertical direction is in
-conservative face-flux form (half cells at the floor and astride the
-permeability line), so the column sums of the vertical fluxes telescope; the
-horizontal direction uses nodal antisymmetric difference stencils, whose
-column sums vanish identically, so the total flux through the top line is
-zero to solver precision -- the discrete mass ledger.  The antisymmetry also
-makes the discrete summation-by-parts of the horizontal terms exact, which
-keeps the energy-law defect free of any horizontal-resolution floor.  Face
-conductivities are arithmetic averages of the adjacent levels.
+Discretization: vertex-centered cell balances on the two strip grids, which
+share the permeability-line nodes.  One map, _CellBalance, takes the nodal
+head of both strips to the balance of div w over each level's cell.  The
+vertical part is in conservative face-flux form: the face average of k22
+times the two-point difference plus the face average of k12 times the
+averaged x1-difference.  The horizontal part is the x1-difference of the
+nodal w1 = -(k11 D1 P + k12 d2 P) times the trapezoid cell height, where
+D1 is one fourth-order antisymmetric stencil and d2 P is the strip-sided
+diffeo.vertical_derivative.  Half cells sit at the floor, at the top line
+and on both sides of the permeability line; the two there sum to the
+balance of the shared node.  The column sums of the vertical fluxes
+telescope and those of the antisymmetric horizontal stencil vanish
+identically, so the total flux through the top line is zero to solver
+precision -- the discrete mass ledger.  The antisymmetry also makes the
+discrete summation-by-parts of the horizontal terms exact, which keeps the
+energy-law defect free of any horizontal-resolution floor.  Face
+conductivities are arithmetic averages of the adjacent levels.  The
+recovered traces are rows of the same balance: the top-line row and the two
+half-cell rows at the permeability line.
 
-Solvers: "krylov" (the run default) is BiCGSTAB -- the head matrix is not
-symmetric when k12 != 0 -- preconditioned by the exact inverse of the
-flat-metric operator (k12 = 0, constant k11 and k22 per strip), which an rfft
-in x1 reduces to one tridiagonal level system per Fourier mode.  "direct"
-(sparse LU) is the oracle the Krylov path is tested against.  picard_head is
-a fixed-point cross-check built on the same flat inverse.
+Solvers: "krylov" (the run default) is BiCGSTAB applied to the balance
+itself, no matrix formed -- the head operator is not symmetric when
+k12 != 0 -- preconditioned by the exact inverse of the flat-metric balance
+(k12 = 0, constant k11 = k22 = beta per strip), which an rfft in x1 reduces
+to one tridiagonal level system per Fourier mode.  "direct" is sparse LU of
+the matrix read off the balance by coloured unit probes (Curtis, Powell &
+Reid 1974); it is the oracle the Krylov path is tested against.
+picard_head is a fixed-point cross-check built on the same flat inverse.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,7 +52,6 @@ from .diffeo import (
     StripField,
     StripGrid,
     PermeabilityProfile,
-    assemble_metric,
     vertical_derivative,
 )
 from .errors import (
@@ -53,11 +62,7 @@ from .errors import (
 )
 from .spectral_core import PeriodicField1D
 
-__all__ = ["HeadSolution", "solve_head", "picard_head", "X1_ORDER"]
-
-# Horizontal stencil order (2 or 4).  Fourth order keeps the horizontal
-# truncation error far below the vertical one at reference resolutions.
-X1_ORDER = 4
+__all__ = ["HeadSolution", "solve_head", "picard_head"]
 
 RESIDUAL_TOL = 1e-10
 KRYLOV_MAXITER = 500
@@ -87,218 +92,135 @@ class HeadSolution:
 
 
 # ---------------------------------------------------------------------------
-# geometry plan: coefficient-independent sparse building blocks
+# the cell balance
 # ---------------------------------------------------------------------------
 
 
-class _Plan:
-    """Sparse operators for a fixed (n1, n2-, n2+) layout.
+def _x1_difference(v: np.ndarray, dx1: float) -> np.ndarray:
+    """Fourth-order antisymmetric periodic x1-difference along axis 1."""
+    w = np.concatenate([v[:, -2:], v, v[:, :2]], axis=1)
+    return ((w[:, :-4] - w[:, 4:]) + 8.0 * (w[:, 3:-1] - w[:, 1:-3])) / (12.0 * dx1)
 
-    Node layout is level-major over the global levels: lower levels 0..Mm-1
-    (level Mm-1 is the shared permeability line), then upper levels 1..Mp-1;
-    the top line (Dirichlet) is the last level.  Vertical faces are indexed
-    by the level below them.  Horizontal rows exist once per strip level, so
-    the permeability line carries one lower-side row and one upper-side row.
+
+class _CellBalance:
+    """Per-level cell balances of div w, w = -K grad P, on both strips.
+
+    A head array is (m_minus + m_plus, n1): the lower strip's levels from the
+    floor up, then the upper strip's, so the permeability line appears twice
+    (rows m_minus - 1 and m_minus).  Between the two copies sits a
+    zero-width pseudo-face that carries no flux.  Row s of the balance is
+    the integral of div w over the cell of level s per unit x1-width: w2 on
+    the face above minus w2 on the face below, plus the cell height times
+    the x1-difference of w1.  The top line has no face above, so its row is
+    minus the conservative w2 trace there; the two permeability-line rows
+    lack the flux through that line, and their sum is the balance of the
+    shared cell.
+
+    Free unknowns are the heads below the top line, level after level of
+    the shared grid: (n_lev, n1) raveled, n_lev = m_minus + m_plus - 2.  In
+    this order sparse LU of the probed matrix fills in about a quarter less
+    than with the levels of each x1 column contiguous.
     """
 
-    def __init__(self, n1: int, m_minus: int, m_plus: int, x1_order: int):
-        if x1_order not in (2, 4):
-            raise ValueError("x1_order must be 2 or 4")
-        self.n1 = n1
+    def __init__(self, m_minus: int, dx2_minus: float, dx2_plus: float,
+                 k11: np.ndarray, k12: np.ndarray, k22: np.ndarray):
+        n_strip_levels, self.n1 = k11.shape
         self.m_minus = m_minus
-        self.m_plus = m_plus
-        self.x1_order = x1_order
+        self.m_plus = m_plus = n_strip_levels - m_minus
+        self.n_lev = n_strip_levels - 2
+        self.dx1 = 2.0 * np.pi / self.n1
+        self.dx2 = (dx2_minus, dx2_plus)
+        self.k11, self.k12, self.k22 = k11, k12, k22
+        inv_dx2 = np.r_[np.full(m_minus - 1, 1.0 / dx2_minus), 0.0,
+                        np.full(m_plus - 1, 1.0 / dx2_plus)]
+        self.face_k22 = 0.5 * (k22[:-1] + k22[1:]) * inv_dx2[:, None]
+        self.face_k12 = 0.25 * (k12[:-1] + k12[1:]) * (inv_dx2 != 0.0)[:, None]
+        self.height = np.r_[_trapezoid_heights(m_minus, dx2_minus),
+                            _trapezoid_heights(m_plus, dx2_plus)][:, None]
 
-        self.d1 = 2.0 * np.pi / n1
-        self.dm = 1.0 / (m_minus - 1)
-        self.dp = 1.0 / (m_plus - 1)
+    @classmethod
+    def from_packs(cls, pack_minus: MetricPack, pack_plus: MetricPack) -> "_CellBalance":
+        return cls(pack_minus.grid.n2, pack_minus.grid.dx2, pack_plus.grid.dx2,
+                   *(np.vstack([getattr(pack_minus, k).T, getattr(pack_plus, k).T])
+                     for k in ("k11", "k12", "k22")))
 
-        self.n_levels = m_minus + m_plus - 1
-        self.n_all = self.n_levels * n1
-        self.n_free = (self.n_levels - 1) * n1
-        self.n_vface_levels = m_minus + m_plus - 2
-        self.n_hrow_levels = m_minus + m_plus
+    @classmethod
+    def flat(cls, n1: int, m_minus: int, m_plus: int, beta_plus: float,
+             beta_minus: float) -> "_CellBalance":
+        """The flat-metric balance: k12 = 0, k11 = k22 = beta per strip."""
+        beta = np.repeat(np.r_[np.full(m_minus, beta_minus), np.full(m_plus, beta_plus)],
+                         n1).reshape(-1, n1)
+        return cls(m_minus, 1.0 / (m_minus - 1), 1.0 / (m_plus - 1),
+                   beta, np.zeros_like(beta), beta)
 
-        self._build()
+    def gradient(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = self.m_minus
+        d2p = np.concatenate([vertical_derivative(p[:m].T, self.dx2[0]).T,
+                              vertical_derivative(p[m:].T, self.dx2[1]).T])
+        return _x1_difference(p, self.dx1), d2p
 
-    # -- index helpers ------------------------------------------------------
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        d1p, d2p = self.gradient(p)
+        w1 = -(self.k11 * d1p + self.k12 * d2p)
+        w2_face = -(self.face_k22 * (p[1:] - p[:-1])
+                    + self.face_k12 * (d1p[:-1] + d1p[1:]))
+        rows = self.height * _x1_difference(w1, self.dx1)
+        rows[:-1] += w2_face
+        rows[1:] -= w2_face
+        return rows
 
-    def _vspacing(self, f: int) -> float:
-        return self.dm if f <= self.m_minus - 2 else self.dp
+    def heads(self, x: np.ndarray, top: np.ndarray) -> np.ndarray:
+        """Head array from the free unknowns and the top-line values."""
+        m = self.m_minus
+        x = x.reshape(self.n_lev, self.n1)
+        return np.concatenate([x[:m], x[m - 1:], top[None]])
 
-    def _hrow_global_level(self, lh: int) -> int:
-        return lh if lh <= self.m_minus - 1 else lh - 1
-
-    def _d2_stencil(self, lh: int) -> list[tuple[int, float]]:
-        """(global level, coeff) entries of the nodal x2-derivative at the
-        strip level backing horizontal row lh."""
-        if lh <= self.m_minus - 1:
-            ell, m_count, dx2, base = lh, self.m_minus, self.dm, 0
-        else:
-            ell, m_count, dx2, base = lh - self.m_minus, self.m_plus, self.dp, self.m_minus - 1
-        g = base + ell
-        if ell == 0:
-            return [(g, -1.5 / dx2), (g + 1, 2.0 / dx2), (g + 2, -0.5 / dx2)]
-        if ell == m_count - 1:
-            return [(g, 1.5 / dx2), (g - 1, -2.0 / dx2), (g - 2, 0.5 / dx2)]
-        return [(g + 1, 0.5 / dx2), (g - 1, -0.5 / dx2)]
-
-    def _x1_deriv_offsets(self) -> list[tuple[int, float]]:
-        """Antisymmetric nodal x1-derivative stencil."""
-        if self.x1_order == 2:
-            return [(1, 0.5 / self.d1), (-1, -0.5 / self.d1)]
-        c = 1.0 / (12.0 * self.d1)
-        return [(-2, c), (-1, -8.0 * c), (1, 8.0 * c), (2, -c)]
-
-    # -- sparse factories ----------------------------------------------------
-
-    def _build(self):
-        n = self.n1
-        j = np.arange(n)
-        offsets = self._x1_deriv_offsets()
-
-        # DV: two-point vertical difference at vertical faces
-        rows, cols, vals = [], [], []
-        for f in range(self.n_vface_levels):
-            inv = 1.0 / self._vspacing(f)
-            r = f * n + j
-            rows += [r, r]
-            cols += [(f + 1) * n + j, f * n + j]
-            vals += [np.full(n, inv), np.full(n, -inv)]
-        self.DV = self._coo(rows, cols, vals, self.n_vface_levels * n, self.n_all)
-
-        # CV: nodal x1-derivative averaged onto vertical faces
-        rows, cols, vals = [], [], []
-        for f in range(self.n_vface_levels):
-            r = f * n + j
-            for g in (f, f + 1):
-                for dj, c in offsets:
-                    rows.append(r)
-                    cols.append(g * n + (j + dj) % n)
-                    vals.append(np.full(n, 0.5 * c))
-        self.CV = self._coo(rows, cols, vals, self.n_vface_levels * n, self.n_all)
-
-        # D1N: nodal x1-derivative per horizontal row
-        rows, cols, vals = [], [], []
-        for lh in range(self.n_hrow_levels):
-            g = self._hrow_global_level(lh)
-            r = lh * n + j
-            for dj, c in offsets:
-                rows.append(r)
-                cols.append(g * n + (j + dj) % n)
-                vals.append(np.full(n, c))
-        self.D1N = self._coo(rows, cols, vals, self.n_hrow_levels * n, self.n_all)
-
-        # D2N: nodal x2-derivative per horizontal row (strip-sided at the
-        # permeability line)
-        rows, cols, vals = [], [], []
-        for lh in range(self.n_hrow_levels):
-            r = lh * n + j
-            for g, c in self._d2_stencil(lh):
-                rows.append(r)
-                cols.append(g * n + j)
-                vals.append(np.full(n, c))
-        self.D2N = self._coo(rows, cols, vals, self.n_hrow_levels * n, self.n_all)
-
-        # D1H: the same antisymmetric derivative acting within each
-        # horizontal row (outer derivative of the horizontal term)
-        rows, cols, vals = [], [], []
-        for lh in range(self.n_hrow_levels):
-            r = lh * n + j
-            for dj, c in offsets:
-                rows.append(r)
-                cols.append(lh * n + (j + dj) % n)
-                vals.append(np.full(n, c))
-        self.D1H = self._coo(rows, cols, vals,
-                             self.n_hrow_levels * n, self.n_hrow_levels * n)
-
-        # SVd: net vertical face flux per dual cell, times the face width d1
-        rows, cols, vals = [], [], []
-        for g in range(self.n_levels - 1):
-            r = g * n + j
-            rows.append(r)
-            cols.append(g * n + j)  # face above the cell
-            vals.append(np.full(n, self.d1))
-            if g >= 1:
-                rows.append(r)
-                cols.append((g - 1) * n + j)  # face below
-                vals.append(np.full(n, -self.d1))
-        self.SVd = self._coo(rows, cols, vals, self.n_free, self.n_vface_levels * n)
-
-        # SHd: horizontal-row contribution per dual cell, times height * d1
-        rows, cols, vals = [], [], []
-        for g in range(self.n_levels - 1):
-            r = g * n + j
-            for lh, height in self._cell_hrows(g):
-                rows.append(r)
-                cols.append(lh * n + j)
-                vals.append(np.full(n, height * self.d1))
-        self.SHd = self._coo(rows, cols, vals, self.n_free, self.n_hrow_levels * n)
-
-    def _cell_hrows(self, g: int) -> list[tuple[int, float]]:
-        """Horizontal row(s) and heights of the dual cell at level g."""
-        if g == 0:
-            return [(0, self.dm / 2.0)]
-        if g < self.m_minus - 1:
-            return [(g, self.dm)]
-        if g == self.m_minus - 1:  # straddles the permeability line
-            return [(self.m_minus - 1, self.dm / 2.0), (self.m_minus, self.dp / 2.0)]
-        return [(g + 1, self.dp)]
-
-    @staticmethod
-    def _coo(rows, cols, vals, nrows, ncols) -> sp.csr_matrix:
-        r = np.concatenate(rows)
-        c = np.concatenate([np.asarray(x) for x in cols])
-        v = np.concatenate(vals)
-        return sp.coo_matrix((v, (r, c)), shape=(nrows, ncols)).tocsr()
+    def free_rows(self, x: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
+        """Balance rows of the free nodes; with top omitted (zero) this is
+        the head matrix applied to x."""
+        m = self.m_minus
+        rows = self(self.heads(x, np.zeros(self.n1) if top is None else top))
+        out = np.concatenate([rows[:m], rows[m + 1:-1]])
+        out[m - 1] += rows[m]
+        return out.ravel()
 
 
-_plan_lock = threading.Lock()
+def _trapezoid_heights(m: int, dx2: float) -> np.ndarray:
+    heights = np.full(m, dx2)
+    heights[[0, -1]] = dx2 / 2.0
+    return heights
 
 
-@lru_cache(maxsize=8)
-def _plan(n1: int, m_minus: int, m_plus: int, x1_order: int) -> _Plan:
-    with _plan_lock:
-        return _Plan(n1, m_minus, m_plus, x1_order)
+def _probe(balance: _CellBalance) -> sp.csc_matrix:
+    """Sparse head matrix read off the balance by column colouring
+    (Curtis, Powell & Reid 1974).
 
-
-# ---------------------------------------------------------------------------
-# per-solve coefficient arrays
-# ---------------------------------------------------------------------------
-
-
-def _level_major(arr: np.ndarray) -> np.ndarray:
-    """(n1, n2) nodal array -> flat level-major vector."""
-    return arr.T.ravel()
-
-
-def _vface_average(arr: np.ndarray) -> np.ndarray:
-    """Average nodal values onto vertical faces of one strip, level-major."""
-    return _level_major(0.5 * (arr[:, :-1] + arr[:, 1:]))
-
-
-def _rowscale(m: sp.csr_matrix, v: np.ndarray) -> sp.csr_matrix:
-    out = m.copy()
-    out.data = out.data * np.repeat(v, np.diff(out.indptr))
-    return out
-
-
-def _flux_operators(plan: _Plan, pack_minus: MetricPack, pack_plus: MetricPack):
-    """Vertical face fluxes F and horizontal term densities H on all nodes."""
-    k22f = np.concatenate([_vface_average(pack_minus.k22), _vface_average(pack_plus.k22)])
-    k21f = np.concatenate([_vface_average(pack_minus.k12), _vface_average(pack_plus.k12)])
-    k11n = np.concatenate([_level_major(pack_minus.k11), _level_major(pack_plus.k11)])
-    k12n = np.concatenate([_level_major(pack_minus.k12), _level_major(pack_plus.k12)])
-    f_op = _rowscale(plan.DV, k22f) + _rowscale(plan.CV, k21f)
-    h_op = plan.D1H @ (_rowscale(plan.D1N, k11n) + _rowscale(plan.D2N, k12n))
-    return f_op, h_op
-
-
-def _assemble(plan: _Plan, pack_minus: MetricPack, pack_plus: MetricPack):
-    """Full operator over all nodes; rows are -net-flux cell balances."""
-    f_op, h_op = _flux_operators(plan, pack_minus, pack_plus)
-    l_full = -(plan.SVd @ f_op + plan.SHd @ h_op)
-    return l_full.tocsc(), f_op, h_op
+    A row couples to levels at most two away (one-sided d2 at the strip
+    ends) and to x1 columns at most four away (the x1-difference of an
+    x1-difference).  Unit heads on every fifth level and every q-th column,
+    q = n1 if n1 < 9 else the smallest divisor of n1 that is at least 9, so
+    reach disjoint rows, and each response entry belongs to one seed.
+    """
+    n1, n_lev = balance.n1, balance.n_lev
+    q = n1 if n1 < 9 else min(d for d in range(9, n1 + 1) if n1 % d == 0)
+    g = np.arange(n_lev)[:, None]
+    j = np.arange(n1)[None, :]
+    row_index = g * n1 + j
+    rows, cols, vals = [], [], []
+    for a in range(5):
+        g0 = g + (a - g + 2) % 5 - 2
+        for c in range(q):
+            seed = np.zeros((n_lev, n1))
+            seed[a::5, c::q] = 1.0
+            response = balance.free_rows(seed.ravel()).reshape(n_lev, n1)
+            hit = response != 0.0
+            j0 = (j + (c - j + 4) % q - 4) % n1
+            rows.append(row_index[hit])
+            cols.append((g0 * n1 + j0)[hit])
+            vals.append(response[hit])
+    n_free = n1 * n_lev
+    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n_free, n_free))
 
 
 def _check_inputs(pack_plus: MetricPack, pack_minus: MetricPack,
@@ -322,46 +244,22 @@ def _check_inputs(pack_plus: MetricPack, pack_minus: MetricPack,
 # ---------------------------------------------------------------------------
 
 
-def _nodal_d1(values: np.ndarray, d1x: float, x1_order: int) -> np.ndarray:
-    """Nodal x1-derivative along axis 0 with the assembly stencil."""
-    if x1_order == 2:
-        return (np.roll(values, -1, axis=0) - np.roll(values, 1, axis=0)) / (2.0 * d1x)
-    return (
-        np.roll(values, 2, axis=0) - 8.0 * np.roll(values, 1, axis=0)
-        + 8.0 * np.roll(values, -1, axis=0) - np.roll(values, -2, axis=0)
-    ) / (12.0 * d1x)
+def _recover(balance: _CellBalance, p: np.ndarray, scale: float) -> HeadSolution:
+    """Velocity and traces at the head array p, all from the balance, with
+    every output multiplied by scale."""
+    m = balance.m_minus
+    d1p, d2p = balance.gradient(p)
+    w1 = -(balance.k11 * d1p + balance.k12 * d2p)
+    w2 = -(balance.k12 * d1p + balance.k22 * d2p)
+    rows = scale * balance(p)
+    grid_minus = StripGrid(LOWER, balance.n1, m)
+    grid_plus = StripGrid(UPPER, balance.n1, balance.m_plus)
 
+    def split(arr):
+        return (StripField(grid_plus, scale * arr[m:].T),
+                StripField(grid_minus, scale * arr[:m].T))
 
-def _recover(plan: _Plan, p_all: np.ndarray, f_vec: np.ndarray, h_vec: np.ndarray,
-             pack_minus: MetricPack, pack_plus: MetricPack) -> HeadSolution:
-    n = plan.n1
-    mm = plan.m_minus
-    levels = p_all.reshape(plan.n_levels, n).T  # (n1, levels)
-
-    p_minus = StripField(pack_minus.grid, levels[:, :mm].copy())
-    p_plus = StripField(pack_plus.grid, levels[:, mm - 1:].copy())
-
-    def hrow(lh: int) -> np.ndarray:
-        return h_vec[lh * n:(lh + 1) * n]
-
-    # conservative top trace: the flux balancing the top half cells
-    f_top = f_vec[-n:] - (plan.dp / 2.0) * hrow(plan.n_hrow_levels - 1)
-    w2_trace = PeriodicField1D(-f_top)
-
-    # permeability-line fluxes recovered from each side's half cell
-    f_below = f_vec[(mm - 2) * n:(mm - 1) * n] - (plan.dm / 2.0) * hrow(mm - 1)
-    f_above = f_vec[(mm - 1) * n:mm * n] + (plan.dp / 2.0) * hrow(mm)
-
-    def bulk_w(pack: MetricPack, p: StripField):
-        dp1 = _nodal_d1(p.values, plan.d1, plan.x1_order)
-        dp2 = vertical_derivative(p.values, pack.grid.dx2)
-        w1 = -(pack.k11 * dp1 + pack.k12 * dp2)
-        w2 = -(pack.k12 * dp1 + pack.k22 * dp2)
-        return StripField(pack.grid, w1), StripField(pack.grid, w2)
-
-    w1_minus, w2_minus = bulk_w(pack_minus, p_minus)
-    w1_plus, w2_plus = bulk_w(pack_plus, p_plus)
-
+    (p_plus, p_minus), (w1_plus, w1_minus), (w2_plus, w2_minus) = map(split, (p, w1, w2))
     return HeadSolution(
         p_plus=p_plus,
         p_minus=p_minus,
@@ -369,10 +267,10 @@ def _recover(plan: _Plan, p_all: np.ndarray, f_vec: np.ndarray, h_vec: np.ndarra
         w2_plus=w2_plus,
         w1_minus=w1_minus,
         w2_minus=w2_minus,
-        gamma_trace_w2=w2_trace,
-        perm_flux_above=PeriodicField1D(f_above),
-        perm_flux_below=PeriodicField1D(f_below),
-        top_flux_total=float(plan.d1 * np.sum(f_top)),
+        gamma_trace_w2=PeriodicField1D(-rows[-1]),
+        perm_flux_above=PeriodicField1D(-rows[m]),
+        perm_flux_below=PeriodicField1D(rows[m - 1].copy()),
+        top_flux_total=float(balance.dx1 * np.sum(rows[-1])),
     )
 
 
@@ -381,96 +279,51 @@ def _recover(plan: _Plan, p_all: np.ndarray, f_vec: np.ndarray, h_vec: np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _split_system(plan: _Plan, l_full: sp.csc_matrix, h: PeriodicField1D):
-    l_free = l_full[:, :plan.n_free].tocsc()
-    l_top = l_full[:, plan.n_free:]
-    b = -(l_top @ h.values)
-    return l_free, b
-
-
-def _relative_residual(l_free, x, b) -> float:
-    scale = float(np.max(np.abs(b))) if b.size else 0.0
-    if scale == 0.0:
-        return float(np.max(np.abs(l_free @ x))) if x.size else 0.0
-    return float(np.max(np.abs(l_free @ x - b))) / scale
-
-
-def _solve_direct(l_free: sp.csc_matrix, b: np.ndarray) -> np.ndarray:
-    try:
-        lu = spla.splu(l_free, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # singular factor
-        raise NonSPDSystem(f"sparse factorization failed: {exc}") from exc
-    return lu.solve(b)
-
-
-def _level_stencil(l0_free: sp.spmatrix, n1: int) -> np.ndarray:
-    """Stencil of the free flat operator as a (levels, 3, n1) array.
-
-    Entry [g, d, m] couples node (level g, column j) to node (level g + d - 1,
-    column j + m mod n1).  It is read off the first row of each level block;
-    every other row must repeat it, i.e. the operator must be circulant in x1
-    and tridiagonal across levels.
-    """
-    full = l0_free.tocoo()
-    lev_r, j_r = np.divmod(full.row, n1)
-    lev_c, j_c = np.divmod(full.col, n1)
-    band = lev_c - lev_r + 1
-    assert np.all((band >= 0) & (band <= 2)), "flat operator not tridiagonal in levels"
-    stencil = np.zeros((l0_free.shape[0] // n1, 3, n1))
-    first = j_r == 0
-    stencil[lev_r[first], band[first], j_c[first]] = full.data[first]
-    tol = 1e-13 * float(np.max(np.abs(stencil)))
-    mismatch = np.abs(full.data - stencil[lev_r, band, (j_c - j_r) % n1])
-    assert np.all(mismatch <= tol) and (
-        np.count_nonzero(np.abs(full.data) > tol)
-        == n1 * np.count_nonzero(np.abs(stencil) > tol)), "flat operator not circulant in x1"
-    return stencil
-
-
 class _FlatInverse:
-    """Exact inverse of the free flat-metric operator (k12 = 0, constant k11
+    """Exact inverse of the free flat-metric balance (k12 = 0, constant k11
     and k22 per strip).
 
     That operator is circulant in x1 and tridiagonal across levels, so an
     rfft in x1 splits it into one tridiagonal level system per Fourier mode
-    (Concus & Golub 1973).  The per-mode systems are stacked mode after mode
-    into a single tridiagonal matrix: the floor level has no level below and
-    the top free level none above, so consecutive modes do not couple.  Its
-    LU factors (LAPACK gttrf) are computed once; each solve is one rfft, one
-    gttrs call over all modes and one irfft.  No dense per-mode block is
-    formed.
+    (Concus & Golub 1973).  Its per-mode bands are the rfft of the responses
+    to unit heads in column 0 on every third level.  The per-mode systems are
+    stacked mode after mode into a single tridiagonal matrix: the floor level
+    has no level below and the top free level none above, so consecutive
+    modes do not couple.  Its LU factors (LAPACK gttrf) are computed once;
+    each solve is one rfft, one gttrs call over all modes and one irfft.
     """
 
-    def __init__(self, l0_free: sp.spmatrix, n1: int):
+    def __init__(self, flat: _CellBalance):
         from scipy.linalg import lapack  # already loaded by scipy.sparse.linalg
 
-        self.n1 = n1
-        self.n_lev = l0_free.shape[0] // n1
-        # (Lx)^_k = sum_m T[m] e^{+2 pi i k m / n1} x^_k = conj(rfft(T))_k x^_k
-        sym = np.conj(np.fft.rfft(_level_stencil(l0_free, n1), axis=-1))
-        lower = sym[:, 0].T.ravel()[1:]
-        upper = sym[:, 2].T.ravel()[:-1]
-        *self._factors, info = lapack.zgttrf(lower, sym[:, 1].T.ravel(), upper)
+        self.n1, n_lev = flat.n1, flat.n_lev
+        response = []
+        for a in range(3):
+            seed = np.zeros((n_lev, self.n1))
+            seed[a::3, 0] = 1.0
+            response.append(np.fft.rfft(flat.free_rows(seed.ravel()).reshape(n_lev, self.n1)))
+        response = np.stack(response)
+        # row g is reached by the seed level g + s of colour (g + s) mod 3
+        g = np.arange(n_lev)
+        lower, diag, upper = (response[(g + s) % 3, g].T.ravel() for s in (-1, 0, 1))
+        *self._factors, info = lapack.zgttrf(lower[1:], diag, upper[:-1])
         assert info == 0, "flat operator is singular"
         self._gttrs = lapack.zgttrs
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        modes = np.fft.rfft(r.reshape(self.n_lev, self.n1), axis=1)
+        modes = np.fft.rfft(r.reshape(-1, self.n1))
         x, _ = self._gttrs(*self._factors, modes.T.reshape(-1, 1))
-        return np.fft.irfft(x.reshape(-1, self.n_lev).T, n=self.n1, axis=1).ravel()
+        return np.fft.irfft(x.reshape(-1, modes.shape[0]).T, n=self.n1).ravel()
 
 
 @lru_cache(maxsize=8)
-def _flat_inverse(n1: int, m_minus: int, m_plus: int, x1_order: int,
+def _flat_inverse(n1: int, m_minus: int, m_plus: int,
                   beta_plus: float, beta_minus: float) -> _FlatInverse:
     """Flat-metric inverse: the Krylov preconditioner and the Picard splitting."""
-    plan = _plan(n1, m_minus, m_plus, x1_order)
-    l0_full, _, _ = _assemble(plan, _flat_pack(StripGrid(LOWER, n1, m_minus), beta_minus),
-                              _flat_pack(StripGrid(UPPER, n1, m_plus), beta_plus))
-    return _FlatInverse(l0_full[:, :plan.n_free], n1)
+    return _FlatInverse(_CellBalance.flat(n1, m_minus, m_plus, beta_plus, beta_minus))
 
 
-def _bicgstab(a: sp.spmatrix, b: np.ndarray, precond, rtol: float) -> np.ndarray:
+def _bicgstab(apply, b: np.ndarray, precond, rtol: float) -> np.ndarray:
     """Right-preconditioned BiCGSTAB (van der Vorst 1992) from x = 0.
 
     Stops once |r|_2 <= rtol |b|_2; raises SolverDivergence on a breakdown
@@ -495,14 +348,14 @@ def _bicgstab(a: sp.spmatrix, b: np.ndarray, precond, rtol: float) -> np.ndarray
                 raise SolverDivergence("BiCGSTAB broke down: non-finite residual")
             p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
             p_pre = precond(p)
-            v = a @ p_pre
+            v = apply(p_pre)
             alpha = rho / dot(b, v)
             x += alpha * p_pre
             s = r - alpha * v
             if np.sqrt(dot(s, s)) <= stop:
                 return x
             s_pre = precond(s)
-            t = a @ s_pre
+            t = apply(s_pre)
             omega = dot(t, s) / dot(t, t)
             x += omega * s_pre
             r = s - omega * t
@@ -514,56 +367,54 @@ def _bicgstab(a: sp.spmatrix, b: np.ndarray, precond, rtol: float) -> np.ndarray
     raise SolverDivergence(f"BiCGSTAB stalled: not converged in {KRYLOV_MAXITER} iterations")
 
 
-def _solve_krylov(l_free: sp.csc_matrix, b: np.ndarray, plan: _Plan,
-                  beta_plus: float, beta_minus: float) -> np.ndarray:
-    scale = float(np.max(np.abs(b)))
-    if scale == 0.0:
-        return np.zeros_like(b)
-    flat = _flat_inverse(plan.n1, plan.m_minus, plan.m_plus, plan.x1_order,
-                         beta_plus, beta_minus)
+def _solve_direct(balance: _CellBalance, b: np.ndarray) -> np.ndarray:
+    l_free = _probe(balance)
+    if np.any(l_free.diagonal() <= 0.0):
+        raise NonSPDSystem("head matrix lost positive diagonal")
+    try:
+        lu = spla.splu(l_free, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:  # singular factor
+        raise NonSPDSystem(f"sparse factorization failed: {exc}") from exc
+    return lu.solve(b)
+
+
+def _solve_krylov(balance: _CellBalance, b: np.ndarray, profile: PermeabilityProfile):
+    flat = _flat_inverse(balance.n1, balance.m_minus, balance.m_plus,
+                         profile.beta_plus, profile.beta_minus)
     # |r|_inf <= |r|_2 <= rtol |b|_2 <= rtol sqrt(n_free) |b|_inf, so this
-    # rtol meets the max-norm residual gate of solve_head.  The right side is
-    # normalised so that the inner products of tiny data cannot underflow.
-    x = _bicgstab(l_free, b / scale, flat.solve, RESIDUAL_TOL / np.sqrt(plan.n_free))
-    return x * scale
+    # rtol meets the max-norm residual gate of solve_head
+    return _bicgstab(balance.free_rows, b, flat.solve, RESIDUAL_TOL / np.sqrt(b.size))
 
 
 def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
                profile: PermeabilityProfile, solver: str = "direct") -> HeadSolution:
-    """Assemble and solve the head system; recover the velocity and traces.
+    """Solve the head system; recover the velocity and traces.
 
-    solver: "direct" (sparse LU, the default here and the test oracle) or
-    "krylov" (BiCGSTAB preconditioned by the exact flat-metric inverse, the
-    default of SimConfig; the head matrix is not symmetric when k12 != 0).
-    Either way the max-norm residual relative to the right side must come
-    out below RESIDUAL_TOL, else SolverDivergence is raised; a Krylov stall
-    or breakdown raises it too.
+    solver: "direct" (sparse LU of the probed matrix, the default here and
+    the test oracle) or "krylov" (BiCGSTAB on the matrix-free balance,
+    preconditioned by the exact flat-metric inverse, the default of
+    SimConfig; the head operator is not symmetric when k12 != 0).  The
+    system is solved for h / max|h| and every output rescaled, since it is
+    linear in h; h = 0 gives the exact zero solution.  Either way the
+    max-norm residual relative to the right side must come out below
+    RESIDUAL_TOL, else SolverDivergence is raised; a Krylov stall or
+    breakdown raises it too.
     """
-    _check_inputs(pack_plus, pack_minus, h, profile)
-    plan = _plan(pack_plus.grid.n1, pack_minus.grid.n2, pack_plus.grid.n2, X1_ORDER)
-    l_full, f_op, h_op = _assemble(plan, pack_minus, pack_plus)
-    l_free, b = _split_system(plan, l_full, h)
-    if np.any(l_free.diagonal() <= 0.0):
-        raise NonSPDSystem("assembled system lost positive diagonal")
-
-    if solver == "direct":
-        x = _solve_direct(l_free, b)
-    elif solver == "krylov":
-        x = _solve_krylov(l_free, b, plan, profile.beta_plus, profile.beta_minus)
-    else:
+    if solver not in ("direct", "krylov"):
         raise ValueError(f"unknown solver {solver!r}")
-
-    res = _relative_residual(l_free, x, b)
+    _check_inputs(pack_plus, pack_minus, h, profile)
+    balance = _CellBalance.from_packs(pack_minus, pack_plus)
+    zero = np.zeros(balance.n1 * balance.n_lev)
+    scale = float(np.max(np.abs(h.values)))
+    if scale == 0.0:
+        return _recover(balance, balance.heads(zero, h.values), 1.0)
+    top = h.values / scale
+    b = -balance.free_rows(zero, top)
+    x = _solve_direct(balance, b) if solver == "direct" else _solve_krylov(balance, b, profile)
+    res = float(np.max(np.abs(balance.free_rows(x) - b))) / float(np.max(np.abs(b)))
     if not np.isfinite(res) or res > RESIDUAL_TOL:
         raise SolverDivergence(f"head solve residual {res:.3e} exceeds {RESIDUAL_TOL}")
-
-    p_all = np.concatenate([x, h.values])
-    return _recover(plan, p_all, f_op @ p_all, h_op @ p_all, pack_minus, pack_plus)
-
-
-def _flat_pack(grid: StripGrid, beta: float) -> MetricPack:
-    zeros = np.zeros((grid.n1, grid.n2))
-    return assemble_metric(grid, beta, StripField(grid, zeros.copy()), zeros, zeros)
+    return _recover(balance, balance.heads(x, top), scale)
 
 
 def picard_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
@@ -580,23 +431,20 @@ def picard_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1
     the budget runs out.
     """
     _check_inputs(pack_plus, pack_minus, h, profile)
-    plan = _plan(pack_plus.grid.n1, pack_minus.grid.n2, pack_plus.grid.n2, X1_ORDER)
-    l_full, f_op, h_op = _assemble(plan, pack_minus, pack_plus)
-    l_free, b = _split_system(plan, l_full, h)
-    flat = _flat_inverse(plan.n1, plan.m_minus, plan.m_plus, plan.x1_order,
+    balance = _CellBalance.from_packs(pack_minus, pack_plus)
+    flat = _flat_inverse(balance.n1, balance.m_minus, balance.m_plus,
                          profile.beta_plus, profile.beta_minus)
+    x = np.zeros(balance.n1 * balance.n_lev)
+    b = -balance.free_rows(x, h.values)
 
-    x = np.zeros(plan.n_free)
     prev_diff = np.inf
     growth_streak = 0
     for _ in range(max_iter):
-        x_new = x + flat.solve(b - l_free @ x)
+        x_new = x + flat.solve(b - balance.free_rows(x))
         diff = float(np.max(np.abs(x_new - x))) if x.size else 0.0
         x = x_new
         if diff <= tol * max(1.0, float(np.max(np.abs(x), initial=0.0))):
-            p_all = np.concatenate([x, h.values])
-            return _recover(plan, p_all, f_op @ p_all, h_op @ p_all,
-                            pack_minus, pack_plus)
+            return _recover(balance, balance.heads(x, h.values), 1.0)
         growth_streak = growth_streak + 1 if diff > prev_diff else 0
         if growth_streak >= 3 or not np.isfinite(diff):
             raise NoContraction(

@@ -60,11 +60,6 @@ class PeriodicField1D:
     def n(self) -> int:
         return self.values.size
 
-    # spec field name: number of equispaced nodes
-    @property
-    def n_modes(self) -> int:
-        return self.values.size
-
     @property
     def coeffs(self) -> np.ndarray:
         if self._coeffs is None:

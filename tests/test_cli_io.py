@@ -78,7 +78,7 @@ class TestConfig:
 
 class TestTimeseries:
     def test_header_and_precision(self, tmp_path):
-        rep = EnergyReport(t=0.1, l2_h=1 / 3, h2_h=2.0, h2p5_h=3.0, E_running=0.0,
+        rep = EnergyReport(t=0.1, l2_h=1 / 3, h2_h=2.0, h2p5_h=3.0,
                            script_E=4.0, script_D=5.0, rt_margin=1.0,
                            l2_law_residual=-1e-12, coupling_ratio=0.5)
         path = tmp_path / "ts.csv"
@@ -128,6 +128,25 @@ class TestSnapshot:
         path = tmp_path / "bad.mskt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError):
+            read_snapshot(path)
+
+    # 4 x (3 + 5) levels: 28 header bytes + 8 * (2 * 4 + 3 * 4 * (3 + 5)) = 860
+    @pytest.mark.parametrize("length, message", [
+        (8, "header needs 28 bytes, file has 8"),
+        (852, "header declares 860 bytes, file has 852"),
+        (868, "header declares 860 bytes, file has 868"),
+    ], ids=["short_header", "truncated", "padded"])
+    def test_rejects_wrong_length(self, tmp_path, length, message):
+        snap = Snapshot(
+            t=0.5, h=np.zeros(4), f=np.zeros(4),
+            p_plus=np.zeros((4, 3)), p_minus=np.zeros((4, 5)),
+            w1_plus=np.zeros((4, 3)), w2_plus=np.zeros((4, 3)),
+            w1_minus=np.zeros((4, 5)), w2_minus=np.zeros((4, 5)),
+        )
+        path = tmp_path / "s.mskt"
+        write_snapshot(path, snap)
+        path.write_bytes((path.read_bytes() + bytes(8))[:length])
+        with pytest.raises(ValueError, match=message):
             read_snapshot(path)
 
 

@@ -146,13 +146,6 @@ class TestReport:
         _, head, pack_p, pack_m = small_solve(h_amp=0.08, f_amp=0.05)
         assert dissipation_l2(head, pack_p, pack_m) > 0
 
-    def test_running_energy_monotone_integral(self):
-        hist = History()
-        h, head, pack_p, pack_m = small_solve()
-        r0 = report(SimState(h=h, t=0.0), head, (pack_p, pack_m), hist)
-        r1 = report(SimState(h=h, t=0.5), head, (pack_p, pack_m), hist)
-        assert r1.E_running >= r0.E_running
-
 
 class TestEnergyLaw:
     def test_l2_law_residual_small_run(self):
@@ -181,7 +174,7 @@ class TestDecayFit:
         for t in ts:
             amp = amp0 * math.exp(-0.5 * gamma * t)
             reports.append(EnergyReport(
-                t=t, l2_h=0.0, h2_h=0.0, h2p5_h=0.0, E_running=0.0,
+                t=t, l2_h=0.0, h2_h=0.0, h2p5_h=0.0,
                 script_E=amp * amp, script_D=0.0, rt_margin=1.0,
                 l2_law_residual=0.0, coupling_ratio=0.0))
         return reports

@@ -214,8 +214,8 @@ class TestSolverOptions:
                                    st.floats(-1.0, 1.0)), min_size=1, max_size=3),
         f_modes=st.lists(st.tuples(st.integers(0, 4), st.floats(-1.0, 1.0),
                                    st.floats(-1.0, 1.0)), max_size=2),
-        h_amp=st.floats(0.0, 0.1, allow_subnormal=False),
-        f_amp=st.floats(0.0, 0.15, allow_subnormal=False),
+        h_amp=st.floats(0.0, 0.1),
+        f_amp=st.floats(0.0, 0.15),
         betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
     )
     def test_krylov_matches_direct_property(self, h_modes, f_modes, h_amp, f_amp, betas):
@@ -236,19 +236,35 @@ class TestSolverOptions:
             assert diff <= 1e-8, name
         assert abs(direct.top_flux_total - krylov.top_flux_total) <= 1e-8
 
-    @pytest.mark.parametrize("x1_order", [2, 4])
-    @pytest.mark.parametrize("n1, m_minus, m_plus", [(4, 3, 3), (64, 3, 3), (4, 7, 4),
-                                                     (64, 9, 17)])
-    def test_flat_inverse_matches_lu(self, n1, m_minus, m_plus, x1_order):
-        plan = pressure._plan(n1, m_minus, m_plus, x1_order)
-        flat = [pressure._flat_pack(StripGrid(LOWER, n1, m_minus), 0.3),
-                pressure._flat_pack(StripGrid(UPPER, n1, m_plus), 1.7)]
-        l0_full, _, _ = pressure._assemble(plan, *flat)
-        lu = splu(l0_full[:, :plan.n_free].tocsc())
-        inverse = pressure._flat_inverse(n1, m_minus, m_plus, x1_order, 1.7, 0.3)
-        r = np.random.default_rng(n1 + m_minus + m_plus).normal(size=plan.n_free)
+    # the ids keep the x1 stencil order (4) as their last field
+    @pytest.mark.parametrize("n1, m_minus, m_plus",
+                             [(4, 3, 3), (64, 3, 3), (4, 7, 4), (64, 9, 17)],
+                             ids=["4-3-3-4", "64-3-3-4", "4-7-4-4", "64-9-17-4"])
+    def test_flat_inverse_matches_lu(self, n1, m_minus, m_plus):
+        flat = pressure._CellBalance.flat(n1, m_minus, m_plus, 1.7, 0.3)
+        lu = splu(pressure._probe(flat))
+        inverse = pressure._flat_inverse(n1, m_minus, m_plus, 1.7, 0.3)
+        r = np.random.default_rng(n1 + m_minus + m_plus).normal(size=n1 * flat.n_lev)
         expected = lu.solve(r)
         assert np.max(np.abs(inverse.solve(r) - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+    # column colours q: n1 itself for 4, 6, 8, 10, 14; 11 for 22, 9 for 18, 16 for 64
+    @pytest.mark.parametrize("n1, m_minus, m_plus",
+                             [(4, 3, 17), (6, 17, 3), (8, 5, 9), (10, 9, 4), (14, 3, 3),
+                              (18, 12, 7), (22, 4, 13), (64, 17, 9)])
+    def test_probe_reproduces_balance(self, n1, m_minus, m_plus):
+        x = PeriodicField1D.zeros(n1).x1
+        h = PeriodicField1D(0.08 * np.cos(x) + 0.03 * np.sin(x))
+        f = PeriodicField1D(0.1 * np.sin(x) + 0.05 * np.cos(2 * x))
+        profile = PermeabilityProfile(f, 1.3, 0.4)
+        pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, n1, m_plus)), profile)
+        pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, n1, m_minus)), profile)
+        assert np.min(np.abs(pack_p.k12)) > 0.0  # sheared: every coupling present
+        balance = pressure._CellBalance.from_packs(pack_m, pack_p)
+        matrix = pressure._probe(balance)
+        v = np.random.default_rng(n1 * m_minus * m_plus).normal(size=matrix.shape[0])
+        expected = balance.free_rows(v)
+        assert np.max(np.abs(matrix @ v - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_krylov_failure_raises_without_fallback(self, monkeypatch):
         x = PeriodicField1D.zeros(64).x1
@@ -259,12 +275,39 @@ class TestSolverOptions:
         # b . (A b) = 0 for a skew matrix: the first step breaks down
         skew = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         with pytest.raises(SolverDivergence, match="broke down"):
-            pressure._bicgstab(skew, np.array([1.0, 0.0]), lambda r: r, 1e-12)
+            pressure._bicgstab(lambda v: skew @ v, np.array([1.0, 0.0]), lambda r: r, 1e-12)
 
     def test_unknown_solver_rejected(self):
         args = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
         with pytest.raises(ValueError):
             solve_head(*args, solver="magic")
+
+
+class TestDataScaling:
+    def test_subnormal_interface_data(self):
+        # solve_head solves for h / max|h| and rescales; solved for h itself,
+        # gradual underflow in the right side fails the direct residual gate
+        n1 = 32
+        x = PeriodicField1D.zeros(n1).x1
+        tiny = 2.2e-313
+        pack_p, pack_m, h, profile = setup(n1, 9, tiny * np.sin(x), np.zeros(n1), 1.0, 1.0)
+        unit = solve_head(pack_p, pack_m, PeriodicField1D(np.sin(x)), profile)
+        for solver in ("direct", "krylov"):
+            head = solve_head(pack_p, pack_m, h, profile, solver=solver)
+            for name in ("p_plus", "p_minus", "w2_plus", "gamma_trace_w2"):
+                scaled = getattr(head, name).values / tiny
+                assert np.max(np.abs(scaled - getattr(unit, name).values)) <= 1e-8, name
+
+    @pytest.mark.parametrize("solver", ["direct", "krylov"])
+    def test_zero_interface_gives_exact_zero(self, solver):
+        x = PeriodicField1D.zeros(32).x1
+        head = solve_head(*setup(32, 9, np.zeros(32), 0.2 * np.cos(x), 1.0, 0.3),
+                          solver=solver)
+        assert w_max(head) == 0.0
+        for field in (head.p_plus, head.p_minus, head.gamma_trace_w2,
+                      head.perm_flux_above, head.perm_flux_below):
+            assert not np.any(field.values)
+        assert head.top_flux_total == 0.0
 
 
 class TestErrorPaths:
