@@ -14,14 +14,13 @@ import math
 import struct
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, diagnostics, evolution
 from .diffeo import (
-    LOWER,
     UPPER,
     PermeabilityProfile,
     StripGrid,
@@ -30,7 +29,7 @@ from .diffeo import (
     piola_divergence,
     vertical_derivative_exact,
 )
-from .spectral_core import PeriodicField1D, deriv, sobolev_norm
+from .spectral_core import PeriodicField1D
 
 __all__ = [
     "ConfigError",
@@ -458,12 +457,8 @@ def cmd_convergence(config_path: str) -> int:
               "third of the spectrum; n1 may be under-resolved")
 
     def final_h(n2p, n2m, dt_safety):
-        cfg = evolution.SimConfig(
-            n1=config.n1, n2_plus=n2p, n2_minus=n2m,
-            beta_plus=config.beta_plus, beta_minus=config.beta_minus,
-            dt_safety=dt_safety, t_end=config.t_end,
-            gap_tol=config.gap_tol, j_min=config.j_min, solver=config.solver,
-            report_every=10 ** 9)
+        cfg = replace(config, n2_plus=n2p, n2_minus=n2m, dt_safety=dt_safety,
+                      report_every=10 ** 9)
         traj = evolution.run(cfg, h0, f)
         if traj.termination != evolution.TERMINATION_COMPLETED:
             raise RuntimeError(f"run terminated with {traj.termination}")

@@ -16,7 +16,7 @@ import numpy as np
 from .diffeo import MetricPack, PermeabilityProfile, StripGrid
 from .errors import InsufficientData
 from .pressure import HeadSolution
-from .spectral_core import PeriodicField1D, deriv, sobolev_norm, x1_derivative
+from .spectral_core import deriv, sobolev_norm, x1_derivative
 
 __all__ = [
     "dispersion_rate",

@@ -5,7 +5,7 @@ the horizontal spacing (the linearized operator is first-order dissipative).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,14 @@ TERMINATION_COMPLETED = "completed"
 TERMINATION_GAP = "gap_violation"
 TERMINATION_DEGENERATE = "diffeo_degenerate"
 TERMINATION_SOLVER = "solver_failure"
+
+# the errors that end a run, with the termination each one records
+_TERMINATIONS = {
+    GapViolation: TERMINATION_GAP,
+    DiffeoDegenerate: TERMINATION_DEGENERATE,
+    NonSPDSystem: TERMINATION_SOLVER,
+    SolverDivergence: TERMINATION_SOLVER,
+}
 
 
 @dataclass(frozen=True)
@@ -230,44 +238,24 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
 
     try:
         current_eval = _evaluate(state.h.values, profile, config)
-    except (DiffeoDegenerate, NonSPDSystem, SolverDivergence) as exc:
-        traj.termination = (TERMINATION_DEGENERATE
-                            if isinstance(exc, DiffeoDegenerate)
-                            else TERMINATION_SOLVER)
-        traj.error = str(exc)
-        traj.error_time = 0.0
-        return traj
+        sample(current_eval)
+        traj.max_abs_mean_h = abs(mean(state.h))
+        traj.max_abs_top_flux = abs(current_eval[1].top_flux_total)
 
-    sample(current_eval)
-    traj.max_abs_mean_h = abs(mean(state.h))
-    traj.max_abs_top_flux = abs(current_eval[1].top_flux_total)
-
-    while state.t < config.t_end - 1e-12:
-        dt_step = min(dt, config.t_end - state.t)
-        try:
+        while state.t < config.t_end - 1e-12:
+            dt_step = min(dt, config.t_end - state.t)
             state = step(state, profile, config, dt_step, _first_eval=current_eval)
             current_eval = _evaluate(state.h.values, profile, config)
-        except GapViolation as exc:
-            traj.termination = TERMINATION_GAP
-            traj.error = str(exc)
-            traj.error_time = state.t
-            return traj
-        except DiffeoDegenerate as exc:
-            traj.termination = TERMINATION_DEGENERATE
-            traj.error = str(exc)
-            traj.error_time = state.t
-            return traj
-        except (NonSPDSystem, SolverDivergence) as exc:
-            traj.termination = TERMINATION_SOLVER
-            traj.error = str(exc)
-            traj.error_time = state.t
-            return traj
-
-        traj.max_abs_mean_h = max(traj.max_abs_mean_h, abs(mean(state.h)))
-        traj.max_abs_top_flux = max(traj.max_abs_top_flux,
-                                    abs(current_eval[1].top_flux_total))
-        at_end = state.t >= config.t_end - 1e-12
-        if state.step_count % config.report_every == 0 or at_end:
-            sample(current_eval)
+            traj.max_abs_mean_h = max(traj.max_abs_mean_h, abs(mean(state.h)))
+            traj.max_abs_top_flux = max(traj.max_abs_top_flux,
+                                        abs(current_eval[1].top_flux_total))
+            at_end = state.t >= config.t_end - 1e-12
+            if state.step_count % config.report_every == 0 or at_end:
+                sample(current_eval)
+    except tuple(_TERMINATIONS) as exc:
+        traj.termination = next(reason for kind, reason in _TERMINATIONS.items()
+                                if isinstance(exc, kind))
+        traj.error = str(exc)
+        traj.error_time = state.t  # a step that fails leaves state as it was
 
     return traj

@@ -8,31 +8,32 @@ w = -K grad P; the interface moves with the trace of w2 on the top line.
 
 Discretization: vertex-centered cell balances on the two strip grids, which
 share the permeability-line nodes.  One map, _CellBalance, takes the nodal
-head of both strips to the balance of div w over each level's cell.  The
-vertical part is in conservative face-flux form: the face average of k22
-times the two-point difference plus the face average of k12 times the
-averaged x1-difference.  The horizontal part is the x1-difference of the
-nodal w1 = -(k11 D1 P + k12 d2 P) times the trapezoid cell height, where
-D1 is one fourth-order antisymmetric stencil and d2 P is the strip-sided
-diffeo.vertical_derivative.  Half cells sit at the floor, at the top line
+head of both strips to the balance of div w over each level's cell:
+
+    L = D1^T H k11 D1 + delta^T k22f delta + delta^T k12f A D1 + D1^T A^T k12f delta
+
+with D1 one fourth-order antisymmetric x1-difference, delta the level
+difference onto the faces, A the average onto them, H the trapezoid cell
+heights and k22f, k12f face averages (k22f over the level spacing).  The
+last term, the horizontal cross flux, is the adjoint of the third, so L is
+symmetric by construction.  Half cells sit at the floor, at the top line
 and on both sides of the permeability line; the two there sum to the
 balance of the shared node.  The column sums of the vertical fluxes
 telescope and those of the antisymmetric horizontal stencil vanish
 identically, so the total flux through the top line is zero to solver
 precision -- the discrete mass ledger.  The antisymmetry also makes the
 discrete summation-by-parts of the horizontal terms exact, which keeps the
-energy-law defect free of any horizontal-resolution floor.  Face
-conductivities are arithmetic averages of the adjacent levels.  The
-recovered traces are rows of the same balance: the top-line row and the two
-half-cell rows at the permeability line.
+energy-law defect free of any horizontal-resolution floor.  The recovered
+traces are rows of the same balance: the top-line row and the two half-cell
+rows at the permeability line.
 
-Solvers: "krylov" (the run default) is BiCGSTAB applied to the balance
-itself, no matrix formed -- the head operator is not symmetric when
-k12 != 0 -- preconditioned by the exact inverse of the flat-metric balance
-(k12 = 0, constant k11 = k22 = beta per strip), which an rfft in x1 reduces
-to one tridiagonal level system per Fourier mode.  "direct" is sparse LU of
-the matrix read off the balance by coloured unit probes (Curtis, Powell &
-Reid 1974); it is the oracle the Krylov path is tested against.
+Solvers: "krylov" (the run default) is conjugate gradient on the balance
+itself, no matrix formed, preconditioned by the exact inverse of the
+flat-metric balance (k12 = 0, constant k11 = k22 = beta per strip), which
+an rfft in x1 reduces to one tridiagonal level system per Fourier mode.
+"direct" is sparse LU of the matrix read off the balance by coloured unit
+probes (Curtis, Powell & Reid 1974); it is the oracle the Krylov path is
+tested against.
 picard_head is a fixed-point cross-check built on the same flat inverse.
 """
 
@@ -110,8 +111,9 @@ class _CellBalance:
     (rows m_minus - 1 and m_minus).  Between the two copies sits a
     zero-width pseudo-face that carries no flux.  Row s of the balance is
     the integral of div w over the cell of level s per unit x1-width: w2 on
-    the face above minus w2 on the face below, plus the cell height times
-    the x1-difference of w1.  The top line has no face above, so its row is
+    the face above minus w2 on the face below, plus the x1-difference of
+    w1 times the cell height, whose k12 part is the node average of the
+    face cross fluxes.  The top line has no face above, so its row is
     minus the conservative w2 trace there; the two permeability-line rows
     lack the flux through that line, and their sum is the balance of the
     shared cell.
@@ -140,8 +142,10 @@ class _CellBalance:
 
     @classmethod
     def from_packs(cls, pack_minus: MetricPack, pack_plus: MetricPack) -> "_CellBalance":
+        # C order, as the head arrays: mixed-order elementwise products are slow
         return cls(pack_minus.grid.n2, pack_minus.grid.dx2, pack_plus.grid.dx2,
-                   *(np.vstack([getattr(pack_minus, k).T, getattr(pack_plus, k).T])
+                   *(np.ascontiguousarray(np.vstack([getattr(pack_minus, k).T,
+                                                     getattr(pack_plus, k).T]))
                      for k in ("k11", "k12", "k22")))
 
     @classmethod
@@ -153,18 +157,16 @@ class _CellBalance:
         return cls(m_minus, 1.0 / (m_minus - 1), 1.0 / (m_plus - 1),
                    beta, np.zeros_like(beta), beta)
 
-    def gradient(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = self.m_minus
-        d2p = np.concatenate([vertical_derivative(p[:m].T, self.dx2[0]).T,
-                              vertical_derivative(p[m:].T, self.dx2[1]).T])
-        return _x1_difference(p, self.dx1), d2p
-
     def __call__(self, p: np.ndarray) -> np.ndarray:
-        d1p, d2p = self.gradient(p)
-        w1 = -(self.k11 * d1p + self.k12 * d2p)
-        w2_face = -(self.face_k22 * (p[1:] - p[:-1])
-                    + self.face_k12 * (d1p[:-1] + d1p[1:]))
-        rows = self.height * _x1_difference(w1, self.dx1)
+        d1p = _x1_difference(p, self.dx1)
+        dp = p[1:] - p[:-1]
+        half_cross = self.face_k12 * dp  # face_k12 holds half the face k12
+        w2_face = -(self.face_k22 * dp + self.face_k12 * (d1p[:-1] + d1p[1:]))
+        # w1 times the cell height: its k12 part averages the face cross fluxes
+        side_flux = -self.height * self.k11 * d1p
+        side_flux[:-1] -= half_cross
+        side_flux[1:] -= half_cross
+        rows = _x1_difference(side_flux, self.dx1)
         rows[:-1] += w2_face
         rows[1:] -= w2_face
         return rows
@@ -195,23 +197,24 @@ def _probe(balance: _CellBalance) -> sp.csc_matrix:
     """Sparse head matrix read off the balance by column colouring
     (Curtis, Powell & Reid 1974).
 
-    A row couples to levels at most two away (one-sided d2 at the strip
-    ends) and to x1 columns at most four away (the x1-difference of an
-    x1-difference).  Unit heads on every fifth level and every q-th column,
-    q = n1 if n1 < 9 else the smallest divisor of n1 that is at least 9, so
-    reach disjoint rows, and each response entry belongs to one seed.
+    A row couples to the adjacent levels only and to x1 columns at most
+    four away (the x1-difference of an x1-difference).  Unit heads on every
+    third level and every q-th column, q = n1 if n1 < 9 else the smallest
+    divisor of n1 that is at least 9, so reach disjoint rows, and each
+    response entry belongs to one seed.
     """
     n1, n_lev = balance.n1, balance.n_lev
     q = n1 if n1 < 9 else min(d for d in range(9, n1 + 1) if n1 % d == 0)
-    g = np.arange(n_lev)[:, None]
-    j = np.arange(n1)[None, :]
+    # int32 indices: the index arrays are most of the probe's transient memory
+    g = np.arange(n_lev, dtype=np.int32)[:, None]
+    j = np.arange(n1, dtype=np.int32)[None, :]
     row_index = g * n1 + j
     rows, cols, vals = [], [], []
-    for a in range(5):
-        g0 = g + (a - g + 2) % 5 - 2
+    for a in range(3):
+        g0 = g + (a - g + 1) % 3 - 1
         for c in range(q):
             seed = np.zeros((n_lev, n1))
-            seed[a::5, c::q] = 1.0
+            seed[a::3, c::q] = 1.0
             response = balance.free_rows(seed.ravel()).reshape(n_lev, n1)
             hit = response != 0.0
             j0 = (j + (c - j + 4) % q - 4) % n1
@@ -248,7 +251,9 @@ def _recover(balance: _CellBalance, p: np.ndarray, scale: float) -> HeadSolution
     """Velocity and traces at the head array p, all from the balance, with
     every output multiplied by scale."""
     m = balance.m_minus
-    d1p, d2p = balance.gradient(p)
+    d1p = _x1_difference(p, balance.dx1)
+    d2p = np.concatenate([vertical_derivative(p[:m].T, balance.dx2[0]).T,
+                          vertical_derivative(p[m:].T, balance.dx2[1]).T])
     w1 = -(balance.k11 * d1p + balance.k12 * d2p)
     w2 = -(balance.k12 * d1p + balance.k22 * d2p)
     rows = scale * balance(p)
@@ -323,14 +328,15 @@ def _flat_inverse(n1: int, m_minus: int, m_plus: int,
     return _FlatInverse(_CellBalance.flat(n1, m_minus, m_plus, beta_plus, beta_minus))
 
 
-def _bicgstab(apply, b: np.ndarray, precond, rtol: float) -> np.ndarray:
-    """Right-preconditioned BiCGSTAB (van der Vorst 1992) from x = 0.
+def _cg(apply, b: np.ndarray, precond, rtol: float) -> np.ndarray:
+    """Preconditioned conjugate gradient (Hestenes & Stiefel 1952) from x = 0.
 
-    Stops once |r|_2 <= rtol |b|_2; raises SolverDivergence on a breakdown
-    or after KRYLOV_MAXITER iterations.  Inner products are numpy
-    reductions, not BLAS dot: OpenBLAS threads ddot on long vectors, and
-    with another process busy on a two-core host that made a reference-scale
-    solve about nine times slower.
+    Stops once |r|_2 <= rtol |b|_2.  Raises NonSPDSystem when a search
+    direction has p.Lp <= 0, SolverDivergence on a non-finite value or after
+    KRYLOV_MAXITER iterations.  Inner products are numpy reductions, not
+    BLAS dot: OpenBLAS threads ddot on long vectors, and with another
+    process busy on a two-core host that made a reference-scale solve about
+    nine times slower.
     """
     def dot(u, v):
         return float((u * v).sum())
@@ -338,33 +344,27 @@ def _bicgstab(apply, b: np.ndarray, precond, rtol: float) -> np.ndarray:
     x = np.zeros_like(b)
     r = b.copy()
     p = np.zeros_like(b)
-    v = np.zeros_like(b)
+    rz_prev = 1.0
     stop = rtol * np.sqrt(dot(b, b))
-    rho_prev = alpha = omega = 1.0
-    try:
-        for _ in range(KRYLOV_MAXITER):
-            rho = dot(b, r)  # the shadow residual is b; rho = 0 fails at rho_prev
-            if not np.isfinite(rho):
-                raise SolverDivergence("BiCGSTAB broke down: non-finite residual")
-            p = r + (rho / rho_prev) * (alpha / omega) * (p - omega * v)
-            p_pre = precond(p)
-            v = apply(p_pre)
-            alpha = rho / dot(b, v)
-            x += alpha * p_pre
-            s = r - alpha * v
-            if np.sqrt(dot(s, s)) <= stop:
-                return x
-            s_pre = precond(s)
-            t = apply(s_pre)
-            omega = dot(t, s) / dot(t, t)
-            x += omega * s_pre
-            r = s - omega * t
-            if np.sqrt(dot(r, r)) <= stop:
-                return x
-            rho_prev = rho
-    except ZeroDivisionError:
-        raise SolverDivergence("BiCGSTAB broke down") from None
-    raise SolverDivergence(f"BiCGSTAB stalled: not converged in {KRYLOV_MAXITER} iterations")
+    iterations = 0
+    while not np.sqrt(dot(r, r)) <= stop:  # a NaN residual iterates on
+        if iterations == KRYLOV_MAXITER:
+            raise SolverDivergence(f"CG stalled: not converged in {KRYLOV_MAXITER} iterations")
+        iterations += 1
+        z = precond(r)
+        rz = dot(r, z)
+        p = z + (rz / rz_prev) * p
+        lp = apply(p)
+        curvature = dot(p, lp)
+        if not np.isfinite(curvature):
+            raise SolverDivergence("CG diverged: non-finite p.Lp")
+        if curvature <= 0.0:
+            raise NonSPDSystem(f"head operator not positive definite: p.Lp = {curvature:.3e}")
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * lp
+        rz_prev = rz
+    return x
 
 
 def _solve_direct(balance: _CellBalance, b: np.ndarray) -> np.ndarray:
@@ -383,7 +383,7 @@ def _solve_krylov(balance: _CellBalance, b: np.ndarray, profile: PermeabilityPro
                          profile.beta_plus, profile.beta_minus)
     # |r|_inf <= |r|_2 <= rtol |b|_2 <= rtol sqrt(n_free) |b|_inf, so this
     # rtol meets the max-norm residual gate of solve_head
-    return _bicgstab(balance.free_rows, b, flat.solve, RESIDUAL_TOL / np.sqrt(b.size))
+    return _cg(balance.free_rows, b, flat.solve, RESIDUAL_TOL / np.sqrt(b.size))
 
 
 def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
@@ -391,14 +391,15 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     """Solve the head system; recover the velocity and traces.
 
     solver: "direct" (sparse LU of the probed matrix, the default here and
-    the test oracle) or "krylov" (BiCGSTAB on the matrix-free balance,
+    the test oracle) or "krylov" (CG on the matrix-free balance,
     preconditioned by the exact flat-metric inverse, the default of
-    SimConfig; the head operator is not symmetric when k12 != 0).  The
-    system is solved for h / max|h| and every output rescaled, since it is
-    linear in h; h = 0 gives the exact zero solution.  Either way the
-    max-norm residual relative to the right side must come out below
-    RESIDUAL_TOL, else SolverDivergence is raised; a Krylov stall or
-    breakdown raises it too.
+    SimConfig).  The system is
+    solved for h / max|h| and every output rescaled, since it is linear in
+    h; h = 0 gives the exact zero solution.  Either way the max-norm
+    residual relative to the right side must come out below RESIDUAL_TOL,
+    else SolverDivergence is raised; a CG stall or non-finite value raises
+    it too.  NonSPDSystem is raised for J <= 0, by CG's curvature test and
+    by the direct path's diagonal check.
     """
     if solver not in ("direct", "krylov"):
         raise ValueError(f"unknown solver {solver!r}")

@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from muskat import evolution, pressure
 from muskat.diffeo import PermeabilityProfile
-from muskat.errors import GapViolation
+from muskat.errors import GapViolation, SolverDivergence
 from muskat.evolution import (
     SimConfig,
     SimState,
     TERMINATION_COMPLETED,
+    TERMINATION_DEGENERATE,
     TERMINATION_GAP,
+    TERMINATION_SOLVER,
     rhs,
     run,
     step,
@@ -115,6 +118,42 @@ class TestRun:
         assert traj.termination == TERMINATION_GAP
         assert traj.error_time == 0.0
         assert traj.samples == []
+
+    def test_degenerate_strip_map_terminates(self):
+        config = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.3, j_min=0.9)
+        traj = run(config, cos_field(32, amp=0.3), PeriodicField1D.zeros(32))
+        assert traj.termination == TERMINATION_DEGENERATE
+        assert traj.error
+        assert traj.error_time == 0.0
+        assert traj.samples == []
+
+    def test_solver_failure_terminates(self, monkeypatch):
+        monkeypatch.setattr(pressure, "KRYLOV_MAXITER", 1)
+        config = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.3)
+        traj = run(config, cos_field(32, amp=0.05), PeriodicField1D.zeros(32))
+        assert traj.termination == TERMINATION_SOLVER
+        assert "stalled" in traj.error
+        assert traj.error_time == 0.0
+        assert traj.samples == []
+
+    def test_failure_inside_a_step_keeps_last_state(self, monkeypatch):
+        # solve 1 is the initial evaluation, 2-4 the stages of step 1, 5 the
+        # evaluation after it; solve 6, in step 2, fails
+        calls = []
+
+        def failing_solve(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6:
+                raise SolverDivergence("injected")
+            return pressure.solve_head(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "solve_head", failing_solve)
+        config = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.3)
+        traj = run(config, cos_field(32, amp=0.05), PeriodicField1D.zeros(32))
+        assert traj.termination == TERMINATION_SOLVER
+        assert traj.error == "injected"
+        assert traj.error_time == pytest.approx(config.dt)
+        assert [s.t for s in traj.samples] == [0.0, traj.error_time]
 
     def test_decay_and_rt_margin(self):
         config = SimConfig(n1=32, n2_plus=13, n2_minus=13, t_end=1.0, report_every=4)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -266,16 +265,46 @@ class TestSolverOptions:
         expected = balance.free_rows(v)
         assert np.max(np.abs(matrix @ v - expected)) <= 1e-13 * np.max(np.abs(expected))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        h_modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0)), min_size=1, max_size=3),
+        f_modes=st.lists(st.tuples(st.integers(0, 4), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0)), max_size=2),
+        betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+        n1=st.integers(4, 16).map(lambda k: 2 * k),
+        levels=st.tuples(st.integers(3, 9), st.integers(3, 9)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_head_operator_symmetric_positive_property(self, h_modes, f_modes, betas,
+                                                         n1, levels, seed):
+        # per-mode amplitude 0.1 / k for h and 0.15 / k for f, as in the
+        # Krylov property test; a sheared metric makes every k12 term count
+        def field(modes, amp):
+            return PeriodicField1D.from_modes(
+                n1, [(k, amp * c / max(k, 1), amp * s / max(k, 1)) for k, c, s in modes]
+            )
+
+        h, f = field(h_modes, 0.1), field(f_modes, 0.15)
+        profile = PermeabilityProfile(f, *betas)
+        m_minus, m_plus = levels
+        pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, n1, m_plus)), profile)
+        pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, n1, m_minus)), profile)
+        matrix = pressure._probe(pressure._CellBalance.from_packs(pack_m, pack_p))
+        scale = abs(matrix).max()
+        assert abs(matrix - matrix.T).max() <= 1e-13 * scale
+        for v in np.random.default_rng(seed).normal(size=(4, matrix.shape[0])):
+            assert v @ (matrix @ v) > 0.0
+
     def test_krylov_failure_raises_without_fallback(self, monkeypatch):
         x = PeriodicField1D.zeros(64).x1
         args = setup(64, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
         monkeypatch.setattr(pressure, "KRYLOV_MAXITER", 1)
         with pytest.raises(SolverDivergence, match="stalled"):
             solve_head(*args, solver="krylov")
-        # b . (A b) = 0 for a skew matrix: the first step breaks down
-        skew = sp.csr_matrix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        with pytest.raises(SolverDivergence, match="broke down"):
-            pressure._bicgstab(lambda v: skew @ v, np.array([1.0, 0.0]), lambda r: r, 1e-12)
+        # an indefinite operator has p.Lp < 0 on the first direction
+        with pytest.raises(NonSPDSystem):
+            pressure._cg(lambda v: -v, np.array([1.0, 0.0]), lambda r: r, 1e-12)
 
     def test_unknown_solver_rejected(self):
         args = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
