@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import struct
 import sys
 import time
@@ -70,7 +71,7 @@ class ConfigError(Exception):
 
 _CONFIG_KEYS = {
     "n1", "n2_plus", "n2_minus", "beta_plus", "beta_minus", "dt_safety",
-    "t_end", "gap_tol", "j_min", "solver", "report_every", "output_dir",
+    "t_end", "gap_tol", "j_min", "report_every", "output_dir",
     "h0_modes", "f_modes",
 }
 
@@ -122,8 +123,26 @@ def load_config(path: str | Path):
 
 
 # ---------------------------------------------------------------------------
-# timeseries CSV
+# output files
 # ---------------------------------------------------------------------------
+
+
+def _write_atomic(path: str | Path, chunks) -> None:
+    """Write the byte chunks to path whole or not at all.
+
+    They go to a temporary file in the target directory, which os.replace
+    then moves over path.  If the write fails (a full disk, say), the
+    temporary file is removed and a file already at path is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as out:
+            out.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(x: float) -> str:
@@ -138,7 +157,7 @@ def write_timeseries_csv(path: str | Path, reports) -> None:
             r.t, r.l2_h, r.h2_h, r.h2p5_h, r.script_E, r.script_D,
             r.rt_margin, r.l2_law_residual, r.coupling_ratio,
         )))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
+    _write_atomic(path, [("\n".join(lines) + "\n").encode("ascii")])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +197,7 @@ def write_snapshot(path: str | Path, snap: Snapshot) -> None:
     for arr in (snap.p_plus, snap.p_minus, snap.w1_plus, snap.w2_plus,
                 snap.w1_minus, snap.w2_minus):
         blob.append(_strip_bytes(arr))
-    Path(path).write_bytes(b"".join(blob))
+    _write_atomic(path, blob)
 
 
 def read_snapshot(path: str | Path) -> Snapshot:
@@ -245,7 +264,7 @@ class RunManifest:
 
 
 def write_manifest(path: str | Path, manifest: RunManifest) -> None:
-    Path(path).write_text(json.dumps(asdict(manifest), indent=2) + "\n")
+    _write_atomic(path, [(json.dumps(asdict(manifest), indent=2) + "\n").encode()])
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "dispersion_table",
     "DispersionTable",
     "EnergyReport",
-    "History",
     "report",
     "decay_fit",
     "dissipation_l2",
@@ -148,19 +147,13 @@ class EnergyReport:
     nan_flags: tuple = ()
 
 
-@dataclass
-class History:
-    """The initial squared L^2 norm of h, the reference of the energy-law
-    residual."""
-
-    h0_l2_sq: float | None = None
-
-
-def report(state, head: HeadSolution, metric, history: History) -> EnergyReport:
-    """Assemble the scalar report for one sample and append it to history.
+def report(state, head: HeadSolution, metric, h0_l2_sq: float) -> EnergyReport:
+    """Assemble the scalar report for one sample.
 
     `state` carries h, t and the running dissipation integral; `metric` is
-    the (upper, lower) pack pair the head was solved with.
+    the (upper, lower) pack pair the head was solved with; h0_l2_sq, the
+    squared L^2 norm of the initial h, is the reference of the energy-law
+    residual.
     """
     pack_plus, pack_minus = metric
     h = state.h
@@ -180,11 +173,9 @@ def report(state, head: HeadSolution, metric, history: History) -> EnergyReport:
     )
     rt_margin = float(np.min(head.gamma_trace_w2.values)) + 1.0
 
-    if history.h0_l2_sq is None:
-        history.h0_l2_sq = l2_h ** 2
-    if history.h0_l2_sq > 0.0:
-        defect = l2_h ** 2 + 2.0 * state.diss_l2_integral - history.h0_l2_sq
-        l2_residual = defect / history.h0_l2_sq
+    if h0_l2_sq > 0.0:
+        defect = l2_h ** 2 + 2.0 * state.diss_l2_integral - h0_l2_sq
+        l2_residual = defect / h0_l2_sq
     else:
         l2_residual = 0.0
 

@@ -5,8 +5,8 @@ upper = S^1 x (-1, 0) and lower = S^1 x (-2, -1), by the vertical shift map
 psi = (x1, x2 + delta_psi) where delta_psi solves Laplace's equation in each
 strip with the interface trace h, the permeability-curve trace f, and zero on
 the floor as Dirichlet data.  From delta_psi we assemble the Jacobian
-J = 1 + delta_psi,2, the inverse-gradient matrix A, and the pulled-back Darcy
-conductivity K = beta * J * A * A^T.
+J = 1 + delta_psi,2 and the pulled-back Darcy conductivity K = beta J A A^T,
+with A the inverse-gradient matrix.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ __all__ = [
     "MetricPack",
     "assemble_metric",
     "metric_terms",
-    "nonlinear_gap",
     "piola_divergence",
-    "laplacian_residual",
     "DEFAULT_J_MIN",
 ]
 
@@ -208,7 +206,8 @@ def vertical_derivative(values: np.ndarray, dx2: float) -> np.ndarray:
 
 @dataclass
 class MetricPack:
-    """Pulled-back geometry of one strip.
+    """Pulled-back geometry of one strip: the shift gradient's x1 part d1,
+    the Jacobian J and the conductivity K.
 
     J = 1 + delta_psi,2 pointwise; A = (1/J) [[J, 0], [-delta_psi,1, 1]];
     K = beta J A A^T = beta [[J, -d1], [-d1, (1 + d1^2)/J]], symmetric and
@@ -217,46 +216,16 @@ class MetricPack:
 
     grid: StripGrid
     beta: float
-    delta_psi: StripField
     d1: np.ndarray
-    d2: np.ndarray
     J: np.ndarray
     k11: np.ndarray
     k12: np.ndarray
     k22: np.ndarray
 
-    @property
-    def a21(self) -> np.ndarray:
-        return -self.d1 / self.J
 
-    @property
-    def a22(self) -> np.ndarray:
-        return 1.0 / self.J
-
-    def A_matrix(self) -> np.ndarray:
-        """Inverse-gradient matrix as an (n1, n2, 2, 2) array."""
-        n1, n2 = self.J.shape
-        a = np.zeros((n1, n2, 2, 2))
-        a[..., 0, 0] = 1.0
-        a[..., 1, 0] = self.a21
-        a[..., 1, 1] = self.a22
-        return a
-
-    def K_matrix(self) -> np.ndarray:
-        """Conductivity tensor as an (n1, n2, 2, 2) array."""
-        n1, n2 = self.J.shape
-        k = np.empty((n1, n2, 2, 2))
-        k[..., 0, 0] = self.k11
-        k[..., 0, 1] = self.k12
-        k[..., 1, 0] = self.k12
-        k[..., 1, 1] = self.k22
-        return k
-
-
-def assemble_metric(grid: StripGrid, beta: float, delta_psi: StripField,
-                    d1: np.ndarray, d2: np.ndarray,
+def assemble_metric(grid: StripGrid, beta: float, d1: np.ndarray, d2: np.ndarray,
                     j_min: float = DEFAULT_J_MIN) -> MetricPack:
-    """Assemble J, A, K pointwise from the shift gradient."""
+    """Assemble J and K pointwise from the shift gradient (d1, d2)."""
     J = 1.0 + d2
     if float(np.min(J)) <= j_min:
         raise DiffeoDegenerate(
@@ -266,7 +235,7 @@ def assemble_metric(grid: StripGrid, beta: float, delta_psi: StripField,
     k11 = beta * J
     k12 = -beta * d1
     k22 = beta * (1.0 + d1 * d1) / J
-    return MetricPack(grid, float(beta), delta_psi, d1, d2, J, k11, k12, k22)
+    return MetricPack(grid, float(beta), d1, J, k11, k12, k22)
 
 
 def metric_terms(delta_psi: StripField, profile: PermeabilityProfile,
@@ -283,22 +252,7 @@ def metric_terms(delta_psi: StripField, profile: PermeabilityProfile,
     d1 = x1_derivative(delta_psi.values)
     d2 = vertical_derivative(delta_psi.values, grid.dx2) if d2_values is None \
         else np.asarray(d2_values, dtype=float)
-    return assemble_metric(grid, profile.beta(grid.strip), delta_psi, d1, d2, j_min)
-
-
-def nonlinear_gap(pack: MetricPack) -> np.ndarray:
-    """Pointwise Id - (grad psi)^T grad psi / J as an (n1, n2, 2, 2) array.
-
-    Vanishes identically for the identity map; equals 1/J times the matrix
-    [[d2 - d1^2, -d1 J], [-d1 J, -d2 J]].
-    """
-    n1, n2 = pack.J.shape
-    gap = np.empty((n1, n2, 2, 2))
-    gap[..., 0, 0] = (pack.d2 - pack.d1 ** 2) / pack.J
-    gap[..., 0, 1] = -pack.d1
-    gap[..., 1, 0] = -pack.d1
-    gap[..., 1, 1] = -pack.d2
-    return gap
+    return assemble_metric(grid, profile.beta(grid.strip), d1, d2, j_min)
 
 
 def piola_divergence(pack: MetricPack) -> tuple[np.ndarray, np.ndarray]:
@@ -310,11 +264,3 @@ def piola_divergence(pack: MetricPack) -> tuple[np.ndarray, np.ndarray]:
     res2 = x1_derivative(ja12) + vertical_derivative(ja22, pack.grid.dx2)
     return res1, res2
 
-
-def laplacian_residual(field: StripField) -> np.ndarray:
-    """Interior residual of the discrete Laplacian (spectral x1, centered x2)."""
-    v = field.values
-    dx2 = field.grid.dx2
-    d11 = x1_derivative(v, order=2)
-    d22 = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / dx2 ** 2
-    return d11[:, 1:-1] + d22

@@ -25,10 +25,9 @@ from .errors import (
     SolverDivergence,
 )
 from .pressure import HeadSolution, solve_head
-from .spectral_core import PeriodicField1D, mean, project_zero_mean
+from .spectral_core import PeriodicField1D, mean, project_zero_mean, sobolev_norm
 
-__all__ = ["SimConfig", "SimState", "Trajectory", "TrajectorySample",
-           "rhs", "step", "run"]
+__all__ = ["SimConfig", "SimState", "Trajectory", "TrajectorySample", "step", "run"]
 
 TERMINATION_COMPLETED = "completed"
 TERMINATION_GAP = "gap_violation"
@@ -57,7 +56,6 @@ class SimConfig:
     t_end: float = 1.0
     gap_tol: float = 0.05
     j_min: float = 0.1
-    solver: str = "krylov"
     report_every: int = 1
     output_dir: str | None = None
 
@@ -76,8 +74,6 @@ class SimConfig:
             raise ValueError("gap_tol must be positive")
         if not (0.0 < self.j_min < 1.0):
             raise ValueError("j_min must lie in (0, 1)")
-        if self.solver not in ("krylov", "direct"):
-            raise ValueError("solver must be 'krylov' or 'direct'")
         if self.report_every < 1:
             raise ValueError("report_every must be >= 1")
         return self
@@ -151,23 +147,16 @@ def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
     shift_minus = harmonic_extension(h, profile.f, grid_minus)
     pack_plus = metric_terms(shift_plus, profile, j_min=config.j_min)
     pack_minus = metric_terms(shift_minus, profile, j_min=config.j_min)
-    head = solve_head(pack_plus, pack_minus, h, profile, solver=config.solver)
+    head = solve_head(pack_plus, pack_minus, h, profile, solver="krylov")
     trace = head.gamma_trace_w2.values
     trace = trace - np.mean(trace)
     diss = diagnostics.dissipation_l2(head, pack_plus, pack_minus)
     return trace, head, (pack_plus, pack_minus), diss
 
 
-def rhs(h: PeriodicField1D, profile: PermeabilityProfile,
-        config: SimConfig) -> PeriodicField1D:
-    """Interface velocity w2 on the top line, mean-projected."""
-    trace, _, _, _ = _evaluate(h.values, profile, config)
-    return PeriodicField1D(trace)
-
-
 def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
          dt: float, _first_eval=None) -> SimState:
-    """One classical RK4 step of h_t = rhs(h).
+    """One classical RK4 step of h_t = w2 on the top line (_evaluate).
 
     Re-projects the mean, accumulates the weighted-dissipation integral with
     the RK4-consistent quadrature, and re-checks the interface gap.
@@ -225,12 +214,12 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
         traj.error_time = 0.0
         return traj
 
-    history = diagnostics.History()
+    h0_l2_sq = sobolev_norm(h0, 0.0) ** 2
     dt = config.dt
 
     def sample(current_eval):
         _, head, metric, _ = current_eval
-        rep = diagnostics.report(state, head, metric, history)
+        rep = diagnostics.report(state, head, metric, h0_l2_sq)
         if not traj.samples:
             traj.initial_head = head
         traj.final_head = head

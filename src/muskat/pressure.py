@@ -27,7 +27,7 @@ energy-law defect free of any horizontal-resolution floor.  The recovered
 traces are rows of the same balance: the top-line row and the two half-cell
 rows at the permeability line.
 
-Solvers: "krylov" (the run default) is conjugate gradient on the balance
+Solvers: "krylov" (used by every run) is conjugate gradient on the balance
 itself, no matrix formed, preconditioned by the exact inverse of the
 flat-metric balance (k12 = 0, constant k11 = k22 = beta per strip), which
 an rfft in x1 reduces to one tridiagonal level system per Fourier mode.
@@ -201,15 +201,22 @@ def _probe(balance: _CellBalance) -> sp.csc_matrix:
     four away (the x1-difference of an x1-difference).  Unit heads on every
     third level and every q-th column, q = n1 if n1 < 9 else the smallest
     divisor of n1 that is at least 9, so reach disjoint rows, and each
-    response entry belongs to one seed.
+    response entry belongs to one seed.  A row thus has at most
+    3 * min(9, n1) entries, and the triplets are written into buffers of
+    that size per row, trimmed to the nonzeros.
     """
     n1, n_lev = balance.n1, balance.n_lev
+    n_free = n1 * n_lev
     q = n1 if n1 < 9 else min(d for d in range(9, n1 + 1) if n1 % d == 0)
     # int32 indices: the index arrays are most of the probe's transient memory
     g = np.arange(n_lev, dtype=np.int32)[:, None]
     j = np.arange(n1, dtype=np.int32)[None, :]
     row_index = g * n1 + j
-    rows, cols, vals = [], [], []
+    capacity = 3 * min(9, n1) * n_free
+    rows = np.empty(capacity, dtype=np.int32)
+    cols = np.empty(capacity, dtype=np.int32)
+    vals = np.empty(capacity)
+    nnz = 0
     for a in range(3):
         g0 = g + (a - g + 1) % 3 - 1
         for c in range(q):
@@ -218,12 +225,12 @@ def _probe(balance: _CellBalance) -> sp.csc_matrix:
             response = balance.free_rows(seed.ravel()).reshape(n_lev, n1)
             hit = response != 0.0
             j0 = (j + (c - j + 4) % q - 4) % n1
-            rows.append(row_index[hit])
-            cols.append((g0 * n1 + j0)[hit])
-            vals.append(response[hit])
-    n_free = n1 * n_lev
-    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n_free, n_free))
+            end = nnz + np.count_nonzero(hit)
+            rows[nnz:end] = row_index[hit]
+            cols[nnz:end] = (g0 * n1 + j0)[hit]
+            vals[nnz:end] = response[hit]
+            nnz = end
+    return sp.csc_matrix((vals[:nnz], (rows[:nnz], cols[:nnz])), shape=(n_free, n_free))
 
 
 def _check_inputs(pack_plus: MetricPack, pack_minus: MetricPack,
@@ -392,14 +399,13 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
 
     solver: "direct" (sparse LU of the probed matrix, the default here and
     the test oracle) or "krylov" (CG on the matrix-free balance,
-    preconditioned by the exact flat-metric inverse, the default of
-    SimConfig).  The system is
-    solved for h / max|h| and every output rescaled, since it is linear in
-    h; h = 0 gives the exact zero solution.  Either way the max-norm
-    residual relative to the right side must come out below RESIDUAL_TOL,
-    else SolverDivergence is raised; a CG stall or non-finite value raises
-    it too.  NonSPDSystem is raised for J <= 0, by CG's curvature test and
-    by the direct path's diagonal check.
+    preconditioned by the exact flat-metric inverse, used by every run).
+    The system is solved for h / max|h| and every output rescaled, since it
+    is linear in h; h = 0 gives the exact zero solution.  Either way the
+    max-norm residual relative to the right side must come out below
+    RESIDUAL_TOL, else SolverDivergence is raised; a CG stall or non-finite
+    value raises it too.  NonSPDSystem is raised for J <= 0, by CG's
+    curvature test and by the direct path's diagonal check.
     """
     if solver not in ("direct", "krylov"):
         raise ValueError(f"unknown solver {solver!r}")

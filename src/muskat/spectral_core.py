@@ -3,8 +3,8 @@
 Real nodal samples live at x1_j = -pi + 2*pi*j/N (N even); the spectral view
 is the real-FFT half spectrum scaled so that coefficient k equals the usual
 Fourier coefficient of e^{ikx} up to a unimodular phase.  All multiplier
-operations (derivatives, Sobolev weights, smoothing) act on |k| only, so the
-phase never matters.
+operations (derivatives, Sobolev weights) act on |k| only, so the phase
+never matters.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "PeriodicField1D",
     "deriv",
     "sobolev_norm",
-    "mollify",
     "mean",
     "project_zero_mean",
     "nodes",
@@ -102,6 +101,15 @@ def _wavenumbers(n: int) -> np.ndarray:
     return np.arange(n // 2 + 1, dtype=float)
 
 
+def _deriv_multiplier(n: int, order: int) -> np.ndarray:
+    """(ik)^order for the rfft modes k = 0..n/2; the Nyquist mode is
+    annihilated for odd orders (real-FFT convention)."""
+    mult = (1j * _wavenumbers(n)) ** order
+    if order % 2 == 1:
+        mult[-1] = 0.0
+    return mult
+
+
 def deriv(h: PeriodicField1D, order: int) -> PeriodicField1D:
     """Spectral x1-derivative: multiply mode k by (ik)^order.
 
@@ -111,11 +119,7 @@ def deriv(h: PeriodicField1D, order: int) -> PeriodicField1D:
         raise ValueError("order must be a positive integer")
     if order > MAX_DERIV_ORDER:
         raise ValueError(f"order must be <= {MAX_DERIV_ORDER}")
-    k = _wavenumbers(h.n)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0
-    return PeriodicField1D.from_coeffs(h.coeffs * mult, h.n)
+    return PeriodicField1D.from_coeffs(h.coeffs * _deriv_multiplier(h.n, order), h.n)
 
 
 def sobolev_norm(h: PeriodicField1D, s: float) -> float:
@@ -136,14 +140,6 @@ def sobolev_norm(h: PeriodicField1D, s: float) -> float:
     return float(np.sqrt(total))
 
 
-def mollify(h: PeriodicField1D, delta: float) -> PeriodicField1D:
-    """Smooth with the Gaussian multiplier exp(-delta^2 k^2); mean preserved."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    k = _wavenumbers(h.n)
-    return PeriodicField1D.from_coeffs(h.coeffs * np.exp(-(delta * k) ** 2), h.n)
-
-
 def mean(h: PeriodicField1D) -> float:
     """Circle average (2*pi)^{-1} * integral of h."""
     return float(np.mean(h.values))
@@ -156,8 +152,5 @@ def project_zero_mean(h: PeriodicField1D) -> PeriodicField1D:
 def x1_derivative(values2d: np.ndarray, order: int = 1) -> np.ndarray:
     """Spectral x1-derivative along axis 0 of a (n1, n2) sample array."""
     n = values2d.shape[0]
-    k = _wavenumbers(n)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0
+    mult = _deriv_multiplier(n, order)
     return np.fft.irfft(np.fft.rfft(values2d, axis=0) * mult[:, None], n=n, axis=0)

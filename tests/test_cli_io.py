@@ -1,11 +1,18 @@
 import json
 import math
+import resource
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from muskat.cli_io import (
     ConfigError,
+    RunManifest,
     Snapshot,
     TIMESERIES_HEADER,
     cmd_check,
@@ -15,6 +22,7 @@ from muskat.cli_io import (
     load_config,
     main,
     read_snapshot,
+    write_manifest,
     write_snapshot,
     write_timeseries_csv,
 )
@@ -70,10 +78,12 @@ class TestConfig:
             load_config(tmp_path / "nope.json")
 
     def test_cg_solver_rejected(self, tmp_path):
+        # runs always solve with CG; there is no solver key to set
         cfg_path = tmp_path / "run.json"
-        write_config(cfg_path, solver="cg")
-        with pytest.raises(ConfigError, match="solver"):
-            load_config(cfg_path)
+        for solver in ("cg", "krylov", "direct"):
+            write_config(cfg_path, solver=solver)
+            with pytest.raises(ConfigError, match=r"unknown config keys: \['solver'\]"):
+                load_config(cfg_path)
 
 
 class TestTimeseries:
@@ -90,25 +100,72 @@ class TestTimeseries:
         assert "\r" not in text
 
 
+FIELDS = ("p_plus", "p_minus", "w1_plus", "w2_plus", "w1_minus", "w2_minus")
+
+
+@contextmanager
+def file_size_limit(nbytes):
+    """Writes that would grow a file past nbytes fail with EFBIG, as on a
+    full disk (RLIMIT_FSIZE of this process, restored on exit)."""
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+
+
+class TestOutputFiles:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        rep = EnergyReport(t=0.1, l2_h=1 / 3, h2_h=2.0, h2p5_h=3.0, script_E=4.0,
+                           script_D=5.0, rt_margin=1.0, l2_law_residual=-1e-12,
+                           coupling_ratio=0.5)
+
+        def snap(n2):
+            return Snapshot(t=0.5, h=np.zeros(4), f=np.ones(4),
+                            **{name: np.full((4, n2), 2.0) for name in FIELDS})
+
+        def manifest(files):
+            return RunManifest(config={}, version="0", start_time="", end_time="",
+                               termination="completed", error=None, files=files)
+
+        # (writer, file name, output under 1 KiB, output that the limit cuts)
+        cases = [(write_timeseries_csv, "timeseries.csv", [rep], [rep] * 40),
+                 (write_snapshot, "snapshot.mskt", snap(3), snap(30)),
+                 (write_manifest, "manifest.json", manifest(["a"]), manifest(["a" * 50] * 40))]
+        for write, name, small, large in cases:
+            path = tmp_path / name
+            write(path, small)
+            before = path.read_bytes()
+            with file_size_limit(1024), pytest.raises(OSError):
+                write(path, large)
+            assert path.read_bytes() == before, name
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(c[1] for c in cases)
+
+
 class TestSnapshot:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(30)
-        snap = Snapshot(
-            t=0.25,
-            h=rng.normal(size=16), f=rng.normal(size=16),
-            p_plus=rng.normal(size=(16, 5)), p_minus=rng.normal(size=(16, 7)),
-            w1_plus=rng.normal(size=(16, 5)), w2_plus=rng.normal(size=(16, 5)),
-            w1_minus=rng.normal(size=(16, 7)), w2_minus=rng.normal(size=(16, 7)),
-        )
-        p1 = tmp_path / "a.mskt"
-        p2 = tmp_path / "b.mskt"
-        write_snapshot(p1, snap)
-        back = read_snapshot(p1)
-        assert back.t == snap.t
-        assert np.array_equal(back.h, snap.h)
-        assert np.array_equal(back.p_minus, snap.p_minus)
-        write_snapshot(p2, back)
-        assert p1.read_bytes() == p2.read_bytes()
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data(), n1=st.integers(1, 8).map(lambda k: 2 * k),
+           n2_plus=st.integers(3, 9), n2_minus=st.integers(3, 9), t=st.floats())
+    def test_round_trip_bit_exact(self, tmp_path_factory, data, n1, n2_plus, n2_minus, t):
+        # every float64 bit pattern survives: NaN payloads, infinities, -0.0
+        def array(shape):
+            return data.draw(hnp.arrays(np.float64, shape, elements=st.floats()))
+
+        snap = Snapshot(t=t, h=array(n1), f=array(n1),
+                        **{name: array((n1, n2_plus if name.endswith("plus") else n2_minus))
+                           for name in FIELDS})
+        out = tmp_path_factory.mktemp("snap")
+        write_snapshot(out / "a.mskt", snap)
+        back = read_snapshot(out / "a.mskt")
+        assert np.float64(back.t).tobytes() == np.float64(snap.t).tobytes()
+        for name in ("h", "f") + FIELDS:
+            a, b = getattr(back, name), getattr(snap, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        write_snapshot(out / "b.mskt", back)
+        assert (out / "a.mskt").read_bytes() == (out / "b.mskt").read_bytes()
 
     def test_magic_and_layout(self, tmp_path):
         snap = Snapshot(
@@ -178,8 +235,7 @@ class TestCmdRun:
             outputs.append((tmp_path / name / "timeseries.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("solver", ["krylov", "direct"])
-    def test_snapshots_need_no_solve_outside_run(self, tmp_path, monkeypatch, solver):
+    def test_snapshots_need_no_solve_outside_run(self, tmp_path, monkeypatch):
         calls = {"inside": 0, "outside": 0, "in_run": False}
         real_solve, real_run = evolution.solve_head, evolution.run
 
@@ -197,7 +253,7 @@ class TestCmdRun:
         monkeypatch.setattr(evolution, "solve_head", counted_solve)
         monkeypatch.setattr(evolution, "run", flagged_run)
         cfg_path = tmp_path / "run.json"
-        write_config(cfg_path, solver=solver)
+        write_config(cfg_path)
         assert cmd_run(str(cfg_path)) == 0
         assert calls["outside"] == 0
         assert calls["inside"] > 0

@@ -14,7 +14,6 @@ from muskat.diffeo import (
 from muskat.diagnostics import (
     DispersionTable,
     EnergyReport,
-    History,
     decay_fit,
     dispersion_rate,
     dispersion_table,
@@ -121,7 +120,7 @@ class TestReport:
     def test_rest_state_report(self):
         h, head, pack_p, pack_m = small_solve(h_amp=0.0, f_amp=0.0)
         state = SimState(h=h)
-        rep = report(state, head, (pack_p, pack_m), History())
+        rep = report(state, head, (pack_p, pack_m), 0.0)
         assert rep.l2_h == 0.0
         assert rep.h2_h == 0.0
         assert rep.script_E == 0.0
@@ -133,7 +132,7 @@ class TestReport:
 
     def test_norms_and_margin(self):
         h, head, pack_p, pack_m = small_solve()
-        rep = report(SimState(h=h), head, (pack_p, pack_m), History())
+        rep = report(SimState(h=h), head, (pack_p, pack_m), 0.05 ** 2 * math.pi)
         assert rep.l2_h == pytest.approx(0.05 * math.sqrt(math.pi), rel=1e-12)
         assert rep.h2_h == pytest.approx(0.05 * 2 * math.sqrt(math.pi), rel=1e-12)
         assert rep.script_E == pytest.approx(0.05 ** 2 * math.pi, rel=1e-12)

@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every name its __all__ exports is defined there.
 
 An AST scan stands in for a linter: a binding counts as used when it is
 read as a name anywhere in the module (attribute chains included) or is
-listed in the module's __all__.
+listed in the module's __all__; a name counts as defined when a top-level
+def, class, assignment or import binds it.
 """
 
 import ast
@@ -13,6 +15,12 @@ import pytest
 import muskat
 
 MODULES = sorted(Path(muskat.__file__).parent.glob("*.py"))
+
+
+def exported_names(tree: ast.Module) -> list[str]:
+    return [name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -26,10 +34,7 @@ def unused_imports(source: str) -> list[str]:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(exported_names(tree))
     return [f"{name} (line {line})" for name, line in sorted(imported.items())
             if name not in used]
 
@@ -42,3 +47,29 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def stale_exports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in exported_names(tree) if name not in defined]
+
+
+def test_scan_flags_a_stale_export():
+    source = ("from os import sep\nX: int = 1\nY = 2\n"
+              "def f(): pass\nclass C: pass\n"
+              "__all__ = ['sep', 'X', 'Y', 'f', 'C', 'gone']\n")
+    assert stale_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_no_stale_exports(module):
+    assert stale_exports(module.read_text()) == []

@@ -6,7 +6,6 @@ from muskat.spectral_core import (
     PeriodicField1D,
     deriv,
     mean,
-    mollify,
     project_zero_mean,
     sobolev_norm,
 )
@@ -95,45 +94,6 @@ class TestSobolevNorm:
     def test_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
             sobolev_norm(field(np.cos), -1.0)
-
-
-class TestMollify:
-    def test_constant_unchanged(self):
-        h = PeriodicField1D(np.full(32, 2.5))
-        assert np.allclose(mollify(h, 0.3).values, h.values, atol=1e-15)
-
-    def test_cos_multiplier(self):
-        h = field(np.cos)
-        out = mollify(h, 0.5)
-        assert np.allclose(out.values, np.exp(-0.25) * h.values, atol=1e-14)
-
-    def test_small_delta_is_identity(self):
-        rng = np.random.default_rng(4)
-        h = random_bandlimited(64, 10, rng)
-        out = mollify(h, 1e-9)
-        assert np.max(np.abs(out.values - h.values)) < 1e-12
-
-    def test_mean_preserved_exactly(self):
-        rng = np.random.default_rng(5)
-        h = PeriodicField1D(rng.normal(size=64))
-        assert mean(mollify(h, 0.7)) == pytest.approx(mean(h), abs=1e-15)
-
-    @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
-    def test_contraction_in_every_norm(self, s):
-        rng = np.random.default_rng(6)
-        h = random_bandlimited(64, 25, rng)
-        assert sobolev_norm(mollify(h, 0.4), s) <= sobolev_norm(h, s) + 1e-14
-
-    def test_commutes_with_deriv(self):
-        rng = np.random.default_rng(7)
-        h = random_bandlimited(64, 20, rng)
-        a = deriv(mollify(h, 0.3), 1)
-        b = mollify(deriv(h, 1), 0.3)
-        assert np.allclose(a.values, b.values, atol=1e-12)
-
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            mollify(field(np.cos), 0.0)
 
 
 class TestMean:
