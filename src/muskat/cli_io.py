@@ -383,8 +383,9 @@ def _check_piola(config) -> tuple[bool, str]:
 def _check_dispersion(config) -> tuple[bool, str]:
     small = evolution.SimConfig(n1=64, n2_plus=32, n2_minus=32,
                                 beta_plus=config.beta_plus,
-                                beta_minus=config.beta_minus,
-                                t_end=1.0, report_every=2)
+                                beta_minus=config.beta_minus, report_every=2)
+    # 20 steps give the fit 11 samples whatever the step size
+    small = replace(small, t_end=20 * small.dt)
     f = PeriodicField1D.zeros(small.n1)
     profile = PermeabilityProfile(f, small.beta_plus, small.beta_minus)
     sigma = diagnostics.dispersion_rate(1, profile)
@@ -417,12 +418,8 @@ def _check_cfl(config) -> tuple[bool, str]:
     probe = evolution.SimConfig(n1=32, n2_plus=8, n2_minus=8,
                                 beta_plus=config.beta_plus,
                                 beta_minus=config.beta_minus,
-                                dt_safety=config.dt_safety,
-                                t_end=40 * evolution.SimConfig(
-                                    n1=32, beta_plus=config.beta_plus,
-                                    beta_minus=config.beta_minus,
-                                    dt_safety=config.dt_safety).dt,
-                                report_every=5)
+                                dt_safety=config.dt_safety, report_every=5)
+    probe = replace(probe, t_end=40 * probe.dt)
     # seed every mode so the stiffest one is exercised
     modes = [(k, 1e-6, 0.0) for k in range(1, probe.n1 // 2 + 1)]
     h0 = PeriodicField1D.from_modes(probe.n1, modes)
@@ -475,39 +472,45 @@ def cmd_convergence(config_path: str) -> int:
         print(f"warning: initial data has {tail:.2e} of its energy in the top "
               "third of the spectrum; n1 may be under-resolved")
 
-    def final_h(n2p, n2m, dt_safety):
-        cfg = replace(config, n2_plus=n2p, n2_minus=n2m, dt_safety=dt_safety,
-                      report_every=10 ** 9)
-        traj = evolution.run(cfg, h0, f)
-        if traj.termination != evolution.TERMINATION_COMPLETED:
-            raise RuntimeError(f"run terminated with {traj.termination}")
-        return traj.samples[-1].state.h.values
-
     def refine(n2, factor):
         return factor * (n2 - 1) + 1
 
     levels = [(config.n2_plus, config.n2_minus),
               (refine(config.n2_plus, 2), refine(config.n2_minus, 2)),
               (refine(config.n2_plus, 4), refine(config.n2_minus, 4))]
-    spatial = [final_h(n2p, n2m, config.dt_safety) for n2p, n2m in levels]
-    d1 = float(np.max(np.abs(spatial[0] - spatial[1])))
-    d2 = float(np.max(np.abs(spatial[1] - spatial[2])))
-    if d1 < 1e-13 and d2 < 1e-13:
-        print("spatial order: exact (refinement differences at roundoff)")
-    else:
-        print(f"spatial order: {math.log2(d1 / d2):.2f}  "
-              f"(n2 levels {levels[0]} -> {levels[1]} -> {levels[2]})")
+    level_configs = [replace(config, n2_plus=n2p, n2_minus=n2m, report_every=10 ** 9)
+                     for n2p, n2m in levels]
+    # every run takes whole equal steps, n0 at each n2 level and n0, 2 n0,
+    # 4 n0 in time: neither a clipped last step nor a step that already
+    # covers t_end makes two refinements the same run
+    n0 = max(math.ceil(config.t_end / cfg.dt) for cfg in level_configs)
 
-    temporal = [final_h(config.n2_plus, config.n2_minus, config.dt_safety / s)
-                for s in (1, 2, 4)]
-    e1 = float(np.max(np.abs(temporal[0] - temporal[1])))
-    e2 = float(np.max(np.abs(temporal[1] - temporal[2])))
-    if e1 < 1e-13 and e2 < 1e-13:
-        print("temporal order: exact (step-halving differences at roundoff)")
-    else:
-        print(f"temporal order: {math.log2(e1 / e2):.2f}  "
-              f"(dt_safety {config.dt_safety} -> /2 -> /4)")
+    def final_h(cfg, n_steps):
+        # min: a ratio of 1 may round above it
+        safety = min(1.0, cfg.dt_safety * config.t_end / (n_steps * cfg.dt))
+        traj = evolution.run(replace(cfg, dt_safety=safety), h0, f)
+        if traj.termination != evolution.TERMINATION_COMPLETED:
+            raise RuntimeError(f"run terminated with {traj.termination}")
+        return traj.samples[-1].state.h.values
+
+    spatial = [final_h(cfg, n0) for cfg in level_configs]
+    print("spatial " + _order(spatial, f"n2 levels {levels[0]} -> {levels[1]} -> "
+                              f"{levels[2]}, {n0} steps", "refinement"))
+    temporal = [final_h(level_configs[0], n0 * s) for s in (1, 2, 4)]
+    print("temporal " + _order(temporal, f"{n0} -> {2 * n0} -> {4 * n0} steps",
+                               "step-halving"))
     return EXIT_OK
+
+
+def _order(finals, detail: str, what: str) -> str:
+    """Observed order from three successively refined final states."""
+    d1 = float(np.max(np.abs(finals[0] - finals[1])))
+    d2 = float(np.max(np.abs(finals[1] - finals[2])))
+    if max(d1, d2) < 1e-13:
+        return f"order: exact ({what} differences at roundoff)"
+    if min(d1, d2) < 1e-13:
+        return f"order: unresolved ({what} differences {d1:.1e}, {d2:.1e})"
+    return f"order: {math.log2(d1 / d2):.2f}  ({detail})"
 
 
 def _spectral_tail_fraction(field: PeriodicField1D) -> float:

@@ -35,6 +35,8 @@ an rfft in x1 reduces to one tridiagonal level system per Fourier mode.
 probes (Curtis, Powell & Reid 1974); it is the oracle the Krylov path is
 tested against.
 picard_head is a fixed-point cross-check built on the same flat inverse.
+flat_top_rates reads off the flat inverse the rate of each interface mode
+over the flat metric, which sets the RK4 step of evolution.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .errors import (
 )
 from .spectral_core import PeriodicField1D
 
-__all__ = ["HeadSolution", "solve_head", "picard_head"]
+__all__ = ["HeadSolution", "solve_head", "picard_head", "flat_top_rates"]
 
 RESIDUAL_TOL = 1e-10
 KRYLOV_MAXITER = 500
@@ -303,6 +305,12 @@ class _FlatInverse:
     has no level below and the top free level none above, so consecutive
     modes do not couple.  Its LU factors (LAPACK gttrf) are computed once;
     each solve is one rfft, one gttrs call over all modes and one irfft.
+
+    sigma_h is the top-line Dirichlet-to-Neumann symbol of the flat balance:
+    mode k of h_t = w2 is sigma_h[k] times mode k of h, k = 0..n1/2.  The
+    flat operator is circulant in x1, so the trace response to a unit head
+    at top-line column 0 is its kernel, and the rfft of that one response
+    gives every mode.
     """
 
     def __init__(self, flat: _CellBalance):
@@ -321,6 +329,11 @@ class _FlatInverse:
         *self._factors, info = lapack.zgttrf(lower[1:], diag, upper[:-1])
         assert info == 0, "flat operator is singular"
         self._gttrs = lapack.zgttrs
+        impulse = np.zeros(self.n1)
+        impulse[0] = 1.0
+        x = self.solve(-flat.free_rows(np.zeros(n_lev * self.n1), impulse))
+        self.sigma_h = np.fft.rfft(-flat(flat.heads(x, impulse))[-1])
+        self.sigma_h.setflags(write=False)  # every caller shares the cached array
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         modes = np.fft.rfft(r.reshape(-1, self.n1))
@@ -333,6 +346,14 @@ def _flat_inverse(n1: int, m_minus: int, m_plus: int,
                   beta_plus: float, beta_minus: float) -> _FlatInverse:
     """Flat-metric inverse: the Krylov preconditioner and the Picard splitting."""
     return _FlatInverse(_CellBalance.flat(n1, m_minus, m_plus, beta_plus, beta_minus))
+
+
+def flat_top_rates(n1: int, n2_plus: int, n2_minus: int,
+                   beta_plus: float, beta_minus: float) -> np.ndarray:
+    """sigma_h(k), k = 0..n1/2, of the flat-metric balance (complex, real
+    to roundoff), read from the cached flat inverse that also preconditions
+    the Krylov head solve."""
+    return _flat_inverse(n1, n2_minus, n2_plus, beta_plus, beta_minus).sigma_h
 
 
 def _cg(apply, b: np.ndarray, precond, rtol: float) -> np.ndarray:

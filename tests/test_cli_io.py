@@ -324,12 +324,29 @@ class TestCmdCheck:
         write_config(cfg_path, beta_plus=-2.0)
         assert cmd_check(str(cfg_path)) == 1
 
+    def test_all_probes_pass_at_defaults(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text("{}")
+        assert cmd_check(str(cfg_path)) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 5
+        assert "FAIL" not in out
+
+    def test_cfl_probe_fails_beyond_the_limit(self, tmp_path, capsys, monkeypatch):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"dt_safety": 1.0}))
+        monkeypatch.setattr(evolution, "RK4_REAL_LIMIT", 1.5 * evolution.RK4_REAL_LIMIT)
+        assert cmd_check(str(cfg_path)) == 4
+        assert "FAIL cfl" in capsys.readouterr().out
+
 
 class TestCmdConvergence:
     def test_orders_reported(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
-        # eight whole base steps: t_end = 8 * dt_safety * dx1 / max(beta)
-        write_config(cfg_path, n2_plus=5, n2_minus=5, t_end=math.pi / 4,
+        # five whole steps, the nearest whole number to t_end = pi / 4
+        dt = evolution.SimConfig(n1=32, n2_plus=5, n2_minus=5, beta_plus=1.0,
+                                 beta_minus=0.5).dt
+        write_config(cfg_path, n2_plus=5, n2_minus=5, t_end=5 * dt,
                      h0_modes=[[1, 0.08, 0.0]], f_modes=[[2, 0.1, 0.0]])
         assert cmd_convergence(str(cfg_path)) == 0
         out = capsys.readouterr().out
@@ -337,6 +354,16 @@ class TestCmdConvergence:
         temporal = float(out.split("temporal order:")[1].split()[0])
         assert spatial >= 1.9
         assert temporal >= 3.8
+
+    def test_step_covering_t_end(self, tmp_path, capsys):
+        # one step of the rule already covers t_end: the refinements must
+        # still take 1, 2 and 4 steps, not the same single step
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, t_end=0.04)
+        assert cmd_convergence(str(cfg_path)) == 0
+        out = capsys.readouterr().out
+        assert "(1 -> 2 -> 4 steps)" in out
+        assert float(out.split("temporal order:")[1].split()[0]) >= 3.8
 
     def test_rest_state_reported_exact(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

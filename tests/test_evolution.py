@@ -206,9 +206,21 @@ class TestRun:
 
 
 class TestConfig:
+    def test_rk4_real_limit(self):
+        # |R(z)| = 1 at z = -RK4_REAL_LIMIT, R the RK4 amplification factor
+        z = -evolution.RK4_REAL_LIMIT
+        assert 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24 == pytest.approx(1.0, abs=1e-13)
+
     def test_dt_formula(self):
         config = SimConfig(n1=128, beta_plus=2.0, beta_minus=0.5, dt_safety=0.5)
-        assert config.dt == pytest.approx(0.5 * (2 * np.pi / 128) / 2.0)
+        sigma = pressure.flat_top_rates(128, 64, 64, 2.0, 0.5)
+        assert config.dt == pytest.approx(0.5 * 2.78529356340529 / np.max(np.abs(sigma)),
+                                          rel=1e-14)
+        # the stiffest rate, k = 37, decays inside the upper strip: 2 x 28.63
+        assert config.dt == pytest.approx(0.5 * 2.78529356340529 / 57.2566, rel=1e-5)
+        # rates scale with a common factor of both betas, the step inversely
+        halved = SimConfig(n1=128, beta_plus=1.0, beta_minus=0.25, dt_safety=0.5)
+        assert halved.dt == pytest.approx(2.0 * config.dt, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [
         dict(n1=13), dict(n2_plus=2), dict(beta_plus=0.0), dict(dt_safety=0.0),

@@ -97,6 +97,44 @@ class TestSingleModeOracle:
         assert measured == pytest.approx(-beta * 2 * math.tanh(4.0), rel=1e-2)
 
 
+class TestFlatTopRates:
+    """sigma_h, the top-line rate of each mode of h over the flat metric,
+    which sets the RK4 step."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n1=st.integers(2, 16).map(lambda k: 2 * k),
+           levels=st.tuples(st.integers(3, 12), st.integers(3, 12)),
+           betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)))
+    def test_real_nonpositive_and_mean_conserved(self, n1, levels, betas):
+        n2_plus, n2_minus = levels
+        sigma = pressure.flat_top_rates(n1, n2_plus, n2_minus, *betas)
+        scale = np.max(np.abs(sigma))
+        assert sigma.shape == (n1 // 2 + 1,) and not sigma.flags.writeable
+        assert np.max(np.abs(sigma.imag)) <= 1e-12 * scale
+        assert np.max(sigma.real) <= 1e-12 * scale
+        assert abs(sigma[0]) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("beta", [(1.0, 1.0), (1.0, 0.5), (0.1, 1.0), (3.0, 0.1)])
+    def test_low_modes_match_dispersion_rate(self, beta):
+        sigma = pressure.flat_top_rates(128, 64, 64, *beta)
+        profile = PermeabilityProfile(PeriodicField1D.zeros(128), *beta)
+        for k in range(1, 5):
+            assert sigma[k].real == pytest.approx(dispersion_rate(k, profile), rel=1e-3)
+
+    def test_rates_of_the_linearized_solve(self):
+        # a small single mode over a flat curve, the Nyquist mode included:
+        # the top trace of the full solve is sigma_h[k] times the mode
+        n1, n2, beta = 32, 9, (1.0, 0.5)
+        sigma = pressure.flat_top_rates(n1, n2, n2, *beta)
+        x = PeriodicField1D.zeros(n1).x1
+        eps = 1e-8
+        for k in range(1, n1 // 2 + 1):
+            mode = np.cos(k * x)
+            head = solve_head(*setup(n1, n2, eps * mode, np.zeros(n1), *beta))
+            measured = np.dot(head.gamma_trace_w2.values, mode) / np.dot(eps * mode, mode)
+            assert abs(measured - sigma[k].real) <= 1e-6 * np.max(np.abs(sigma)), k
+
+
 class TestConservation:
     def test_zero_total_top_flux(self):
         rng = np.random.default_rng(20)
