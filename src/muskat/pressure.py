@@ -30,10 +30,12 @@ rows at the permeability line.
 Solvers: "krylov" (used by every run) is conjugate gradient on the balance
 itself, no matrix formed, preconditioned by the exact inverse of the
 flat-metric balance (k12 = 0, constant k11 = k22 = beta per strip), which
-an rfft in x1 reduces to one tridiagonal level system per Fourier mode.
-"direct" is sparse LU of the matrix read off the balance by coloured unit
-probes (Curtis, Powell & Reid 1974); it is the oracle the Krylov path is
-tested against.
+an rfft in x1 reduces to one tridiagonal level system per Fourier mode,
+solved for all modes at once by parallel cyclic reduction.  The run path
+is numpy only.  "direct" is sparse LU of the matrix read off the balance by
+coloured unit probes (Curtis, Powell & Reid 1974); it is the oracle the
+Krylov path is tested against, and the only code that imports scipy, when
+it is first called.
 picard_head is a fixed-point cross-check built on the same flat inverse.
 flat_top_rates reads off the flat inverse the rate of each interface mode
 over the flat metric, which sets the RK4 step of evolution.
@@ -45,8 +47,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .diffeo import (
     LOWER,
@@ -99,12 +99,6 @@ class HeadSolution:
 # ---------------------------------------------------------------------------
 
 
-def _x1_difference(v: np.ndarray, dx1: float) -> np.ndarray:
-    """Fourth-order antisymmetric periodic x1-difference along axis 1."""
-    w = np.concatenate([v[:, -2:], v, v[:, :2]], axis=1)
-    return ((w[:, :-4] - w[:, 4:]) + 8.0 * (w[:, 3:-1] - w[:, 1:-3])) / (12.0 * dx1)
-
-
 class _CellBalance:
     """Per-level cell balances of div w, w = -K grad P, on both strips.
 
@@ -141,6 +135,13 @@ class _CellBalance:
         self.face_k12 = 0.25 * (k12[:-1] + k12[1:]) * (inv_dx2 != 0.0)[:, None]
         self.height = np.r_[_trapezoid_heights(m_minus, dx2_minus),
                             _trapezoid_heights(m_plus, dx2_plus)][:, None]
+        self._neg_height_k11 = -self.height * k11
+        # work buffers, allocated once per balance and never returned: the
+        # x1-difference's periodic padding and its one scratch array, and
+        # three face arrays of the apply
+        self._padded = np.empty((n_strip_levels, self.n1 + 4))
+        self._scratch = np.empty((n_strip_levels, self.n1))
+        self._face = np.empty((3, n_strip_levels - 1, self.n1))
 
     @classmethod
     def from_packs(cls, pack_minus: MetricPack, pack_plus: MetricPack) -> "_CellBalance":
@@ -159,16 +160,38 @@ class _CellBalance:
         return cls(m_minus, 1.0 / (m_minus - 1), 1.0 / (m_plus - 1),
                    beta, np.zeros_like(beta), beta)
 
+    def _x1_difference(self, v: np.ndarray) -> np.ndarray:
+        """Fourth-order antisymmetric periodic x1-difference along axis 1,
+        ((v[j-2] - v[j+2]) + 8 (v[j+1] - v[j-1])) / (12 dx1), as a new array."""
+        w = self._padded
+        w[:, 2:-2] = v
+        w[:, :2] = v[:, -2:]
+        w[:, -2:] = v[:, :2]
+        out = np.subtract(w[:, :-4], w[:, 4:])
+        eight = np.subtract(w[:, 3:-1], w[:, 1:-3], out=self._scratch)
+        eight *= 8.0
+        out += eight
+        out /= 12.0 * self.dx1
+        return out
+
     def __call__(self, p: np.ndarray) -> np.ndarray:
-        d1p = _x1_difference(p, self.dx1)
-        dp = p[1:] - p[:-1]
-        half_cross = self.face_k12 * dp  # face_k12 holds half the face k12
-        w2_face = -(self.face_k22 * dp + self.face_k12 * (d1p[:-1] + d1p[1:]))
+        d1p = self._x1_difference(p)
+        dp = np.subtract(p[1:], p[:-1], out=self._face[0])
+        # face_k12 holds half the face k12
+        half_cross = np.multiply(self.face_k12, dp, out=self._face[1])
+        cross = np.add(d1p[:-1], d1p[1:], out=self._face[2])
+        cross *= self.face_k12
+        # w2 on the faces: -(face_k22 dp + face_k12 (d1p below + d1p above))
+        w2_face = dp
+        w2_face *= self.face_k22
+        w2_face += cross
+        np.negative(w2_face, out=w2_face)
         # w1 times the cell height: its k12 part averages the face cross fluxes
-        side_flux = -self.height * self.k11 * d1p
+        side_flux = d1p
+        side_flux *= self._neg_height_k11
         side_flux[:-1] -= half_cross
         side_flux[1:] -= half_cross
-        rows = _x1_difference(side_flux, self.dx1)
+        rows = self._x1_difference(side_flux)
         rows[:-1] += w2_face
         rows[1:] -= w2_face
         return rows
@@ -195,7 +218,7 @@ def _trapezoid_heights(m: int, dx2: float) -> np.ndarray:
     return heights
 
 
-def _probe(balance: _CellBalance) -> sp.csc_matrix:
+def _probe(balance: _CellBalance) -> "scipy.sparse.csc_matrix":
     """Sparse head matrix read off the balance by column colouring
     (Curtis, Powell & Reid 1974).
 
@@ -207,6 +230,8 @@ def _probe(balance: _CellBalance) -> sp.csc_matrix:
     3 * min(9, n1) entries, and the triplets are written into buffers of
     that size per row, trimmed to the nonzeros.
     """
+    import scipy.sparse as sp  # the oracle only: runs never load scipy
+
     n1, n_lev = balance.n1, balance.n_lev
     n_free = n1 * n_lev
     q = n1 if n1 < 9 else min(d for d in range(9, n1 + 1) if n1 % d == 0)
@@ -260,7 +285,7 @@ def _recover(balance: _CellBalance, p: np.ndarray, scale: float) -> HeadSolution
     """Velocity and traces at the head array p, all from the balance, with
     every output multiplied by scale."""
     m = balance.m_minus
-    d1p = _x1_difference(p, balance.dx1)
+    d1p = balance._x1_difference(p)
     d2p = np.concatenate([vertical_derivative(p[:m].T, balance.dx2[0]).T,
                           vertical_derivative(p[m:].T, balance.dx2[1]).T])
     w1 = -(balance.k11 * d1p + balance.k12 * d2p)
@@ -300,11 +325,22 @@ class _FlatInverse:
     That operator is circulant in x1 and tridiagonal across levels, so an
     rfft in x1 splits it into one tridiagonal level system per Fourier mode
     (Concus & Golub 1973).  Its per-mode bands are the rfft of the responses
-    to unit heads in column 0 on every third level.  The per-mode systems are
-    stacked mode after mode into a single tridiagonal matrix: the floor level
-    has no level below and the top free level none above, so consecutive
-    modes do not couple.  Its LU factors (LAPACK gttrf) are computed once;
-    each solve is one rfft, one gttrs call over all modes and one irfft.
+    to unit heads in column 0 on every third level; with k12 = 0 the x1 part
+    is a symmetric circulant, so they are real.  The level systems of all
+    modes are solved at once by parallel cyclic reduction (Hockney &
+    Jesshope 1981): the stage of stride h = 1, 2, 4, ... adds to each row
+    alpha times the row h levels below and gamma times the row h levels
+    above, which removes its couplings at distance h and leaves couplings
+    at 2h, so after ceil(log2 n_lev) stages each row is one unknown times
+    its diagonal.  alpha, gamma and 1/diagonal depend on the bands only and
+    are computed once, each repeated to match the re/im pairs of the float
+    view of the modes; a solve is one rfft, two multiplies and two in-place
+    adds per stage into two work buffers, one scaling and one irfft.  Only
+    elementwise ufuncs run.  Fast diagonalisation (an eigh of the level
+    pencil, then two gemm per solve) was measured and not taken: it is
+    BLAS, which OpenBLAS threads, and on a shared two-core host its build
+    took up to 354 ms and its slowest solves 16-32 ms at 192 x (96+96);
+    single-threaded its solve was still slower than the band solve.
 
     sigma_h is the top-line Dirichlet-to-Neumann symbol of the flat balance:
     mode k of h_t = w2 is sigma_h[k] times mode k of h, k = 0..n1/2.  The
@@ -314,8 +350,6 @@ class _FlatInverse:
     """
 
     def __init__(self, flat: _CellBalance):
-        from scipy.linalg import lapack  # already loaded by scipy.sparse.linalg
-
         self.n1, n_lev = flat.n1, flat.n_lev
         response = []
         for a in range(3):
@@ -325,10 +359,25 @@ class _FlatInverse:
         response = np.stack(response)
         # row g is reached by the seed level g + s of colour (g + s) mod 3
         g = np.arange(n_lev)
-        lower, diag, upper = (response[(g + s) % 3, g].T.ravel() for s in (-1, 0, 1))
-        *self._factors, info = lapack.zgttrf(lower[1:], diag, upper[:-1])
-        assert info == 0, "flat operator is singular"
-        self._gttrs = lapack.zgttrs
+        lower, diag, upper = (response[(g + s) % 3, g].real for s in (-1, 0, 1))
+        # stage h: row g couples to g - h by lower[g] and to g + h by upper[g]
+        self._stages = []
+        h = 1
+        while h < n_lev:
+            alpha = -lower[h:] / diag[:-h]
+            gamma = -upper[:-h] / diag[h:]
+            diag = diag.copy()
+            diag[h:] += alpha * upper[:-h]
+            diag[:-h] += gamma * lower[h:]
+            zero = np.zeros_like(diag[:h])
+            lower = np.concatenate([zero, alpha * lower[:-h]])
+            upper = np.concatenate([gamma * upper[h:], zero])
+            self._stages.append((h, np.repeat(alpha, 2, axis=1), np.repeat(gamma, 2, axis=1)))
+            h *= 2
+        self._inv_diag = np.repeat(1.0 / diag, 2, axis=1)
+        # shared by every caller of the cached inverse: solves must not overlap
+        self._below = np.empty_like(self._inv_diag)
+        self._above = np.empty_like(self._inv_diag)
         impulse = np.zeros(self.n1)
         impulse[0] = 1.0
         x = self.solve(-flat.free_rows(np.zeros(n_lev * self.n1), impulse))
@@ -336,9 +385,15 @@ class _FlatInverse:
         self.sigma_h.setflags(write=False)  # every caller shares the cached array
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        modes = np.fft.rfft(r.reshape(-1, self.n1))
-        x, _ = self._gttrs(*self._factors, modes.T.reshape(-1, 1))
-        return np.fft.irfft(x.reshape(-1, modes.shape[0]).T, n=self.n1).ravel()
+        d = np.fft.rfft(r.reshape(-1, self.n1)).view(np.float64)
+        below, above = self._below, self._above
+        for h, alpha, gamma in self._stages:
+            np.multiply(alpha, d[:-h], out=below[h:])
+            np.multiply(gamma, d[h:], out=above[:-h])
+            d[h:] += below[h:]
+            d[:-h] += above[:-h]
+        d *= self._inv_diag
+        return np.fft.irfft(d.view(np.complex128), n=self.n1).ravel()
 
 
 @lru_cache(maxsize=8)
@@ -396,6 +451,8 @@ def _cg(apply, b: np.ndarray, precond, rtol: float) -> np.ndarray:
 
 
 def _solve_direct(balance: _CellBalance, b: np.ndarray) -> np.ndarray:
+    import scipy.sparse.linalg as spla  # the oracle only: runs never load scipy
+
     l_free = _probe(balance)
     if np.any(l_free.diagonal() <= 0.0):
         raise NonSPDSystem("head matrix lost positive diagonal")

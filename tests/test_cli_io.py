@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import resource
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import muskat
 from muskat.cli_io import (
     ConfigError,
     RunManifest,
@@ -393,3 +398,22 @@ class TestMain:
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, t_end=0.1)
         assert main(["run", str(cfg_path)]) == 0
+
+    def test_run_loads_no_scipy(self, tmp_path):
+        # scipy is the direct oracle's only: a run in a fresh interpreter
+        # must not pay for importing it
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, t_end=0.1)
+        script = ("import sys\n"
+                  "from muskat import cli_io\n"
+                  f"code = cli_io.main(['run', {str(cfg_path)!r}])\n"
+                  "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "print(loaded)\n"
+                  "sys.exit(code)\n")
+        src = str(Path(muskat.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"

@@ -299,6 +299,22 @@ class TestSolverOptions:
         expected = lu.solve(r)
         assert np.max(np.abs(inverse.solve(r) - expected)) <= 1e-11 * np.max(np.abs(expected))
 
+    # level counts n_lev = m_minus + m_plus - 2 run over odd, prime and
+    # non-power-of-two values, so cyclic reduction's last stage is partial
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n1=st.integers(2, 32).map(lambda k: 2 * k),
+           levels=st.tuples(st.integers(3, 40), st.integers(3, 40)),
+           betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_flat_inverse_matches_lu_property(self, n1, levels, betas, seed):
+        m_minus, m_plus = levels
+        flat = pressure._CellBalance.flat(n1, m_minus, m_plus, *betas)
+        lu = splu(pressure._probe(flat))
+        inverse = pressure._flat_inverse(n1, m_minus, m_plus, *betas)
+        r = np.random.default_rng(seed).normal(size=n1 * flat.n_lev)
+        expected = lu.solve(r)
+        assert np.max(np.abs(inverse.solve(r) - expected)) <= 1e-11 * np.max(np.abs(expected))
+
     # column colours q: n1 itself for 4, 6, 8, 10, 14; 11 for 22, 9 for 18, 16 for 64
     @pytest.mark.parametrize("n1, m_minus, m_plus",
                              [(4, 3, 17), (6, 17, 3), (8, 5, 9), (10, 9, 4), (14, 3, 3),
@@ -362,6 +378,53 @@ class TestSolverOptions:
         args = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
         with pytest.raises(ValueError):
             solve_head(*args, solver="magic")
+
+
+class TestWorkBuffers:
+    """The balance and the flat inverse keep work buffers across calls; what
+    they return must be new arrays, since CG holds z and lp across
+    iterations and _recover holds d1p across a second apply."""
+
+    def test_balance_returns_unaliased_arrays(self):
+        x = PeriodicField1D.zeros(16).x1
+        h = PeriodicField1D(0.08 * np.cos(x) + 0.03 * np.sin(x))
+        f = PeriodicField1D(0.1 * np.sin(x) + 0.05 * np.cos(2 * x))
+        profile = PermeabilityProfile(f, 1.3, 0.4)
+        pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, 16, 7)), profile)
+        pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, 16, 5)), profile)
+        balance = pressure._CellBalance.from_packs(pack_m, pack_p)
+        p = np.random.default_rng(3).normal(size=balance.k11.shape)
+        p_before = p.copy()
+        first, second = balance(p), balance(p)
+        assert np.array_equal(first, second)
+        assert np.array_equal(p, p_before)
+        buffers = (p, balance._padded, balance._scratch, balance._face)
+        for buffer in (second,) + buffers:
+            assert not np.shares_memory(first, buffer)
+        for buffer in buffers:
+            assert not np.shares_memory(second, buffer)
+
+    def test_flat_inverse_returns_unaliased_arrays(self):
+        inverse = pressure._flat_inverse(16, 5, 7, 1.3, 0.4)
+        r = np.random.default_rng(4).normal(size=16 * 10)
+        r_before = r.copy()
+        first, second = inverse.solve(r), inverse.solve(r)
+        assert np.array_equal(first, second)
+        assert np.array_equal(r, r_before)
+        buffers = (r, inverse._below, inverse._above)
+        for buffer in (second,) + buffers:
+            assert not np.shares_memory(first, buffer)
+        for buffer in buffers:
+            assert not np.shares_memory(second, buffer)
+
+    @pytest.mark.parametrize("n1, m_minus, m_plus", [(4, 3, 3), (16, 5, 7), (64, 9, 17)])
+    def test_x1_difference_matches_the_stencil_bit_for_bit(self, n1, m_minus, m_plus):
+        balance = pressure._CellBalance.flat(n1, m_minus, m_plus, 1.0, 1.0)
+        for v in np.random.default_rng(n1).normal(size=(3, m_minus + m_plus, n1)):
+            w = np.concatenate([v[:, -2:], v, v[:, :2]], axis=1)
+            expected = ((w[:, :-4] - w[:, 4:]) + 8.0 * (w[:, 3:-1] - w[:, 1:-3])) \
+                / (12.0 * balance.dx1)
+            assert np.array_equal(balance._x1_difference(v), expected)
 
 
 class TestDataScaling:
