@@ -298,12 +298,12 @@ def cmd_run(config_path: str) -> int:
     write_timeseries_csv(csv_path, traj.reports)
     files.append(csv_path.name)
 
-    if traj.samples:
-        for tag, smp, head in (("initial", traj.samples[0], traj.initial_head),
-                               ("final", traj.samples[-1], traj.final_head)):
+    if traj.states:
+        for tag, state, head in (("initial", traj.states[0], traj.initial_head),
+                                 ("final", traj.states[-1], traj.final_head)):
             snap_path = out_dir / f"snapshot_{tag}.mskt"
             write_snapshot(snap_path,
-                           _snapshot_from_eval(smp.t, smp.state.h.values, f.values, head))
+                           _snapshot_from_eval(state.t, state.h.values, f.values, head))
             files.append(snap_path.name)
 
     manifest = RunManifest(
@@ -332,9 +332,9 @@ def cmd_dispersion(beta_plus: float, beta_minus: float, k_max: int) -> int:
         print("error: permeabilities must be positive", file=sys.stderr)
         return EXIT_USAGE
     profile = PermeabilityProfile(PeriodicField1D.zeros(4), beta_plus, beta_minus)
-    table = diagnostics.dispersion_table(k_max, profile)
+    sigma = diagnostics.dispersion_table(k_max, profile)
     print("k,sigma")
-    for k, s in zip(table.modes, table.sigma):
+    for k, s in enumerate(sigma, start=1):
         print(f"{k},{_fmt(s)}")
     return EXIT_OK
 
@@ -350,7 +350,7 @@ def _check_rest_state(config) -> tuple[bool, str]:
     for f_modes in ([], [(1, 0.2, 0.0)]):
         f = PeriodicField1D.from_modes(small.n1, f_modes)
         profile = PermeabilityProfile(f, small.beta_plus, small.beta_minus)
-        _, head, _, _ = evolution._evaluate(h0.values, profile, small)
+        _, head, _ = evolution._evaluate(h0.values, profile, small)
         w_max = max(float(np.max(np.abs(s.values))) for s in
                     (head.w1_plus, head.w2_plus, head.w1_minus, head.w2_minus))
         if w_max > 1e-9:
@@ -491,12 +491,13 @@ def cmd_convergence(config_path: str) -> int:
         traj = evolution.run(replace(cfg, dt_safety=safety), h0, f)
         if traj.termination != evolution.TERMINATION_COMPLETED:
             raise RuntimeError(f"run terminated with {traj.termination}")
-        return traj.samples[-1].state.h.values
+        return traj.states[-1].h.values
 
     spatial = [final_h(cfg, n0) for cfg in level_configs]
     print("spatial " + _order(spatial, f"n2 levels {levels[0]} -> {levels[1]} -> "
                               f"{levels[2]}, {n0} steps", "refinement"))
-    temporal = [final_h(level_configs[0], n0 * s) for s in (1, 2, 4)]
+    # the coarsest spatial run is the first temporal one
+    temporal = [spatial[0]] + [final_h(level_configs[0], n0 * s) for s in (2, 4)]
     print("temporal " + _order(temporal, f"{n0} -> {2 * n0} -> {4 * n0} steps",
                                "step-halving"))
     return EXIT_OK

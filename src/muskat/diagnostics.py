@@ -2,8 +2,7 @@
 
 Interface norms are spectral; bulk integrals use the trapezoid rule in x2 and
 the exact nodal quadrature in x1.  Diagnostics are observers: they never
-mutate state and never abort a run; non-finite values are recorded as flags
-on the report.
+mutate state and never abort a run; a non-finite value is reported as it is.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .spectral_core import deriv, sobolev_norm, x1_derivative
 __all__ = [
     "dispersion_rate",
     "dispersion_table",
-    "DispersionTable",
     "EnergyReport",
     "report",
     "decay_fit",
@@ -30,6 +28,8 @@ __all__ = [
 ]
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+DECAY_FIT_MIN_SAMPLES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -66,22 +66,15 @@ def dispersion_rate(k: int, profile: PermeabilityProfile) -> float:
     return sigma
 
 
-@dataclass
-class DispersionTable:
-    """Per-mode linearized decay rates, sigma(k) < 0 in the stable regime."""
-
-    modes: np.ndarray
-    sigma: np.ndarray
-
-
-def dispersion_table(k_max: int, profile: PermeabilityProfile) -> DispersionTable:
+def dispersion_table(k_max: int, profile: PermeabilityProfile) -> np.ndarray:
+    """Linearized decay rates sigma(k) of the modes k = 1..k_max, in order;
+    every one is negative in the stable regime."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    modes = np.arange(1, k_max + 1)
-    sigma = np.array([dispersion_rate(int(k), profile) for k in modes])
+    sigma = np.array([dispersion_rate(k, profile) for k in range(1, k_max + 1)])
     if np.any(sigma >= 0.0):
         raise ValueError("linearized rates must be negative for positive permeabilities")
-    return DispersionTable(modes, sigma)
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +137,17 @@ class EnergyReport:
     rt_margin: float
     l2_law_residual: float
     coupling_ratio: float
-    nan_flags: tuple = ()
 
 
-def report(state, head: HeadSolution, metric, h0_l2_sq: float) -> EnergyReport:
-    """Assemble the scalar report for one sample.
+def report(state, head: HeadSolution, h0_l2_sq: float) -> EnergyReport:
+    """Assemble the scalar report for one state.
 
-    `state` carries h, t and the running dissipation integral; `metric` is
-    the (upper, lower) pack pair the head was solved with; h0_l2_sq, the
-    squared L^2 norm of the initial h, is the reference of the energy-law
-    residual.
+    `state` carries h, t and the running dissipation integral; `head` is the
+    head solved at that state, and its velocity fields carry the strip grids;
+    h0_l2_sq, the squared L^2 norm of the initial h, is the reference of the
+    energy-law residual.
     """
-    pack_plus, pack_minus = metric
+    grid_plus, grid_minus = head.w1_plus.grid, head.w1_minus.grid
     h = state.h
     t = float(state.t)
 
@@ -166,10 +158,10 @@ def report(state, head: HeadSolution, metric, h0_l2_sq: float) -> EnergyReport:
     script_e = sobolev_norm(hpp, 0.0) ** 2
 
     script_d = (
-        _tangential_second_sq(head.w1_plus.values, pack_plus.grid)
-        + _tangential_second_sq(head.w2_plus.values, pack_plus.grid)
-        + _tangential_second_sq(head.w1_minus.values, pack_minus.grid)
-        + _tangential_second_sq(head.w2_minus.values, pack_minus.grid)
+        _tangential_second_sq(head.w1_plus.values, grid_plus)
+        + _tangential_second_sq(head.w2_plus.values, grid_plus)
+        + _tangential_second_sq(head.w1_minus.values, grid_minus)
+        + _tangential_second_sq(head.w2_minus.values, grid_minus)
     )
     rt_margin = float(np.min(head.gamma_trace_w2.values)) + 1.0
 
@@ -181,22 +173,14 @@ def report(state, head: HeadSolution, metric, h0_l2_sq: float) -> EnergyReport:
 
     coupling = sobolev_norm(hpp, 0.5) / math.sqrt(script_d) if script_d > 0 else float("nan")
 
-    rep = EnergyReport(
+    return EnergyReport(
         t=t, l2_h=l2_h, h2_h=h2_h, h2p5_h=h2p5_h,
         script_E=script_e, script_D=script_d, rt_margin=rt_margin,
         l2_law_residual=l2_residual, coupling_ratio=coupling,
     )
-    flags = tuple(
-        name for name in ("l2_h", "h2_h", "h2p5_h", "script_E",
-                          "script_D", "rt_margin", "l2_law_residual",
-                          "coupling_ratio")
-        if not np.isfinite(getattr(rep, name))
-    )
-    rep.nan_flags = flags
-    return rep
 
 
-def decay_fit(reports, min_samples: int = 10) -> tuple[float, float]:
+def decay_fit(reports) -> tuple[float, float]:
     """Exponential decay rate from the curvature-energy history.
 
     Least-squares slope of log |h''(t)|_0 over the usable samples; returns
@@ -209,9 +193,10 @@ def decay_fit(reports, min_samples: int = 10) -> tuple[float, float]:
         if amp > 0.0 and np.isfinite(amp):
             ts.append(rep.t)
             logs.append(math.log(amp))
-    if len(ts) < min_samples:
+    if len(ts) < DECAY_FIT_MIN_SAMPLES:
         raise InsufficientData(
-            f"need >= {min_samples} positive samples for a decay fit, got {len(ts)}"
+            f"need >= {DECAY_FIT_MIN_SAMPLES} positive samples for a decay fit, "
+            f"got {len(ts)}"
         )
     ts = np.asarray(ts)
     logs = np.asarray(logs)

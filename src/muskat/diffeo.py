@@ -124,20 +124,13 @@ def _strip_traces(h: PeriodicField1D, f: PeriodicField1D, grid: StripGrid):
     return np.zeros(grid.n1 // 2 + 1, dtype=complex), f.coeffs
 
 
-def _sinh_ratio(k: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """sinh(k xi)/sinh(k) for k >= 1, 0 <= xi <= 1, in overflow-safe form."""
+def _over_sinh(k: np.ndarray, xi: np.ndarray, sign: float) -> np.ndarray:
+    """(e^(k xi) + sign e^(-k xi)) / (2 sinh k) for k >= 1, 0 <= xi <= 1, in
+    overflow-safe form: sinh(k xi)/sinh(k) for sign = -1, cosh(k xi)/sinh(k)
+    for sign = +1."""
     kk = k[:, None]
     xx = xi[None, :]
-    return np.exp(kk * (xx - 1.0)) * (1.0 - np.exp(-2.0 * kk * xx)) / (
-        1.0 - np.exp(-2.0 * kk)
-    )
-
-
-def _cosh_over_sinh(k: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """cosh(k xi)/sinh(k) for k >= 1, 0 <= xi <= 1, overflow-safe."""
-    kk = k[:, None]
-    xx = xi[None, :]
-    return np.exp(kk * (xx - 1.0)) * (1.0 + np.exp(-2.0 * kk * xx)) / (
+    return np.exp(kk * (xx - 1.0)) * (1.0 + sign * np.exp(-2.0 * kk * xx)) / (
         1.0 - np.exp(-2.0 * kk)
     )
 
@@ -148,13 +141,13 @@ def _extension_profiles(grid: StripGrid, derivative: bool):
     bottom, _ = grid.bounds
     xi = grid.x2 - bottom  # in [0, 1]
     if not derivative:
-        top = _sinh_ratio(k, xi)
-        bot = _sinh_ratio(k, 1.0 - xi)
+        top = _over_sinh(k, xi, -1.0)
+        bot = _over_sinh(k, 1.0 - xi, -1.0)
         top0 = xi
         bot0 = 1.0 - xi
     else:
-        top = k[:, None] * _cosh_over_sinh(k, xi)
-        bot = -k[:, None] * _cosh_over_sinh(k, 1.0 - xi)
+        top = k[:, None] * _over_sinh(k, xi, 1.0)
+        bot = -k[:, None] * _over_sinh(k, 1.0 - xi, 1.0)
         top0 = np.ones_like(xi)
         bot0 = -np.ones_like(xi)
     return top0, bot0, top, bot

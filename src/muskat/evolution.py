@@ -30,7 +30,7 @@ from .errors import (
 from .pressure import HeadSolution, flat_top_rates, solve_head
 from .spectral_core import PeriodicField1D, mean, project_zero_mean, sobolev_norm
 
-__all__ = ["SimConfig", "SimState", "Trajectory", "TrajectorySample", "step", "run"]
+__all__ = ["SimConfig", "SimState", "Trajectory", "step", "run"]
 
 # classical RK4 is stable for dt * lambda in [-RK4_REAL_LIMIT, 0], lambda real
 RK4_REAL_LIMIT = 2.78529356340529
@@ -66,6 +66,10 @@ class SimConfig:
     output_dir: str | None = None
 
     def validate(self) -> "SimConfig":
+        for name in ("n1", "n2_plus", "n2_minus", "report_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n1 < 4 or self.n1 % 2 != 0:
             raise ValueError("n1 must be even and >= 4")
         if self.n2_plus < 3 or self.n2_minus < 3:
@@ -114,22 +118,17 @@ class SimState:
 
 
 @dataclass
-class TrajectorySample:
-    t: float
-    state: SimState
-    report: diagnostics.EnergyReport
-
-
-@dataclass
 class Trajectory:
-    """Reported samples plus termination metadata and per-step ledgers.
+    """Reported states and their reports, plus termination metadata and
+    per-step ledgers.
 
-    initial_head and final_head are the head solutions of the first and the
-    last sample, kept so that snapshots need no second solve.
+    states[i] is the state that reports[i] describes.  initial_head and
+    final_head are the head solutions of the first and the last reported
+    state, kept so that snapshots need no second solve.
     """
 
-    config: SimConfig
-    samples: list[TrajectorySample] = field(default_factory=list)
+    states: list[SimState] = field(default_factory=list)
+    reports: list[diagnostics.EnergyReport] = field(default_factory=list)
     initial_head: HeadSolution | None = None
     final_head: HeadSolution | None = None
     termination: str = TERMINATION_COMPLETED
@@ -137,10 +136,6 @@ class Trajectory:
     error_time: float | None = None
     max_abs_mean_h: float = 0.0
     max_abs_top_flux: float = 0.0
-
-    @property
-    def reports(self) -> list[diagnostics.EnergyReport]:
-        return [s.report for s in self.samples]
 
 
 def _gap_margin(h_values: np.ndarray, f_values: np.ndarray) -> float:
@@ -151,9 +146,9 @@ def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
               config: SimConfig):
     """One full right-side evaluation: strip maps, metric, head solve.
 
-    Returns (trace values, head, (upper pack, lower pack), weighted
-    dissipation).  The returned trace is mean-projected; its analytic mean is
-    zero and the conservative recovery keeps the discrete mean at roundoff.
+    Returns (trace values, head, weighted dissipation).  The returned trace
+    is mean-projected; its analytic mean is zero and the conservative
+    recovery keeps the discrete mean at roundoff.
     """
     h = PeriodicField1D(h_values)
     grid_plus, grid_minus = config.grids()
@@ -165,7 +160,7 @@ def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
     trace = head.gamma_trace_w2.values
     trace = trace - np.mean(trace)
     diss = diagnostics.dissipation_l2(head, pack_plus, pack_minus)
-    return trace, head, (pack_plus, pack_minus), diss
+    return trace, head, diss
 
 
 def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
@@ -182,10 +177,10 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
 
     if _first_eval is None:
         _first_eval = _evaluate(y, profile, config)
-    k1, _, _, d1 = _first_eval
-    k2, _, _, d2 = _evaluate(y + 0.5 * dt * k1, profile, config)
-    k3, _, _, d3 = _evaluate(y + 0.5 * dt * k2, profile, config)
-    k4, _, _, d4 = _evaluate(y + dt * k3, profile, config)
+    k1, _, d1 = _first_eval
+    k2, _, d2 = _evaluate(y + 0.5 * dt * k1, profile, config)
+    k3, _, d3 = _evaluate(y + 0.5 * dt * k2, profile, config)
+    k4, _, d4 = _evaluate(y + dt * k3, profile, config)
 
     y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     y_new = y_new - np.mean(y_new)
@@ -219,7 +214,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
     profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
 
     h0 = project_zero_mean(h0)
-    traj = Trajectory(config=config)
+    traj = Trajectory()
     state = SimState(h=h0)
 
     if _gap_margin(h0.values, f.values) <= config.gap_tol:
@@ -230,17 +225,17 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
 
     h0_l2_sq = sobolev_norm(h0, 0.0) ** 2
 
-    def sample(current_eval):
-        _, head, metric, _ = current_eval
-        rep = diagnostics.report(state, head, metric, h0_l2_sq)
-        if not traj.samples:
+    def sample(head):
+        rep = diagnostics.report(state, head, h0_l2_sq)
+        if not traj.states:
             traj.initial_head = head
         traj.final_head = head
-        traj.samples.append(TrajectorySample(state.t, state, rep))
+        traj.states.append(state)
+        traj.reports.append(rep)
 
     try:
         current_eval = _evaluate(state.h.values, profile, config)
-        sample(current_eval)
+        sample(current_eval[1])
         traj.max_abs_mean_h = abs(mean(state.h))
         traj.max_abs_top_flux = abs(current_eval[1].top_flux_total)
         # taken after the first head solve has built the flat inverse that dt
@@ -257,7 +252,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
                                         abs(current_eval[1].top_flux_total))
             at_end = state.t >= config.t_end - 1e-12
             if state.step_count % config.report_every == 0 or at_end:
-                sample(current_eval)
+                sample(current_eval[1])
     except tuple(_TERMINATIONS) as exc:
         traj.termination = next(reason for kind, reason in _TERMINATIONS.items()
                                 if isinstance(exc, kind))

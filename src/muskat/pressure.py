@@ -69,6 +69,10 @@ __all__ = ["HeadSolution", "solve_head", "picard_head", "flat_top_rates"]
 
 RESIDUAL_TOL = 1e-10
 KRYLOV_MAXITER = 500
+# picard_head converges once a step changes no head value by more than
+# PICARD_TOL * max(1, max|head|), and gives up after PICARD_MAX_ITER steps
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 100
 
 
 @dataclass
@@ -503,8 +507,7 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
 
 
 def picard_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
-                profile: PermeabilityProfile, max_iter: int = 100,
-                tol: float = 1e-10) -> HeadSolution:
+                profile: PermeabilityProfile) -> HeadSolution:
     """Fixed-point cross-check of solve_head.
 
     Splits the discrete operator into its flat-metric part (constant-
@@ -524,11 +527,11 @@ def picard_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1
 
     prev_diff = np.inf
     growth_streak = 0
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         x_new = x + flat.solve(b - balance.free_rows(x))
         diff = float(np.max(np.abs(x_new - x))) if x.size else 0.0
         x = x_new
-        if diff <= tol * max(1.0, float(np.max(np.abs(x), initial=0.0))):
+        if diff <= PICARD_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0))):
             return _recover(balance, balance.heads(x, h.values), 1.0)
         growth_streak = growth_streak + 1 if diff > prev_diff else 0
         if growth_streak >= 3 or not np.isfinite(diff):
@@ -536,4 +539,5 @@ def picard_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1
                 f"fixed-point head iteration diverging (step change {diff:.3e})"
             )
         prev_diff = diff
-    raise NoContraction(f"fixed-point head iteration not converged in {max_iter} steps")
+    raise NoContraction(
+        f"fixed-point head iteration not converged in {PICARD_MAX_ITER} steps")

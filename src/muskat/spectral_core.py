@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResolutionMismatch
-
 __all__ = [
     "PeriodicField1D",
     "deriv",
@@ -87,14 +85,6 @@ class PeriodicField1D:
             k = int(k)
             vals += ca * np.cos(k * x) + sa * np.sin(k * x)
         return cls(vals)
-
-
-def _check_same_resolution(*fields: PeriodicField1D) -> int:
-    n = fields[0].n
-    for f in fields[1:]:
-        if f.n != n:
-            raise ResolutionMismatch(f"field resolutions differ: {f.n} vs {n}")
-    return n
 
 
 def _wavenumbers(n: int) -> np.ndarray:

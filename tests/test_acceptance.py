@@ -92,9 +92,9 @@ def test_criterion_1_rest_state_exactness():
         assert traj.termination == TERMINATION_COMPLETED
         w_inf = 0.0
         h_inf = 0.0
-        for smp in traj.samples:
-            h_inf = max(h_inf, float(np.max(np.abs(smp.state.h.values))))
-            _, head, _, _ = _evaluate(smp.state.h.values, profile, config)
+        for state in traj.states:
+            h_inf = max(h_inf, float(np.max(np.abs(state.h.values))))
+            _, head, _ = _evaluate(state.h.values, profile, config)
             w_inf = max(w_inf, max(
                 float(np.max(np.abs(s.values))) for s in
                 (head.w1_plus, head.w2_plus, head.w1_minus, head.w2_minus)))
@@ -108,8 +108,8 @@ def measured_decay_rate(beta_plus, beta_minus, k, t_end):
                        beta_minus=beta_minus, t_end=t_end, report_every=1)
     traj = run(config, cos_field(k=k, amp=1e-4), PeriodicField1D.zeros(N1))
     assert traj.termination == TERMINATION_COMPLETED
-    ts = np.array([s.t for s in traj.samples])
-    amps = np.array([mode_amplitude(s.state.h.values, k) for s in traj.samples])
+    ts = np.array([s.t for s in traj.states])
+    amps = np.array([mode_amplitude(s.h.values, k) for s in traj.states])
     assert amps.min() > 0
     slope = np.polyfit(ts, np.log(amps), 1)[0]
     return float(slope)
@@ -209,7 +209,7 @@ def test_criterion_8_picard_cross_check():
     pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, N1, N2)), profile)
     pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, N1, N2)), profile)
     direct = solve_head(pack_p, pack_m, h, profile)
-    fixed = picard_head(pack_p, pack_m, h, profile, tol=1e-10)
+    fixed = picard_head(pack_p, pack_m, h, profile)
     diff = max(
         float(np.max(np.abs(direct.p_plus.values - fixed.p_plus.values))),
         float(np.max(np.abs(direct.p_minus.values - fixed.p_minus.values))),

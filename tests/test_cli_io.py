@@ -268,7 +268,7 @@ class TestCmdRun:
         profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
         for tag in ("initial", "final"):
             snap = read_snapshot(tmp_path / "out" / f"snapshot_{tag}.mskt")
-            _, head, _, _ = evolution._evaluate(snap.h, profile, config)
+            _, head, _ = evolution._evaluate(snap.h, profile, config)
             fresh = Snapshot(snap.t, snap.h, snap.f, head.p_plus.values,
                              head.p_minus.values, head.w1_plus.values,
                              head.w2_plus.values, head.w1_minus.values,
@@ -291,6 +291,16 @@ class TestCmdRun:
     def test_missing_config_exit(self, tmp_path, capsys):
         assert cmd_run(str(tmp_path / "nope.json")) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_non_integer_count_exit(self, tmp_path, capsys):
+        # unchecked, a float grid size ends in a TypeError traceback, and
+        # report_every = 1.5 reports only every third step (step % 1.5 == 0)
+        cfg_path = tmp_path / "run.json"
+        for bad in (dict(n1=64.0), dict(n2_plus=9.0), dict(report_every=1.5)):
+            write_config(cfg_path, **bad)
+            assert cmd_run(str(cfg_path)) == 1
+            assert "error: invalid config" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
 
 
 class TestCmdDispersion:
@@ -346,7 +356,15 @@ class TestCmdCheck:
 
 
 class TestCmdConvergence:
-    def test_orders_reported(self, tmp_path, capsys):
+    def test_orders_reported(self, tmp_path, capsys, monkeypatch):
+        runs = []
+        real_run = evolution.run
+
+        def counted_run(*args, **kwargs):
+            runs.append(None)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "run", counted_run)
         cfg_path = tmp_path / "run.json"
         # five whole steps, the nearest whole number to t_end = pi / 4
         dt = evolution.SimConfig(n1=32, n2_plus=5, n2_minus=5, beta_plus=1.0,
@@ -359,6 +377,8 @@ class TestCmdConvergence:
         temporal = float(out.split("temporal order:")[1].split()[0])
         assert spatial >= 1.9
         assert temporal >= 3.8
+        # three n2 levels and two step halvings: the coarsest run is shared
+        assert len(runs) == 5
 
     def test_step_covering_t_end(self, tmp_path, capsys):
         # one step of the rule already covers t_end: the refinements must

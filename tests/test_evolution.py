@@ -116,7 +116,7 @@ class TestRun:
         traj = run(config, h0, f)
         assert traj.termination == TERMINATION_GAP
         assert traj.error_time == 0.0
-        assert traj.samples == []
+        assert traj.states == [] and traj.reports == []
 
     def test_degenerate_strip_map_terminates(self):
         config = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.3, j_min=0.9)
@@ -124,7 +124,7 @@ class TestRun:
         assert traj.termination == TERMINATION_DEGENERATE
         assert traj.error
         assert traj.error_time == 0.0
-        assert traj.samples == []
+        assert traj.states == [] and traj.reports == []
 
     def test_solver_failure_terminates(self, monkeypatch):
         monkeypatch.setattr(pressure, "KRYLOV_MAXITER", 1)
@@ -133,7 +133,7 @@ class TestRun:
         assert traj.termination == TERMINATION_SOLVER
         assert "stalled" in traj.error
         assert traj.error_time == 0.0
-        assert traj.samples == []
+        assert traj.states == [] and traj.reports == []
 
     def test_failure_inside_a_step_keeps_last_state(self, monkeypatch):
         # solve 1 is the initial evaluation, 2-4 the stages of step 1, 5 the
@@ -152,7 +152,8 @@ class TestRun:
         assert traj.termination == TERMINATION_SOLVER
         assert traj.error == "injected"
         assert traj.error_time == pytest.approx(config.dt)
-        assert [s.t for s in traj.samples] == [0.0, traj.error_time]
+        assert [s.t for s in traj.states] == [0.0, traj.error_time]
+        assert [r.t for r in traj.reports] == [0.0, traj.error_time]
 
     def test_decay_and_rt_margin(self):
         config = SimConfig(n1=32, n2_plus=13, n2_minus=13, t_end=1.0, report_every=4)
@@ -175,7 +176,7 @@ class TestRun:
         finals = []
         for safety in (0.8, 0.4, 0.2):
             traj = run(SimConfig(dt_safety=safety, **base), h0, f)
-            finals.append(traj.samples[-1].state.h.values)
+            finals.append(traj.states[-1].h.values)
         order = math.log2(np.max(np.abs(finals[0] - finals[1]))
                           / np.max(np.abs(finals[1] - finals[2])))
         assert order >= 3.5
@@ -188,7 +189,7 @@ class TestRun:
             config = SimConfig(n1=32, n2_plus=n2, n2_minus=n2, t_end=0.4,
                                report_every=10 ** 6)
             traj = run(config, h0, f)
-            finals.append(traj.samples[-1].state.h.values)
+            finals.append(traj.states[-1].h.values)
         order = math.log2(np.max(np.abs(finals[0] - finals[1]))
                           / np.max(np.abs(finals[1] - finals[2])))
         assert order >= 1.9
@@ -225,7 +226,8 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         dict(n1=13), dict(n2_plus=2), dict(beta_plus=0.0), dict(dt_safety=0.0),
         dict(dt_safety=1.5), dict(t_end=-1.0), dict(gap_tol=0.0),
-        dict(j_min=1.5), dict(report_every=0),
+        dict(j_min=1.5), dict(report_every=0), dict(n1=64.0), dict(n2_plus=9.0),
+        dict(n2_minus=9.0), dict(report_every=1.5), dict(report_every=True),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every name its __all__ exports is defined there.
+"""Every name a module of the package imports is used in that module, every
+name its __all__ exports is defined there, and every private function or
+class it defines at module level is read there.
 
 An AST scan stands in for a linter: a binding counts as used when it is
 read as a name anywhere in the module (attribute chains included) or is
@@ -73,3 +74,28 @@ def test_scan_flags_a_stale_export():
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_no_stale_exports(module):
     assert stale_exports(module.read_text()) == []
+
+
+def unused_private_definitions(source: str) -> list[str]:
+    """Private module-level functions and classes whose name the module never
+    reads (dunder names are not private)."""
+    tree = ast.parse(source)
+    defined = {node.name: node.lineno for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in sorted(defined.items())
+            if name not in read]
+
+
+def test_scan_flags_an_unused_private_definition():
+    source = ("def _used(): pass\ndef _unused(): pass\nclass _Gone: pass\n"
+              "class _Base: pass\nclass C(_Base): pass\n"
+              "def __getattr__(name): pass\ndef public(): return _used()\n")
+    assert unused_private_definitions(source) == ["_Gone (line 3)", "_unused (line 2)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_no_unused_private_definitions(module):
+    assert unused_private_definitions(module.read_text()) == []

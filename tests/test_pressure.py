@@ -24,7 +24,7 @@ from muskat.errors import (
     ResolutionMismatch,
     SolverDivergence,
 )
-from muskat.pressure import picard_head, solve_head
+from muskat.pressure import PICARD_TOL, picard_head, solve_head
 from muskat.spectral_core import PeriodicField1D, x1_derivative
 
 
@@ -224,14 +224,13 @@ class TestPicard:
     def test_agrees_with_direct_in_small_regime(self):
         x = PeriodicField1D.zeros(64).x1
         args = setup(64, 33, 0.005 * np.cos(x), 0.02 * np.cos(2 * x), 1.0, 0.5)
-        tol = 1e-10
         direct = solve_head(*args)
-        fixed = picard_head(*args, tol=tol)
+        fixed = picard_head(*args)
         diff = max(
             np.max(np.abs(direct.p_plus.values - fixed.p_plus.values)),
             np.max(np.abs(direct.p_minus.values - fixed.p_minus.values)),
         )
-        assert diff <= 10 * tol
+        assert diff <= 10 * PICARD_TOL
 
     def test_diverges_at_large_amplitude_while_direct_succeeds(self):
         x = PeriodicField1D.zeros(64).x1
