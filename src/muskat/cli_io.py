@@ -15,7 +15,7 @@ import os
 import struct
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,16 @@ EXIT_PHYSICAL = 2
 EXIT_SOLVER = 3
 EXIT_CHECK_FAILED = 4
 
+_EXIT_CODES = {
+    evolution.TERMINATION_COMPLETED: EXIT_OK,
+    evolution.TERMINATION_GAP: EXIT_PHYSICAL,
+    evolution.TERMINATION_DEGENERATE: EXIT_PHYSICAL,
+    evolution.TERMINATION_SOLVER: EXIT_SOLVER,
+}
+
+# the strip arrays of a snapshot in file order, each named as in HeadSolution
+_STRIP_ARRAYS = ("p_plus", "p_minus", "w1_plus", "w2_plus", "w1_minus", "w2_minus")
+
 
 class ConfigError(Exception):
     pass
@@ -69,21 +79,26 @@ class ConfigError(Exception):
 # configuration
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "n1", "n2_plus", "n2_minus", "beta_plus", "beta_minus", "dt_safety",
-    "t_end", "gap_tol", "j_min", "report_every", "output_dir",
-    "h0_modes", "f_modes",
-}
+_CONFIG_KEYS = {f.name for f in fields(evolution.SimConfig)} | {"h0_modes", "f_modes"}
 
 
 def _field_from_modes(n1: int, modes, what: str) -> PeriodicField1D:
+    """Sum of [k, cos_amp, sin_amp] triples: k an integer in 0..n1/2, each
+    amplitude a finite number.  The sine of mode 0 or n1/2 is zero on the
+    grid, so a nonzero amplitude for it is an error, not a silent zero."""
     if modes is None:
         return PeriodicField1D.zeros(n1)
-    try:
-        triples = [(int(k), float(c), float(s)) for k, c, s in modes]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a list of [k, cos_amp, sin_amp] triples") from exc
-    return PeriodicField1D.from_modes(n1, triples)
+    if not (isinstance(modes, list) and all(
+            isinstance(mode, list) and len(mode) == 3 and isinstance(mode[0], int)
+            and all(map(evolution._is_finite_number, mode)) for mode in modes)):
+        raise ConfigError(f"{what} must be a list of [k, cos_amp, sin_amp] triples "
+                          "with an integer k and finite amplitudes")
+    for k, _, sin_amp in modes:
+        if not 0 <= k <= n1 // 2:
+            raise ConfigError(f"{what}: mode {k} lies outside 0..{n1 // 2}")
+        if sin_amp != 0 and k in (0, n1 // 2):
+            raise ConfigError(f"{what}: the sine of mode {k} is zero on {n1} nodes")
+    return PeriodicField1D.from_modes(n1, modes)
 
 
 def load_config(path: str | Path):
@@ -109,6 +124,8 @@ def load_config(path: str | Path):
     f_modes = raw.pop("f_modes", None)
     output_dir = raw.pop("output_dir", None)
     if output_dir is not None:
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
         output_dir = str((path.parent / output_dir).resolve())
     try:
         config = evolution.SimConfig(output_dir=output_dir, **raw).validate()
@@ -152,11 +169,8 @@ def _fmt(x: float) -> str:
 def write_timeseries_csv(path: str | Path, reports) -> None:
     """Full-precision CSV, LF line endings, one row per report."""
     lines = [TIMESERIES_HEADER]
-    for r in reports:
-        lines.append(",".join(_fmt(v) for v in (
-            r.t, r.l2_h, r.h2_h, r.h2p5_h, r.script_E, r.script_D,
-            r.rt_margin, r.l2_law_residual, r.coupling_ratio,
-        )))
+    # EnergyReport's fields are the header's columns, in order
+    lines += [",".join(_fmt(v) for v in astuple(r)) for r in reports]
     _write_atomic(path, [("\n".join(lines) + "\n").encode("ascii")])
 
 
@@ -194,9 +208,7 @@ def write_snapshot(path: str | Path, snap: Snapshot) -> None:
             struct.pack("<d", snap.t),
             snap.h.astype("<f8").tobytes(),
             snap.f.astype("<f8").tobytes()]
-    for arr in (snap.p_plus, snap.p_minus, snap.w1_plus, snap.w2_plus,
-                snap.w1_minus, snap.w2_minus):
-        blob.append(_strip_bytes(arr))
+    blob += [_strip_bytes(getattr(snap, name)) for name in _STRIP_ARRAYS]
     _write_atomic(path, blob)
 
 
@@ -216,35 +228,19 @@ def read_snapshot(path: str | Path) -> Snapshot:
     if len(data) != expected:
         raise ValueError(f"snapshot header declares {expected} bytes, file has {len(data)}")
     (t,) = struct.unpack_from("<d", data, 20)
-
-    def take(count):
-        nonlocal off
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).copy()
-        off += 8 * count
-        return arr
-
-    h = take(n1)
-    f = take(n1)
-
-    def take_strip(n2):
-        return take(n1 * n2).reshape(n2, n1).T.copy()
-
-    p_plus = take_strip(n2p)
-    p_minus = take_strip(n2m)
-    w1_plus = take_strip(n2p)
-    w2_plus = take_strip(n2p)
-    w1_minus = take_strip(n2m)
-    w2_minus = take_strip(n2m)
-    return Snapshot(t, h, f, p_plus, p_minus, w1_plus, w2_plus, w1_minus, w2_minus)
+    values = np.frombuffer(data, dtype="<f8", offset=off)
+    end = 2 * n1
+    strips = {}
+    for name in _STRIP_ARRAYS:
+        n2 = n2p if name.endswith("_plus") else n2m
+        start, end = end, end + n1 * n2
+        strips[name] = values[start:end].reshape(n2, n1).T.copy()
+    return Snapshot(t, values[:n1].copy(), values[n1:2 * n1].copy(), **strips)
 
 
 def _snapshot_from_eval(t: float, h: np.ndarray, f: np.ndarray, head) -> Snapshot:
-    return Snapshot(
-        t=t, h=h.copy(), f=f.copy(),
-        p_plus=head.p_plus.values, p_minus=head.p_minus.values,
-        w1_plus=head.w1_plus.values, w2_plus=head.w2_plus.values,
-        w1_minus=head.w1_minus.values, w2_minus=head.w2_minus.values,
-    )
+    return Snapshot(t, h.copy(), f.copy(),
+                    **{name: getattr(head, name).values for name in _STRIP_ARRAYS})
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +313,16 @@ def cmd_run(config_path: str) -> int:
     )
     write_manifest(out_dir / "manifest.json", manifest)
 
-    if traj.termination == evolution.TERMINATION_COMPLETED:
-        return EXIT_OK
-    if traj.termination in (evolution.TERMINATION_GAP, evolution.TERMINATION_DEGENERATE):
-        return EXIT_PHYSICAL
-    return EXIT_SOLVER
+    return _EXIT_CODES[traj.termination]
 
 
 def cmd_dispersion(beta_plus: float, beta_minus: float, k_max: int) -> int:
-    if k_max < 1:
-        print("error: k_max must be >= 1", file=sys.stderr)
+    try:
+        profile = PermeabilityProfile(PeriodicField1D.zeros(4), beta_plus, beta_minus)
+        sigma = diagnostics.dispersion_table(k_max, profile)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if beta_plus <= 0 or beta_minus <= 0:
-        print("error: permeabilities must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    profile = PermeabilityProfile(PeriodicField1D.zeros(4), beta_plus, beta_minus)
-    sigma = diagnostics.dispersion_table(k_max, profile)
     print("k,sigma")
     for k, s in enumerate(sigma, start=1):
         print(f"{k},{_fmt(s)}")

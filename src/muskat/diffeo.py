@@ -94,10 +94,6 @@ class StripField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("strip field values must be finite")
 
-    @classmethod
-    def zeros(cls, grid: StripGrid) -> "StripField":
-        return cls(grid, np.zeros((grid.n1, grid.n2)))
-
 
 @dataclass
 class PermeabilityProfile:
@@ -110,6 +106,8 @@ class PermeabilityProfile:
     def __post_init__(self):
         if not (self.beta_plus > 0 and self.beta_minus > 0):
             raise ValueError("permeabilities must be positive")
+        if not (np.isfinite(self.beta_plus) and np.isfinite(self.beta_minus)):
+            raise ValueError("permeabilities must be finite")
         if float(np.min(self.f.values)) <= -1.0:
             raise ValueError("permeability curve touches the floor: need min f > -1")
 

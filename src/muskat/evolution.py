@@ -8,12 +8,14 @@ max |sigma_h|.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import diagnostics
 from .diffeo import (
+    DEFAULT_J_MIN,
     LOWER,
     UPPER,
     PermeabilityProfile,
@@ -61,7 +63,7 @@ class SimConfig:
     dt_safety: float = 0.5
     t_end: float = 1.0
     gap_tol: float = 0.05
-    j_min: float = 0.1
+    j_min: float = DEFAULT_J_MIN
     report_every: int = 1
     output_dir: str | None = None
 
@@ -70,6 +72,10 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("beta_plus", "beta_minus", "dt_safety", "t_end", "gap_tol", "j_min"):
+            value = getattr(self, name)
+            if not _is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n1 < 4 or self.n1 % 2 != 0:
             raise ValueError("n1 must be even and >= 4")
         if self.n2_plus < 3 or self.n2_minus < 3:
@@ -105,6 +111,12 @@ class SimConfig:
     def grids(self) -> tuple[StripGrid, StripGrid]:
         return (StripGrid(UPPER, self.n1, self.n2_plus),
                 StripGrid(LOWER, self.n1, self.n2_minus))
+
+
+def _is_finite_number(value) -> bool:
+    """An int or a float that converts to a finite float; not a bool."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
 
 
 @dataclass
@@ -225,34 +237,31 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
 
     h0_l2_sq = sobolev_norm(h0, 0.0) ** 2
 
-    def sample(head):
-        rep = diagnostics.report(state, head, h0_l2_sq)
-        if not traj.states:
-            traj.initial_head = head
-        traj.final_head = head
-        traj.states.append(state)
-        traj.reports.append(rep)
-
+    dt = None
     try:
-        current_eval = _evaluate(state.h.values, profile, config)
-        sample(current_eval[1])
-        traj.max_abs_mean_h = abs(mean(state.h))
-        traj.max_abs_top_flux = abs(current_eval[1].top_flux_total)
-        # taken after the first head solve has built the flat inverse that dt
-        # reads: built before any strip array, it left every later evaluation
-        # about 12% slower at 192x(96+96) (heap layout)
-        dt = config.dt
-
-        while state.t < config.t_end - 1e-12:
-            dt_step = min(dt, config.t_end - state.t)
-            state = step(state, profile, config, dt_step, _first_eval=current_eval)
+        # each pass visits one evaluated state: ledger, report, then stop at
+        # t_end or step
+        while True:
             current_eval = _evaluate(state.h.values, profile, config)
+            head = current_eval[1]
             traj.max_abs_mean_h = max(traj.max_abs_mean_h, abs(mean(state.h)))
-            traj.max_abs_top_flux = max(traj.max_abs_top_flux,
-                                        abs(current_eval[1].top_flux_total))
+            traj.max_abs_top_flux = max(traj.max_abs_top_flux, abs(head.top_flux_total))
             at_end = state.t >= config.t_end - 1e-12
             if state.step_count % config.report_every == 0 or at_end:
-                sample(current_eval[1])
+                if not traj.states:
+                    traj.initial_head = head
+                traj.final_head = head
+                traj.states.append(state)
+                traj.reports.append(diagnostics.report(state, head, h0_l2_sq))
+            if at_end:
+                break
+            if dt is None:
+                # taken after the first head solve has built the flat inverse
+                # that dt reads: built before any strip array, it left every
+                # later evaluation about 12% slower at 192x(96+96) (heap layout)
+                dt = config.dt
+            state = step(state, profile, config, min(dt, config.t_end - state.t),
+                         _first_eval=current_eval)
     except tuple(_TERMINATIONS) as exc:
         traj.termination = next(reason for kind, reason in _TERMINATIONS.items()
                                 if isinstance(exc, kind))

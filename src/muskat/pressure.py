@@ -124,14 +124,15 @@ class _CellBalance:
     than with the levels of each x1 column contiguous.
     """
 
-    def __init__(self, m_minus: int, dx2_minus: float, dx2_plus: float,
+    def __init__(self, grid_minus: StripGrid, grid_plus: StripGrid,
                  k11: np.ndarray, k12: np.ndarray, k22: np.ndarray):
-        n_strip_levels, self.n1 = k11.shape
-        self.m_minus = m_minus
-        self.m_plus = m_plus = n_strip_levels - m_minus
+        self.grid_minus, self.grid_plus = grid_minus, grid_plus
+        self.n1, self.dx1 = grid_minus.n1, grid_minus.dx1
+        self.m_minus = m_minus = grid_minus.n2
+        self.m_plus = m_plus = grid_plus.n2
+        n_strip_levels = m_minus + m_plus
         self.n_lev = n_strip_levels - 2
-        self.dx1 = 2.0 * np.pi / self.n1
-        self.dx2 = (dx2_minus, dx2_plus)
+        dx2_minus, dx2_plus = grid_minus.dx2, grid_plus.dx2
         self.k11, self.k12, self.k22 = k11, k12, k22
         inv_dx2 = np.r_[np.full(m_minus - 1, 1.0 / dx2_minus), 0.0,
                         np.full(m_plus - 1, 1.0 / dx2_plus)]
@@ -150,7 +151,7 @@ class _CellBalance:
     @classmethod
     def from_packs(cls, pack_minus: MetricPack, pack_plus: MetricPack) -> "_CellBalance":
         # C order, as the head arrays: mixed-order elementwise products are slow
-        return cls(pack_minus.grid.n2, pack_minus.grid.dx2, pack_plus.grid.dx2,
+        return cls(pack_minus.grid, pack_plus.grid,
                    *(np.ascontiguousarray(np.vstack([getattr(pack_minus, k).T,
                                                      getattr(pack_plus, k).T]))
                      for k in ("k11", "k12", "k22")))
@@ -161,7 +162,7 @@ class _CellBalance:
         """The flat-metric balance: k12 = 0, k11 = k22 = beta per strip."""
         beta = np.repeat(np.r_[np.full(m_minus, beta_minus), np.full(m_plus, beta_plus)],
                          n1).reshape(-1, n1)
-        return cls(m_minus, 1.0 / (m_minus - 1), 1.0 / (m_plus - 1),
+        return cls(StripGrid(LOWER, n1, m_minus), StripGrid(UPPER, n1, m_plus),
                    beta, np.zeros_like(beta), beta)
 
     def _x1_difference(self, v: np.ndarray) -> np.ndarray:
@@ -290,13 +291,12 @@ def _recover(balance: _CellBalance, p: np.ndarray, scale: float) -> HeadSolution
     every output multiplied by scale."""
     m = balance.m_minus
     d1p = balance._x1_difference(p)
-    d2p = np.concatenate([vertical_derivative(p[:m].T, balance.dx2[0]).T,
-                          vertical_derivative(p[m:].T, balance.dx2[1]).T])
+    grid_minus, grid_plus = balance.grid_minus, balance.grid_plus
+    d2p = np.concatenate([vertical_derivative(p[:m].T, grid_minus.dx2).T,
+                          vertical_derivative(p[m:].T, grid_plus.dx2).T])
     w1 = -(balance.k11 * d1p + balance.k12 * d2p)
     w2 = -(balance.k12 * d1p + balance.k22 * d2p)
     rows = scale * balance(p)
-    grid_minus = StripGrid(LOWER, balance.n1, m)
-    grid_plus = StripGrid(UPPER, balance.n1, balance.m_plus)
 
     def split(arr):
         return (StripField(grid_plus, scale * arr[m:].T),

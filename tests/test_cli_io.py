@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import re
 import resource
 import signal
 import subprocess
 import sys
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import muskat
+from muskat import cli_io
 from muskat.cli_io import (
     ConfigError,
     RunManifest,
@@ -34,6 +37,7 @@ from muskat.cli_io import (
 from muskat import evolution
 from muskat.diagnostics import EnergyReport
 from muskat.diffeo import PermeabilityProfile
+from muskat.pressure import HeadSolution
 
 
 def write_config(path, **overrides):
@@ -78,6 +82,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(cfg_path)
 
+    def test_non_string_output_dir_rejected(self, tmp_path):
+        # unchecked, Path / 5 ended the command in a TypeError traceback
+        cfg_path = tmp_path / "run.json"
+        for bad in (5, ["out"]):
+            write_config(cfg_path, output_dir=bad)
+            with pytest.raises(ConfigError, match="output_dir must be a string"):
+                load_config(cfg_path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
@@ -89,6 +101,30 @@ class TestConfig:
             write_config(cfg_path, solver=solver)
             with pytest.raises(ConfigError, match=r"unknown config keys: \['solver'\]"):
                 load_config(cfg_path)
+
+    # at n1 = 16 each of these once loaded: 1.5 and true as mode 1, 17 as an
+    # alias of mode 1, and the sines of modes 0 and 8 as a zero field
+    @pytest.mark.parametrize("modes", [
+        [[1.5, 0.05, 0.0]], [[True, 0.05, 0.0]], [[17, 0.05, 0.0]], [[-1, 0.05, 0.0]],
+        [[8, 0.0, 0.05]], [[0, 0.0, 0.05]], [[1, True, 0.0]], [[1, 0.05, math.inf]],
+        [[1, 0.05]], [1, 0.05, 0.0],
+    ], ids=["float_k", "bool_k", "k_past_nyquist", "negative_k", "nyquist_sine",
+            "mean_sine", "bool_amplitude", "infinite_amplitude", "pair", "flat_list"])
+    def test_bad_mode_triples_rejected(self, tmp_path, modes):
+        cfg_path = tmp_path / "run.json"
+        for key in ("h0_modes", "f_modes"):
+            write_config(cfg_path, n1=16, **{key: modes})
+            with pytest.raises(ConfigError, match=key):
+                load_config(cfg_path)
+
+    def test_edge_modes_accepted(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n1=16, h0_modes=[[8, 0.01, 0.0], [2, 1, 0]],
+                     f_modes=[[0, 0.1, 0.0]])
+        _, h0, f = load_config(cfg_path)
+        x = h0.x1
+        assert np.allclose(h0.values, 0.01 * np.cos(8 * x) + np.cos(2 * x), atol=1e-14)
+        assert np.allclose(f.values, 0.1, atol=1e-14)
 
 
 class TestTimeseries:
@@ -302,6 +338,16 @@ class TestCmdRun:
             assert "error: invalid config" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    def test_bool_or_infinite_float_exit(self, tmp_path, capsys):
+        # unchecked, t_end = true ran to t = 1 and beta_plus = Infinity failed
+        # only inside the run
+        cfg_path = tmp_path / "run.json"
+        for bad in (dict(t_end=True), dict(beta_plus=math.inf), dict(j_min=math.nan)):
+            write_config(cfg_path, **bad)
+            assert cmd_run(str(cfg_path)) == 1
+            assert "error: invalid config" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
 
 class TestCmdDispersion:
     def test_table_output(self, capsys):
@@ -323,6 +369,13 @@ class TestCmdDispersion:
     def test_usage_errors(self, capsys):
         assert cmd_dispersion(1.0, 1.0, 0) == 1
         assert cmd_dispersion(-1.0, 1.0, 3) == 1
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("betas", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_permeability(self, capsys, betas):
+        assert main(["dispersion", *map(str, betas), "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: permeabilities must be")
 
 
 class TestCmdCheck:
@@ -404,6 +457,33 @@ class TestCmdConvergence:
                      h0_modes=[[1, 0.01, 0.0], [14, 0.005, 0.0]])
         assert cmd_convergence(str(cfg_path)) == 0
         assert "under-resolved" in capsys.readouterr().out
+
+
+class TestFormatsInStep:
+    """Each format is defined once in code; these keep the docs and the
+    records it is derived from in step with it."""
+
+    def test_readme_config_block(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Configuration", 1)[1]
+        block = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        assert set(block) == cli_io._CONFIG_KEYS
+        defaults = evolution.SimConfig()
+        for key, value in block.items():
+            if isinstance(value, (int, float)):
+                assert value == getattr(defaults, key), key
+
+    def test_energy_report_matches_csv_header(self):
+        # script_E is the column scriptE
+        assert ([f.name.replace("_", "") for f in fields(EnergyReport)]
+                == [c.replace("_", "") for c in TIMESERIES_HEADER.split(",")])
+
+    def test_snapshot_arrays_are_head_fields(self):
+        snapshot = {f.name for f in fields(Snapshot)}
+        head = {f.name for f in fields(HeadSolution)}
+        assert len(cli_io._STRIP_ARRAYS) == 6
+        for name in cli_io._STRIP_ARRAYS:
+            assert name in snapshot and name in head, name
 
 
 class TestMain:

@@ -231,3 +231,6 @@ class TestStripTypes:
             PermeabilityProfile(PeriodicField1D.zeros(8), -1.0, 1.0)
         with pytest.raises(ValueError):
             PermeabilityProfile(PeriodicField1D(np.full(8, -1.5)), 1.0, 1.0)
+        for betas in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                PermeabilityProfile(PeriodicField1D.zeros(8), *betas)

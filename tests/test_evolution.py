@@ -228,6 +228,9 @@ class TestConfig:
         dict(dt_safety=1.5), dict(t_end=-1.0), dict(gap_tol=0.0),
         dict(j_min=1.5), dict(report_every=0), dict(n1=64.0), dict(n2_plus=9.0),
         dict(n2_minus=9.0), dict(report_every=1.5), dict(report_every=True),
+        # a float key takes no bool and no infinity: t_end = inf never ends
+        dict(t_end=math.inf), dict(beta_plus=math.inf), dict(gap_tol=math.inf),
+        dict(t_end=True), dict(dt_safety=True), dict(beta_minus=True),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
