@@ -250,12 +250,21 @@ def _snapshot_from_eval(t: float, h: np.ndarray, f: np.ndarray, head) -> Snapsho
 
 @dataclass
 class RunManifest:
+    """The run's record.  head_solves and cg_iterations total the run's head
+    solves and their CG iterations; max_abs_mean_h and max_abs_top_flux are
+    the largest |mean h| and |top-line flux total| over the evaluated states
+    (the mass ledger).  All four are evolution.Trajectory's."""
+
     config: dict
     version: str
     start_time: str
     end_time: str
     termination: str
     error: str | None
+    head_solves: int
+    cg_iterations: int
+    max_abs_mean_h: float
+    max_abs_top_flux: float
     files: list
 
 
@@ -309,6 +318,10 @@ def cmd_run(config_path: str) -> int:
         end_time=_now(),
         termination=traj.termination,
         error=traj.error,
+        head_solves=traj.head_solves,
+        cg_iterations=traj.cg_iterations,
+        max_abs_mean_h=traj.max_abs_mean_h,
+        max_abs_top_flux=traj.max_abs_top_flux,
         files=files + ["manifest.json"],
     )
     write_manifest(out_dir / "manifest.json", manifest)

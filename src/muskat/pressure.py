@@ -31,11 +31,14 @@ Solvers: "krylov" (used by every run) is conjugate gradient on the balance
 itself, no matrix formed, preconditioned by the exact inverse of the
 flat-metric balance (k12 = 0, constant k11 = k22 = beta per strip), which
 an rfft in x1 reduces to one tridiagonal level system per Fourier mode,
-solved for all modes at once by parallel cyclic reduction.  The run path
-is numpy only.  "direct" is sparse LU of the matrix read off the balance by
-coloured unit probes (Curtis, Powell & Reid 1974); it is the oracle the
-Krylov path is tested against, and the only code that imports scipy, when
-it is first called.
+solved for all modes at once by parallel cyclic reduction.  CG starts from
+a guess when the caller has a nearby head (evolution passes the head of a
+neighbouring RK stage) and from zero otherwise; its stopping test is
+relative to the right side either way.  The run path is numpy only.
+"direct" is sparse LU of the matrix read off the balance by coloured unit
+probes (Curtis, Powell & Reid 1974); it is the oracle the Krylov path is
+tested against, and the only code that imports scipy, when it is first
+called.
 picard_head is a fixed-point cross-check built on the same flat inverse.
 flat_top_rates reads off the flat inverse the rate of each interface mode
 over the flat metric, which sets the RK4 step of evolution.
@@ -83,7 +86,8 @@ class HeadSolution:
     value balancing the top half cells); its circle integral vanishes to
     solver precision.  perm_flux_above/below are the vertical K-fluxes
     recovered on each side of the permeability line from the adjacent half
-    cells; the interface rows force them equal.
+    cells; the interface rows force them equal.  cg_iterations counts the
+    CG iterations of a Krylov solve (0 for the other solvers).
     """
 
     p_plus: StripField
@@ -96,6 +100,7 @@ class HeadSolution:
     perm_flux_above: PeriodicField1D
     perm_flux_below: PeriodicField1D
     top_flux_total: float
+    cg_iterations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +212,12 @@ class _CellBalance:
         x = x.reshape(self.n_lev, self.n1)
         return np.concatenate([x[:m], x[m - 1:], top[None]])
 
+    def free_unknowns(self, p_plus: np.ndarray, p_minus: np.ndarray) -> np.ndarray:
+        """Free unknowns from strip heads shaped as HeadSolution's (n1, n2)
+        values: the inverse of heads, dropping the top line and the upper
+        copy of the permeability line."""
+        return np.concatenate([p_minus.T, p_plus.T[1:-1]]).ravel()
+
     def free_rows(self, x: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
         """Balance rows of the free nodes; with top omitted (zero) this is
         the head matrix applied to x."""
@@ -286,7 +297,8 @@ def _check_inputs(pack_plus: MetricPack, pack_minus: MetricPack,
 # ---------------------------------------------------------------------------
 
 
-def _recover(balance: _CellBalance, p: np.ndarray, scale: float) -> HeadSolution:
+def _recover(balance: _CellBalance, p: np.ndarray, scale: float,
+             cg_iterations: int = 0) -> HeadSolution:
     """Velocity and traces at the head array p, all from the balance, with
     every output multiplied by scale."""
     m = balance.m_minus
@@ -314,6 +326,7 @@ def _recover(balance: _CellBalance, p: np.ndarray, scale: float) -> HeadSolution
         perm_flux_above=PeriodicField1D(-rows[m]),
         perm_flux_below=PeriodicField1D(rows[m - 1].copy()),
         top_flux_total=float(balance.dx1 * np.sum(rows[-1])),
+        cg_iterations=cg_iterations,
     )
 
 
@@ -415,24 +428,41 @@ def flat_top_rates(n1: int, n2_plus: int, n2_minus: int,
     return _flat_inverse(n1, n2_minus, n2_plus, beta_plus, beta_minus).sigma_h
 
 
-def _cg(apply, b: np.ndarray, precond, rtol: float) -> np.ndarray:
-    """Preconditioned conjugate gradient (Hestenes & Stiefel 1952) from x = 0.
+def _cg(apply, b: np.ndarray, precond, rtol: float,
+        x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Preconditioned conjugate gradient (Hestenes & Stiefel 1952) from x0,
+    or from zero when x0 is None; returns the solution and the iteration
+    count.
 
-    Stops once |r|_2 <= rtol |b|_2.  Raises NonSPDSystem when a search
-    direction has p.Lp <= 0, SolverDivergence on a non-finite value or after
-    KRYLOV_MAXITER iterations.  Inner products are numpy reductions, not
-    BLAS dot: OpenBLAS threads ddot on long vectors, and with another
-    process busy on a two-core host that made a reference-scale solve about
-    nine times slower.
+    Starts from r = b - apply(x0) and stops once |r|_2 <= rtol |b|_2, so a
+    good start saves iterations without loosening the test, and an x0 that
+    already meets it returns after 0 iterations.  A start with |r|_2 > |b|_2
+    is worse than zero and is dropped: one far larger than the solution
+    (the guess for a near-zero interface, scaled by 1 / max|h|) leaves
+    roundoff of order |L| |x0| in the residual, which no iteration removes.
+
+    Raises NonSPDSystem when a search direction has p.Lp <= 0,
+    SolverDivergence on a non-finite value or after KRYLOV_MAXITER
+    iterations.  x, r and p are updated in place through one scratch
+    vector; z and lp are the new arrays that precond and apply return.
+    Inner products are einsum, not BLAS dot: OpenBLAS threads ddot on long
+    vectors, and with another process busy on a two-core host that made a
+    reference-scale solve about nine times slower; einsum also beats
+    (u * v).sum(), which allocates the product.
     """
     def dot(u, v):
-        return float((u * v).sum())
+        return float(np.einsum("i,i->", u, v))
 
-    x = np.zeros_like(b)
-    r = b.copy()
+    b_sq = dot(b, b)
+    x, r = np.zeros_like(b), b.copy()
+    if x0 is not None:
+        r0 = b - apply(x0)
+        if dot(r0, r0) <= b_sq:
+            x, r = x0.copy(), r0
     p = np.zeros_like(b)
+    scratch = np.empty_like(b)
     rz_prev = 1.0
-    stop = rtol * np.sqrt(dot(b, b))
+    stop = rtol * np.sqrt(b_sq)
     iterations = 0
     while not np.sqrt(dot(r, r)) <= stop:  # a NaN residual iterates on
         if iterations == KRYLOV_MAXITER:
@@ -440,7 +470,8 @@ def _cg(apply, b: np.ndarray, precond, rtol: float) -> np.ndarray:
         iterations += 1
         z = precond(r)
         rz = dot(r, z)
-        p = z + (rz / rz_prev) * p
+        p *= rz / rz_prev
+        p += z
         lp = apply(p)
         curvature = dot(p, lp)
         if not np.isfinite(curvature):
@@ -448,10 +479,10 @@ def _cg(apply, b: np.ndarray, precond, rtol: float) -> np.ndarray:
         if curvature <= 0.0:
             raise NonSPDSystem(f"head operator not positive definite: p.Lp = {curvature:.3e}")
         alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * lp
+        x += np.multiply(alpha, p, out=scratch)
+        r -= np.multiply(alpha, lp, out=scratch)
         rz_prev = rz
-    return x
+    return x, iterations
 
 
 def _solve_direct(balance: _CellBalance, b: np.ndarray) -> np.ndarray:
@@ -467,27 +498,36 @@ def _solve_direct(balance: _CellBalance, b: np.ndarray) -> np.ndarray:
     return lu.solve(b)
 
 
-def _solve_krylov(balance: _CellBalance, b: np.ndarray, profile: PermeabilityProfile):
+def _solve_krylov(balance: _CellBalance, b: np.ndarray, profile: PermeabilityProfile,
+                  x0: np.ndarray | None):
     flat = _flat_inverse(balance.n1, balance.m_minus, balance.m_plus,
                          profile.beta_plus, profile.beta_minus)
     # |r|_inf <= |r|_2 <= rtol |b|_2 <= rtol sqrt(n_free) |b|_inf, so this
     # rtol meets the max-norm residual gate of solve_head
-    return _cg(balance.free_rows, b, flat.solve, RESIDUAL_TOL / np.sqrt(b.size))
+    return _cg(balance.free_rows, b, flat.solve, RESIDUAL_TOL / np.sqrt(b.size), x0)
 
 
 def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
-               profile: PermeabilityProfile, solver: str = "direct") -> HeadSolution:
+               profile: PermeabilityProfile, solver: str = "direct",
+               guess: tuple[np.ndarray, np.ndarray] | None = None) -> HeadSolution:
     """Solve the head system; recover the velocity and traces.
 
     solver: "direct" (sparse LU of the probed matrix, the default here and
     the test oracle) or "krylov" (CG on the matrix-free balance,
     preconditioned by the exact flat-metric inverse, used by every run).
     The system is solved for h / max|h| and every output rescaled, since it
-    is linear in h; h = 0 gives the exact zero solution.  Either way the
-    max-norm residual relative to the right side must come out below
-    RESIDUAL_TOL, else SolverDivergence is raised; a CG stall or non-finite
-    value raises it too.  NonSPDSystem is raised for J <= 0, by CG's
-    curvature test and by the direct path's diagonal check.
+    is linear in h; h = 0 gives the exact zero solution.
+
+    guess: None, or the heads (p_plus, p_minus) of a nearby solution,
+    shaped as HeadSolution's values.  The Krylov path scales it by the same
+    1 / max|h| and starts CG there instead of at zero; its top line is not
+    read, and the direct path ignores it.  The stopping test does not
+    depend on the start.
+
+    Either way the max-norm residual relative to the right side must come
+    out below RESIDUAL_TOL, else SolverDivergence is raised; a CG stall or
+    non-finite value raises it too.  NonSPDSystem is raised for J <= 0, by
+    CG's curvature test and by the direct path's diagonal check.
     """
     if solver not in ("direct", "krylov"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -499,11 +539,15 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
         return _recover(balance, balance.heads(zero, h.values), 1.0)
     top = h.values / scale
     b = -balance.free_rows(zero, top)
-    x = _solve_direct(balance, b) if solver == "direct" else _solve_krylov(balance, b, profile)
+    if solver == "direct":
+        x, iterations = _solve_direct(balance, b), 0
+    else:
+        x0 = None if guess is None else balance.free_unknowns(*guess) / scale
+        x, iterations = _solve_krylov(balance, b, profile, x0)
     res = float(np.max(np.abs(balance.free_rows(x) - b))) / float(np.max(np.abs(b)))
     if not np.isfinite(res) or res > RESIDUAL_TOL:
         raise SolverDivergence(f"head solve residual {res:.3e} exceeds {RESIDUAL_TOL}")
-    return _recover(balance, balance.heads(x, top), scale)
+    return _recover(balance, balance.heads(x, top), scale, iterations)
 
 
 def picard_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,

@@ -170,7 +170,9 @@ class TestOutputFiles:
 
         def manifest(files):
             return RunManifest(config={}, version="0", start_time="", end_time="",
-                               termination="completed", error=None, files=files)
+                               termination="completed", error=None, head_solves=0,
+                               cg_iterations=0, max_abs_mean_h=0.0,
+                               max_abs_top_flux=0.0, files=files)
 
         # (writer, file name, output under 1 KiB, output that the limit cuts)
         cases = [(write_timeseries_csv, "timeseries.csv", [rep], [rep] * 40),
@@ -278,6 +280,7 @@ class TestCmdRun:
 
     def test_snapshots_need_no_solve_outside_run(self, tmp_path, monkeypatch):
         calls = {"inside": 0, "outside": 0, "in_run": False}
+        runs = []
         real_solve, real_run = evolution.solve_head, evolution.run
 
         def counted_solve(*args, **kwargs):
@@ -287,7 +290,8 @@ class TestCmdRun:
         def flagged_run(*args, **kwargs):
             calls["in_run"] = True
             try:
-                return real_run(*args, **kwargs)
+                runs.append(real_run(*args, **kwargs))
+                return runs[-1]
             finally:
                 calls["in_run"] = False
 
@@ -298,20 +302,26 @@ class TestCmdRun:
         assert cmd_run(str(cfg_path)) == 0
         assert calls["outside"] == 0
         assert calls["inside"] > 0
+        (traj,) = runs
+        assert traj.head_solves == calls["inside"]
 
-        # the snapshots equal those written from a fresh solve, byte for byte
+        # the snapshots are the run's own heads, byte for byte; a cold solve
+        # of the same state (CG from zero, not from a neighbouring stage's
+        # head) agrees with them to the oracle's 1e-8
         config, _, f = load_config(cfg_path)
         profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
-        for tag in ("initial", "final"):
-            snap = read_snapshot(tmp_path / "out" / f"snapshot_{tag}.mskt")
-            _, head, _ = evolution._evaluate(snap.h, profile, config)
-            fresh = Snapshot(snap.t, snap.h, snap.f, head.p_plus.values,
-                             head.p_minus.values, head.w1_plus.values,
-                             head.w2_plus.values, head.w1_minus.values,
-                             head.w2_minus.values)
-            write_snapshot(tmp_path / f"fresh_{tag}.mskt", fresh)
-            assert ((tmp_path / f"fresh_{tag}.mskt").read_bytes()
-                    == (tmp_path / "out" / f"snapshot_{tag}.mskt").read_bytes())
+        for tag, state, head in (("initial", traj.states[0], traj.initial_head),
+                                 ("final", traj.states[-1], traj.final_head)):
+            own = Snapshot(state.t, state.h.values, f.values,
+                           **{name: getattr(head, name).values for name in FIELDS})
+            write_snapshot(tmp_path / f"own_{tag}.mskt", own)
+            written = tmp_path / "out" / f"snapshot_{tag}.mskt"
+            assert (tmp_path / f"own_{tag}.mskt").read_bytes() == written.read_bytes()
+            snap = read_snapshot(written)
+            _, cold, _ = evolution._evaluate(snap.h, profile, config)
+            for name in FIELDS:
+                diff = np.max(np.abs(getattr(cold, name).values - getattr(snap, name)))
+                assert diff <= 1e-8, (tag, name)
 
     def test_gap_violation_exit_and_manifest(self, tmp_path):
         cfg_path = tmp_path / "run.json"

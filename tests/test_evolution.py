@@ -59,7 +59,7 @@ class TestRhs:
 class TestStep:
     def test_rest_state_fixed_point(self):
         state = SimState(h=PeriodicField1D.zeros(32))
-        new = step(state, profile_for(COARSE), COARSE, 0.01)
+        new, _ = step(state, profile_for(COARSE), COARSE, 0.01)
         assert np.max(np.abs(new.h.values)) <= 1e-12
         assert new.t == pytest.approx(0.01)
         assert new.step_count == 1
@@ -73,7 +73,7 @@ class TestStep:
         def advance(n_steps, dt):
             s = SimState(h=h0)
             for _ in range(n_steps):
-                s = step(s, prof, config, dt)
+                s, _ = step(s, prof, config, dt)
             return s.h.values
 
         dt = 0.2
@@ -88,7 +88,7 @@ class TestStep:
         prof = profile_for(config)
         s = SimState(h=cos_field(16, amp=0.05))
         for _ in range(300):
-            s = step(s, prof, config, config.dt)
+            s, _ = step(s, prof, config, config.dt)
         assert abs(mean(s.h)) <= 1e-10
 
     def test_gap_violation_raised(self):
@@ -154,6 +154,24 @@ class TestRun:
         assert traj.error_time == pytest.approx(config.dt)
         assert [s.t for s in traj.states] == [0.0, traj.error_time]
         assert [r.t for r in traj.reports] == [0.0, traj.error_time]
+
+    def test_warm_start_leaves_the_run_unchanged(self, monkeypatch):
+        # every solve of a run but the first starts CG from a neighbouring
+        # head; started from zero, the run ends within the solver's precision
+        config = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.3)
+        h0, f = cos_field(32, amp=0.08), cos_field(32, k=2, amp=0.1)
+        warm = run(config, h0, f)
+
+        def cold_solve(*args, guess=None, **kwargs):
+            return pressure.solve_head(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "solve_head", cold_solve)
+        cold = run(config, h0, f)
+        assert warm.termination == cold.termination == TERMINATION_COMPLETED
+        assert len(warm.states) == len(cold.states) > 2
+        assert warm.head_solves == cold.head_solves == 4 * len(warm.states) - 3
+        assert warm.cg_iterations < cold.cg_iterations
+        assert np.max(np.abs(warm.states[-1].h.values - cold.states[-1].h.values)) <= 1e-10
 
     def test_decay_and_rt_margin(self):
         config = SimConfig(n1=32, n2_plus=13, n2_minus=13, t_end=1.0, report_every=4)

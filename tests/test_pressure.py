@@ -261,8 +261,10 @@ class TestSolverOptions:
         h_amp=st.floats(0.0, 0.1),
         f_amp=st.floats(0.0, 0.15),
         betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+        perturbation=st.tuples(st.integers(1, 4), st.floats(-0.05, 0.05)),
     )
-    def test_krylov_matches_direct_property(self, h_modes, f_modes, h_amp, f_amp, betas):
+    def test_krylov_matches_direct_property(self, h_modes, f_modes, h_amp, f_amp, betas,
+                                            perturbation):
         # per-mode amplitude amp / k keeps every slope below amp, far from a
         # degenerate strip map
         n1 = 32
@@ -272,19 +274,55 @@ class TestSolverOptions:
                 n1, [(k, amp * c / max(k, 1), amp * s / max(k, 1)) for k, c, s in modes]
             ).values
 
-        args = setup(n1, 9, field(h_modes, h_amp), field(f_modes, f_amp), *betas)
+        f = field(f_modes, f_amp)
+        args = setup(n1, 9, field(h_modes, h_amp), f, *betas)
+        # the warm start is the head of a perturbed interface, as a
+        # neighbouring RK stage hands it on
+        k, eps = perturbation
+        nearby = solve_head(*setup(n1, 9, args[2].values + eps * field([(k, 1.0, 0.0)], 0.1),
+                                   f, *betas), solver="krylov")
         direct = solve_head(*args, solver="direct")
-        krylov = solve_head(*args, solver="krylov")
-        for name in ("p_plus", "p_minus", "gamma_trace_w2"):
-            diff = np.max(np.abs(getattr(direct, name).values - getattr(krylov, name).values))
-            assert diff <= 1e-8, name
-        assert abs(direct.top_flux_total - krylov.top_flux_total) <= 1e-8
+        cold = solve_head(*args, solver="krylov")
+        warm = solve_head(*args, solver="krylov",
+                          guess=(nearby.p_plus.values, nearby.p_minus.values))
+        for krylov in (cold, warm):
+            for name in ("p_plus", "p_minus", "gamma_trace_w2"):
+                diff = np.max(np.abs(getattr(direct, name).values
+                                     - getattr(krylov, name).values))
+                assert diff <= 1e-8, name
+            assert abs(direct.top_flux_total - krylov.top_flux_total) <= 1e-8
         # mass ledger and flux continuity hold to solver precision on both
         # paths (CG's residual leaves about 1e-12 here, LU roundoff)
-        for head in (direct, krylov):
+        for head in (direct, cold, warm):
             assert abs(head.top_flux_total) <= 1e-8
             assert np.max(np.abs(head.perm_flux_above.values
                                  - head.perm_flux_below.values)) <= 1e-10
+
+    def test_solution_as_guess_takes_no_iteration(self):
+        x = PeriodicField1D.zeros(64).x1
+        args = setup(64, 17, 0.07 * np.cos(x) + 0.02 * np.sin(3 * x),
+                     0.1 * np.cos(2 * x), 1.3, 0.4)
+        cold = solve_head(*args, solver="krylov")
+        assert cold.cg_iterations > 0
+        warm = solve_head(*args, solver="krylov",
+                          guess=(cold.p_plus.values, cold.p_minus.values))
+        assert warm.cg_iterations == 0
+        for name in ("p_plus", "p_minus", "w1_plus", "w2_plus", "w1_minus", "w2_minus",
+                     "gamma_trace_w2"):
+            diff = np.max(np.abs(getattr(warm, name).values - getattr(cold, name).values))
+            assert diff <= 1e-12, name
+        # the direct path counts no iteration and ignores the guess
+        assert solve_head(*args, guess=(cold.p_plus.values,
+                                        cold.p_minus.values)).cg_iterations == 0
+
+    def test_free_unknowns_inverts_heads(self):
+        balance = pressure._CellBalance.flat(16, 5, 7, 1.3, 0.4)
+        rng = np.random.default_rng(5)
+        x, top = rng.normal(size=balance.n_lev * 16), rng.normal(size=16)
+        p = balance.heads(x, top)
+        # strip heads as HeadSolution holds them: (n1, n2), lower strip first
+        p_minus, p_plus = p[:5].T, p[5:].T
+        assert np.array_equal(balance.free_unknowns(p_plus, p_minus), x)
 
     # the ids keep the x1 stencil order (4) as their last field
     @pytest.mark.parametrize("n1, m_minus, m_plus",
@@ -373,6 +411,27 @@ class TestSolverOptions:
         with pytest.raises(NonSPDSystem):
             pressure._cg(lambda v: -v, np.array([1.0, 0.0]), lambda r: r, 1e-12)
 
+    def test_cg_starts_from_x0(self):
+        matrix = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        b = np.array([1.0, 2.0, 3.0])
+        exact = np.linalg.solve(matrix, b)
+        x, iterations = pressure._cg(lambda v: matrix @ v, b, lambda r: r, 1e-14)
+        assert 1 <= iterations <= 3
+        assert np.max(np.abs(x - exact)) <= 1e-13
+        # the stopping test stays relative to |b|: a start that meets it
+        # returns at once, and the start is not written to
+        x0 = exact.copy()
+        x, iterations = pressure._cg(lambda v: matrix @ v, b, lambda r: r, 1e-14, x0)
+        assert iterations == 0
+        assert np.array_equal(x, exact) and np.array_equal(x0, exact)
+        assert not np.shares_memory(x, x0)
+        # a start worse than zero is dropped: from 1e20 times the solution
+        # the residual b - L x0 would be roundoff of order 1e4 |b|
+        x, iterations = pressure._cg(lambda v: matrix @ v, b, lambda r: r, 1e-14,
+                                     1e20 * exact)
+        assert 1 <= iterations <= 3
+        assert np.max(np.abs(x - exact)) <= 1e-13
+
     def test_unknown_solver_rejected(self):
         args = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
         with pytest.raises(ValueError):
@@ -381,8 +440,10 @@ class TestSolverOptions:
 
 class TestWorkBuffers:
     """The balance and the flat inverse keep work buffers across calls; what
-    they return must be new arrays, since CG holds z and lp across
-    iterations and _recover holds d1p across a second apply."""
+    they return must be new arrays.  CG keeps x, r and p in arrays of its
+    own, updated in place, and reads each z and lp only within the
+    iteration that made them; but _recover holds d1p across a second apply,
+    and the callers of solve_head keep the heads it returns."""
 
     def test_balance_returns_unaliased_arrays(self):
         x = PeriodicField1D.zeros(16).x1
