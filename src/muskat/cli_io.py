@@ -67,9 +67,6 @@ _EXIT_CODES = {
     evolution.TERMINATION_SOLVER: EXIT_SOLVER,
 }
 
-# the strip arrays of a snapshot in file order, each named as in HeadSolution
-_STRIP_ARRAYS = ("p_plus", "p_minus", "w1_plus", "w2_plus", "w1_minus", "w2_minus")
-
 
 class ConfigError(Exception):
     pass
@@ -181,34 +178,34 @@ def write_timeseries_csv(path: str | Path, reports) -> None:
 
 @dataclass
 class Snapshot:
-    """One full field snapshot; arrays are nodal (n1, n2) per strip."""
+    """One full field snapshot.  Its fields after f are HeadSolution's, by
+    name: p, w1 and w2 are (n2_minus + n2_plus, n1), lower strip first."""
 
     t: float
     h: np.ndarray
     f: np.ndarray
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-    w1_plus: np.ndarray
-    w2_plus: np.ndarray
-    w1_minus: np.ndarray
-    w2_minus: np.ndarray
+    n2_minus: int
+    p: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
 
 
-def _strip_bytes(arr: np.ndarray) -> bytes:
-    # row-major by x2 level, bottom level first
-    return np.ascontiguousarray(arr.T).astype("<f8").tobytes()
+def _file_arrays(snap: Snapshot) -> tuple[np.ndarray, ...]:
+    """The strip arrays of a snapshot file in order, P+, P-, w1+, w2+, w1-,
+    w2-: row slices of the stacked arrays, bottom level first."""
+    m = snap.n2_minus
+    return snap.p[m:], snap.p[:m], snap.w1[m:], snap.w2[m:], snap.w1[:m], snap.w2[:m]
 
 
 def write_snapshot(path: str | Path, snap: Snapshot) -> None:
     n1 = snap.h.size
-    n2p = snap.p_plus.shape[1]
-    n2m = snap.p_minus.shape[1]
+    n2m = snap.n2_minus
     blob = [SNAPSHOT_MAGIC,
-            struct.pack("<IIII", SNAPSHOT_VERSION, n1, n2p, n2m),
+            struct.pack("<IIII", SNAPSHOT_VERSION, n1, snap.p.shape[0] - n2m, n2m),
             struct.pack("<d", snap.t),
             snap.h.astype("<f8").tobytes(),
             snap.f.astype("<f8").tobytes()]
-    blob += [_strip_bytes(getattr(snap, name)) for name in _STRIP_ARRAYS]
+    blob += [rows.astype("<f8").tobytes() for rows in _file_arrays(snap)]
     _write_atomic(path, blob)
 
 
@@ -229,18 +226,13 @@ def read_snapshot(path: str | Path) -> Snapshot:
         raise ValueError(f"snapshot header declares {expected} bytes, file has {len(data)}")
     (t,) = struct.unpack_from("<d", data, 20)
     values = np.frombuffer(data, dtype="<f8", offset=off)
+    snap = Snapshot(t, values[:n1].copy(), values[n1:2 * n1].copy(), n2m,
+                    *np.empty((3, n2m + n2p, n1)))
     end = 2 * n1
-    strips = {}
-    for name in _STRIP_ARRAYS:
-        n2 = n2p if name.endswith("_plus") else n2m
-        start, end = end, end + n1 * n2
-        strips[name] = values[start:end].reshape(n2, n1).T.copy()
-    return Snapshot(t, values[:n1].copy(), values[n1:2 * n1].copy(), **strips)
-
-
-def _snapshot_from_eval(t: float, h: np.ndarray, f: np.ndarray, head) -> Snapshot:
-    return Snapshot(t, h.copy(), f.copy(),
-                    **{name: getattr(head, name).values for name in _STRIP_ARRAYS})
+    for rows in _file_arrays(snap):
+        start, end = end, end + rows.size
+        rows[...] = values[start:end].reshape(rows.shape)
+    return snap
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +281,11 @@ def cmd_run(config_path: str) -> int:
         return EXIT_USAGE
 
     out_dir = Path(config.output_dir) if config.output_dir else Path.cwd()
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     start = _now()
 
     try:
@@ -307,8 +303,8 @@ def cmd_run(config_path: str) -> int:
         for tag, state, head in (("initial", traj.states[0], traj.initial_head),
                                  ("final", traj.states[-1], traj.final_head)):
             snap_path = out_dir / f"snapshot_{tag}.mskt"
-            write_snapshot(snap_path,
-                           _snapshot_from_eval(state.t, state.h.values, f.values, head))
+            write_snapshot(snap_path, Snapshot(state.t, state.h.values, f.values,
+                                               head.n2_minus, head.p, head.w1, head.w2))
             files.append(snap_path.name)
 
     manifest = RunManifest(
@@ -353,9 +349,8 @@ def _check_rest_state(config) -> tuple[bool, str]:
     for f_modes in ([], [(1, 0.2, 0.0)]):
         f = PeriodicField1D.from_modes(small.n1, f_modes)
         profile = PermeabilityProfile(f, small.beta_plus, small.beta_minus)
-        _, head, _ = evolution._evaluate(h0.values, profile, small)
-        w_max = max(float(np.max(np.abs(s.values))) for s in
-                    (head.w1_plus, head.w2_plus, head.w1_minus, head.w2_minus))
+        _, head = evolution._evaluate(h0.values, profile, small)
+        w_max = max(float(np.max(np.abs(w))) for w in (head.w1, head.w2))
         if w_max > 1e-9:
             return False, f"rest-state velocity {w_max:.3e} exceeds 1e-9"
     return True, "flat interface is steady (f = 0 and f = 0.2 cos x1)"

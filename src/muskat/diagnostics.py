@@ -1,8 +1,12 @@
 """Scalar diagnostics: linearized decay rates, norms, energy ledgers.
 
-Interface norms are spectral; bulk integrals use the trapezoid rule in x2 and
-the exact nodal quadrature in x1.  Diagnostics are observers: they never
-mutate state and never abort a run; a non-finite value is reported as it is.
+Interface norms are spectral; bulk integrals are weighted sums with the head
+solution's quadrature column (the trapezoid rule in x2, the exact nodal
+quadrature in x1) over both strips at once.  The Darcy dissipation of the
+L^2 energy law is not computed here: pressure's recovery integrates it from
+the head gradient and the head solution carries it.  Diagnostics are
+observers: they never mutate state and never abort a run; a non-finite
+value is reported as it is.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffeo import MetricPack, PermeabilityProfile, StripGrid
+from .diffeo import PermeabilityProfile
 from .errors import InsufficientData
 from .pressure import HeadSolution
 from .spectral_core import deriv, sobolev_norm, x1_derivative
@@ -23,11 +27,7 @@ __all__ = [
     "EnergyReport",
     "report",
     "decay_fit",
-    "dissipation_l2",
-    "strip_integral",
 ]
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 DECAY_FIT_MIN_SAMPLES = 10
 
@@ -78,41 +78,6 @@ def dispersion_table(k_max: int, profile: PermeabilityProfile) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# bulk quadrature helpers
-# ---------------------------------------------------------------------------
-
-
-def strip_integral(values: np.ndarray, grid: StripGrid) -> float:
-    """Integral over one strip: exact nodal quadrature in x1, trapezoid in x2."""
-    per_level = values.sum(axis=0) * grid.dx1
-    return float(_trapezoid(per_level, dx=grid.dx2))
-
-
-def _strip_l2_sq(values: np.ndarray, grid: StripGrid) -> float:
-    return strip_integral(values * values, grid)
-
-
-def dissipation_l2(head: HeadSolution, pack_plus: MetricPack,
-                   pack_minus: MetricPack) -> float:
-    """Weighted kinetic dissipation sum over strips of (J/beta) |v|^2, where
-    v is the velocity pulled back through w = J A v."""
-    total = 0.0
-    for pack, w1, w2 in (
-        (pack_plus, head.w1_plus, head.w2_plus),
-        (pack_minus, head.w1_minus, head.w2_minus),
-    ):
-        v1 = w1.values / pack.J
-        v2 = (pack.d1 * w1.values) / pack.J + w2.values
-        integrand = (pack.J / pack.beta) * (v1 * v1 + v2 * v2)
-        total += strip_integral(integrand, pack.grid)
-    return total
-
-
-def _tangential_second_sq(w: np.ndarray, grid: StripGrid) -> float:
-    return _strip_l2_sq(x1_derivative(w, order=2), grid)
-
-
-# ---------------------------------------------------------------------------
 # energy report
 # ---------------------------------------------------------------------------
 
@@ -143,11 +108,10 @@ def report(state, head: HeadSolution, h0_l2_sq: float) -> EnergyReport:
     """Assemble the scalar report for one state.
 
     `state` carries h, t and the running dissipation integral; `head` is the
-    head solved at that state, and its velocity fields carry the strip grids;
-    h0_l2_sq, the squared L^2 norm of the initial h, is the reference of the
-    energy-law residual.
+    head solved at that state, with its stacked velocity and quadrature
+    weights; h0_l2_sq, the squared L^2 norm of the initial h, is the
+    reference of the energy-law residual.
     """
-    grid_plus, grid_minus = head.w1_plus.grid, head.w1_minus.grid
     h = state.h
     t = float(state.t)
 
@@ -157,12 +121,8 @@ def report(state, head: HeadSolution, h0_l2_sq: float) -> EnergyReport:
     hpp = deriv(h, 2)
     script_e = sobolev_norm(hpp, 0.0) ** 2
 
-    script_d = (
-        _tangential_second_sq(head.w1_plus.values, grid_plus)
-        + _tangential_second_sq(head.w2_plus.values, grid_plus)
-        + _tangential_second_sq(head.w1_minus.values, grid_minus)
-        + _tangential_second_sq(head.w2_minus.values, grid_minus)
-    )
+    d11w = [x1_derivative(w, order=2, axis=1) for w in (head.w1, head.w2)]
+    script_d = sum(float(np.sum(head.weights * (d * d))) for d in d11w)
     rt_margin = float(np.min(head.gamma_trace_w2.values)) + 1.0
 
     if h0_l2_sq > 0.0:

@@ -12,6 +12,7 @@ with A the inverse-gradient matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,22 +134,23 @@ def _over_sinh(k: np.ndarray, xi: np.ndarray, sign: float) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=16)
 def _extension_profiles(grid: StripGrid, derivative: bool):
-    """Per-mode vertical profiles multiplying the top and bottom traces."""
+    """Vertical profiles of the modes k = 0..n1/2, (n1/2 + 1, n2), that
+    multiply the top and bottom traces; k = 0 is the linear interpolant.
+    Cached per grid and shared by every caller, so read-only."""
     k = np.arange(1, grid.n1 // 2 + 1, dtype=float)
     bottom, _ = grid.bounds
     xi = grid.x2 - bottom  # in [0, 1]
     if not derivative:
-        top = _over_sinh(k, xi, -1.0)
-        bot = _over_sinh(k, 1.0 - xi, -1.0)
-        top0 = xi
-        bot0 = 1.0 - xi
+        top = np.vstack([xi, _over_sinh(k, xi, -1.0)])
+        bot = np.vstack([1.0 - xi, _over_sinh(k, 1.0 - xi, -1.0)])
     else:
-        top = k[:, None] * _over_sinh(k, xi, 1.0)
-        bot = -k[:, None] * _over_sinh(k, 1.0 - xi, 1.0)
-        top0 = np.ones_like(xi)
-        bot0 = -np.ones_like(xi)
-    return top0, bot0, top, bot
+        top = np.vstack([np.ones_like(xi), k[:, None] * _over_sinh(k, xi, 1.0)])
+        bot = np.vstack([-np.ones_like(xi), -k[:, None] * _over_sinh(k, 1.0 - xi, 1.0)])
+    top.setflags(write=False)
+    bot.setflags(write=False)
+    return top, bot
 
 
 def _extend(h: PeriodicField1D, f: PeriodicField1D, grid: StripGrid,
@@ -158,10 +160,8 @@ def _extend(h: PeriodicField1D, f: PeriodicField1D, grid: StripGrid,
             f"trace resolution ({h.n}, {f.n}) does not match grid n1={grid.n1}"
         )
     bot_tr, top_tr = _strip_traces(h, f, grid)
-    top0, bot0, top, bot = _extension_profiles(grid, derivative)
-    coeffs = np.empty((grid.n1 // 2 + 1, grid.n2), dtype=complex)
-    coeffs[0] = top_tr[0] * top0 + bot_tr[0] * bot0
-    coeffs[1:] = top_tr[1:, None] * top + bot_tr[1:, None] * bot
+    top, bot = _extension_profiles(grid, derivative)
+    coeffs = top_tr[:, None] * top + bot_tr[:, None] * bot
     values = np.fft.irfft(coeffs * grid.n1, n=grid.n1, axis=0)
     return StripField(grid, values)
 

@@ -165,31 +165,22 @@ def _gap_margin(h_values: np.ndarray, f_values: np.ndarray) -> float:
     return float(np.min(h_values + 1.0 - f_values))
 
 
-def _strip_heads(head: HeadSolution) -> tuple[np.ndarray, np.ndarray]:
-    """The heads of a solution as solve_head takes its guess."""
-    return head.p_plus.values, head.p_minus.values
-
-
 def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
               config: SimConfig, guess=None):
     """One full right-side evaluation: strip maps, metric, head solve.
 
-    guess is solve_head's start, the heads of a nearby solution or None.
-    Returns (trace values, head, weighted dissipation).  The returned trace
-    is mean-projected; its analytic mean is zero and the conservative
-    recovery keeps the discrete mean at roundoff.
+    guess is solve_head's start, the head p of a nearby solution or None.
+    Returns (trace values, head); the head carries the weighted dissipation.
+    The returned trace is mean-projected; its analytic mean is zero and the
+    conservative recovery keeps the discrete mean at roundoff.
     """
     h = PeriodicField1D(h_values)
-    grid_plus, grid_minus = config.grids()
-    shift_plus = harmonic_extension(h, profile.f, grid_plus)
-    shift_minus = harmonic_extension(h, profile.f, grid_minus)
-    pack_plus = metric_terms(shift_plus, profile, j_min=config.j_min)
-    pack_minus = metric_terms(shift_minus, profile, j_min=config.j_min)
+    pack_plus, pack_minus = (
+        metric_terms(harmonic_extension(h, profile.f, grid), profile, j_min=config.j_min)
+        for grid in config.grids())
     head = solve_head(pack_plus, pack_minus, h, profile, solver="krylov", guess=guess)
     trace = head.gamma_trace_w2.values
-    trace = trace - np.mean(trace)
-    diss = diagnostics.dissipation_l2(head, pack_plus, pack_minus)
-    return trace, head, diss
+    return trace - np.mean(trace), head
 
 
 def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
@@ -211,16 +202,16 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     if _first_eval is None:
         _first_eval = _evaluate(y, profile, config)
         solved.append(_first_eval[1])
-    k1, head1, d1 = _first_eval
-    k2, head2, d2 = _evaluate(y + 0.5 * dt * k1, profile, config, _strip_heads(head1))
-    k3, head3, d3 = _evaluate(y + 0.5 * dt * k2, profile, config, _strip_heads(head2))
+    k1, head1 = _first_eval
+    k2, head2 = _evaluate(y + 0.5 * dt * k1, profile, config, head1.p)
+    k3, head3 = _evaluate(y + 0.5 * dt * k2, profile, config, head2.p)
     # y4 - y = dt k3 is about twice y3 - y: extrapolate the head linearly
-    guess4 = tuple(2.0 * p3 - p1 for p3, p1 in zip(_strip_heads(head3), _strip_heads(head1)))
-    k4, head4, d4 = _evaluate(y + dt * k3, profile, config, guess4)
+    k4, head4 = _evaluate(y + dt * k3, profile, config, 2.0 * head3.p - head1.p)
     solved += [head2, head3, head4]
 
     y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     y_new = y_new - np.mean(y_new)
+    d1, d2, d3, d4 = (head.dissipation for head in (head1, head2, head3, head4))
     diss_inc = (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
     margin = _gap_margin(y_new, f_values)
@@ -293,7 +284,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
                                  _first_eval=current_eval)
             traj.head_solves += len(solved)
             traj.cg_iterations += sum(stage.cg_iterations for stage in solved)
-            guess = _strip_heads(solved[-1])
+            guess = solved[-1].p
     except tuple(_TERMINATIONS) as exc:
         traj.termination = next(reason for kind, reason in _TERMINATIONS.items()
                                 if isinstance(exc, kind))

@@ -25,7 +25,9 @@ precision -- the discrete mass ledger.  The antisymmetry also makes the
 discrete summation-by-parts of the horizontal terms exact, which keeps the
 energy-law defect free of any horizontal-resolution floor.  The recovered
 traces are rows of the same balance: the top-line row and the two half-cell
-rows at the permeability line.
+rows at the permeability line.  Recovery also integrates the Darcy
+dissipation grad P . K grad P = -w . grad P over both strips, from the
+gradient it forms for w, with the balance's own trapezoid cell heights.
 
 Solvers: "krylov" (used by every run) is conjugate gradient on the balance
 itself, no matrix formed, preconditioned by the exact inverse of the
@@ -80,7 +82,15 @@ PICARD_MAX_ITER = 100
 
 @dataclass
 class HeadSolution:
-    """Head and pulled-back velocity on both strips.
+    """Head, pulled-back velocity and Darcy dissipation on both strips.
+
+    p, w1 and w2 are stacked as the balance's C-ordered head arrays,
+    (n2_minus + n2_plus, n1): the lower strip's levels from the floor up,
+    then the upper strip's, so the permeability line appears twice (rows
+    n2_minus - 1 and n2_minus).  weights is the quadrature column, dx1
+    times each level's trapezoid height in its strip, so sum(weights * g)
+    integrates a nodal g over both strips; dissipation is that integral of
+    grad P . K grad P = -w . grad P.
 
     gamma_trace_w2 is the conservative flux trace of w2 on the top line (the
     value balancing the top half cells); its circle integral vanishes to
@@ -90,17 +100,33 @@ class HeadSolution:
     CG iterations of a Krylov solve (0 for the other solvers).
     """
 
-    p_plus: StripField
-    p_minus: StripField
-    w1_plus: StripField
-    w2_plus: StripField
-    w1_minus: StripField
-    w2_minus: StripField
+    p: np.ndarray
+    w1: np.ndarray
+    w2: np.ndarray
+    weights: np.ndarray
+    n2_minus: int
+    dissipation: float
     gamma_trace_w2: PeriodicField1D
     perm_flux_above: PeriodicField1D
     perm_flux_below: PeriodicField1D
     top_flux_total: float
     cg_iterations: int = 0
+
+    # read-only (n1, n2) views of p per strip, the layout of the per-strip
+    # oracle in perfbench/check.py
+    @property
+    def p_plus(self) -> StripField:
+        return self._strip_view(UPPER, self.p[self.n2_minus:])
+
+    @property
+    def p_minus(self) -> StripField:
+        return self._strip_view(LOWER, self.p[:self.n2_minus])
+
+    @staticmethod
+    def _strip_view(strip: str, rows: np.ndarray) -> StripField:
+        values = rows.T
+        values.flags.writeable = False
+        return StripField(StripGrid(strip, rows.shape[1], rows.shape[0]), values)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +238,11 @@ class _CellBalance:
         x = x.reshape(self.n_lev, self.n1)
         return np.concatenate([x[:m], x[m - 1:], top[None]])
 
-    def free_unknowns(self, p_plus: np.ndarray, p_minus: np.ndarray) -> np.ndarray:
-        """Free unknowns from strip heads shaped as HeadSolution's (n1, n2)
-        values: the inverse of heads, dropping the top line and the upper
-        copy of the permeability line."""
-        return np.concatenate([p_minus.T, p_plus.T[1:-1]]).ravel()
+    def free_unknowns(self, p: np.ndarray) -> np.ndarray:
+        """Free unknowns from a head array: the inverse of heads, dropping
+        the top line and the upper copy of the permeability line."""
+        m = self.m_minus
+        return np.concatenate([p[:m], p[m + 1:-1]]).ravel()
 
     def free_rows(self, x: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
         """Balance rows of the free nodes; with top omitted (zero) this is
@@ -299,29 +325,21 @@ def _check_inputs(pack_plus: MetricPack, pack_minus: MetricPack,
 
 def _recover(balance: _CellBalance, p: np.ndarray, scale: float,
              cg_iterations: int = 0) -> HeadSolution:
-    """Velocity and traces at the head array p, all from the balance, with
-    every output multiplied by scale."""
+    """Velocity, dissipation and traces at the head array p, all from the
+    balance, with every output multiplied by scale (the dissipation, which
+    is quadratic, by scale squared)."""
     m = balance.m_minus
     d1p = balance._x1_difference(p)
-    grid_minus, grid_plus = balance.grid_minus, balance.grid_plus
-    d2p = np.concatenate([vertical_derivative(p[:m].T, grid_minus.dx2).T,
-                          vertical_derivative(p[m:].T, grid_plus.dx2).T])
+    d2p = np.concatenate([vertical_derivative(p[:m].T, balance.grid_minus.dx2).T,
+                          vertical_derivative(p[m:].T, balance.grid_plus.dx2).T])
     w1 = -(balance.k11 * d1p + balance.k12 * d2p)
     w2 = -(balance.k12 * d1p + balance.k22 * d2p)
+    weights = balance.dx1 * balance.height
+    dissipation = -scale * scale * float(np.sum(weights * (w1 * d1p + w2 * d2p)))
     rows = scale * balance(p)
-
-    def split(arr):
-        return (StripField(grid_plus, scale * arr[m:].T),
-                StripField(grid_minus, scale * arr[:m].T))
-
-    (p_plus, p_minus), (w1_plus, w1_minus), (w2_plus, w2_minus) = map(split, (p, w1, w2))
     return HeadSolution(
-        p_plus=p_plus,
-        p_minus=p_minus,
-        w1_plus=w1_plus,
-        w2_plus=w2_plus,
-        w1_minus=w1_minus,
-        w2_minus=w2_minus,
+        p=scale * p, w1=scale * w1, w2=scale * w2, weights=weights, n2_minus=m,
+        dissipation=dissipation,
         gamma_trace_w2=PeriodicField1D(-rows[-1]),
         perm_flux_above=PeriodicField1D(-rows[m]),
         perm_flux_below=PeriodicField1D(rows[m - 1].copy()),
@@ -439,7 +457,8 @@ def _cg(apply, b: np.ndarray, precond, rtol: float,
     already meets it returns after 0 iterations.  A start with |r|_2 > |b|_2
     is worse than zero and is dropped: one far larger than the solution
     (the guess for a near-zero interface, scaled by 1 / max|h|) leaves
-    roundoff of order |L| |x0| in the residual, which no iteration removes.
+    roundoff of order |L| |x0| in the residual, which no iteration removes,
+    and one that overflows leaves a non-finite residual, which fails too.
 
     Raises NonSPDSystem when a search direction has p.Lp <= 0,
     SolverDivergence on a non-finite value or after KRYLOV_MAXITER
@@ -456,8 +475,10 @@ def _cg(apply, b: np.ndarray, precond, rtol: float,
     b_sq = dot(b, b)
     x, r = np.zeros_like(b), b.copy()
     if x0 is not None:
-        r0 = b - apply(x0)
-        if dot(r0, r0) <= b_sq:
+        with np.errstate(over="ignore", invalid="ignore"):
+            r0 = b - apply(x0)
+            start = dot(r0, r0) <= b_sq
+        if start:
             x, r = x0.copy(), r0
     p = np.zeros_like(b)
     scratch = np.empty_like(b)
@@ -509,7 +530,7 @@ def _solve_krylov(balance: _CellBalance, b: np.ndarray, profile: PermeabilityPro
 
 def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
                profile: PermeabilityProfile, solver: str = "direct",
-               guess: tuple[np.ndarray, np.ndarray] | None = None) -> HeadSolution:
+               guess: np.ndarray | None = None) -> HeadSolution:
     """Solve the head system; recover the velocity and traces.
 
     solver: "direct" (sparse LU of the probed matrix, the default here and
@@ -518,11 +539,11 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     The system is solved for h / max|h| and every output rescaled, since it
     is linear in h; h = 0 gives the exact zero solution.
 
-    guess: None, or the heads (p_plus, p_minus) of a nearby solution,
-    shaped as HeadSolution's values.  The Krylov path scales it by the same
-    1 / max|h| and starts CG there instead of at zero; its top line is not
-    read, and the direct path ignores it.  The stopping test does not
-    depend on the start.
+    guess: None, or the head p of a nearby solution, stacked as
+    HeadSolution's.  The Krylov path scales it by the same 1 / max|h| and
+    starts CG there instead of at zero; its top line and the upper copy of
+    the permeability line are not read, and the direct path ignores it.
+    The stopping test does not depend on the start.
 
     Either way the max-norm residual relative to the right side must come
     out below RESIDUAL_TOL, else SolverDivergence is raised; a CG stall or
@@ -542,7 +563,8 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     if solver == "direct":
         x, iterations = _solve_direct(balance, b), 0
     else:
-        x0 = None if guess is None else balance.free_unknowns(*guess) / scale
+        with np.errstate(over="ignore"):  # inf for a subnormal h: _cg drops it
+            x0 = None if guess is None else balance.free_unknowns(guess) / scale
         x, iterations = _solve_krylov(balance, b, profile, x0)
     res = float(np.max(np.abs(balance.free_rows(x) - b))) / float(np.max(np.abs(b)))
     if not np.isfinite(res) or res > RESIDUAL_TOL:

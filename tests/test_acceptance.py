@@ -94,10 +94,8 @@ def test_criterion_1_rest_state_exactness():
         h_inf = 0.0
         for state in traj.states:
             h_inf = max(h_inf, float(np.max(np.abs(state.h.values))))
-            _, head, _ = _evaluate(state.h.values, profile, config)
-            w_inf = max(w_inf, max(
-                float(np.max(np.abs(s.values))) for s in
-                (head.w1_plus, head.w2_plus, head.w1_minus, head.w2_minus)))
+            _, head = _evaluate(state.h.values, profile, config)
+            w_inf = max(w_inf, max(float(np.max(np.abs(w))) for w in (head.w1, head.w2)))
         assert w_inf <= 1e-9
         assert h_inf == 0.0
         ok(1, f"f amplitude {f_amp}: max|w| = {w_inf:.2e}, h identically zero")
@@ -210,10 +208,7 @@ def test_criterion_8_picard_cross_check():
     pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, N1, N2)), profile)
     direct = solve_head(pack_p, pack_m, h, profile)
     fixed = picard_head(pack_p, pack_m, h, profile)
-    diff = max(
-        float(np.max(np.abs(direct.p_plus.values - fixed.p_plus.values))),
-        float(np.max(np.abs(direct.p_minus.values - fixed.p_minus.values))),
-    )
+    diff = float(np.max(np.abs(direct.p - fixed.p)))
     assert diff <= 1e-8
     ok(8, f"fixed-point vs direct head: max difference {diff:.2e} (tol 1e-8)")
 

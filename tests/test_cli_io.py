@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -36,8 +37,16 @@ from muskat.cli_io import (
 )
 from muskat import evolution
 from muskat.diagnostics import EnergyReport
-from muskat.diffeo import PermeabilityProfile
-from muskat.pressure import HeadSolution
+from muskat.diffeo import (
+    LOWER,
+    UPPER,
+    PermeabilityProfile,
+    StripGrid,
+    harmonic_extension,
+    metric_terms,
+)
+from muskat.pressure import HeadSolution, solve_head
+from muskat.spectral_core import PeriodicField1D
 
 
 def write_config(path, **overrides):
@@ -141,7 +150,8 @@ class TestTimeseries:
         assert "\r" not in text
 
 
-FIELDS = ("p_plus", "p_minus", "w1_plus", "w2_plus", "w1_minus", "w2_minus")
+# a snapshot's stacked arrays, each (n2_minus + n2_plus, n1)
+ARRAYS = ("p", "w1", "w2")
 
 
 @contextmanager
@@ -165,8 +175,8 @@ class TestOutputFiles:
                            coupling_ratio=0.5)
 
         def snap(n2):
-            return Snapshot(t=0.5, h=np.zeros(4), f=np.ones(4),
-                            **{name: np.full((4, n2), 2.0) for name in FIELDS})
+            return Snapshot(t=0.5, h=np.zeros(4), f=np.ones(4), n2_minus=n2,
+                            **{name: np.full((2 * n2, 4), 2.0) for name in ARRAYS})
 
         def manifest(files):
             return RunManifest(config={}, version="0", start_time="", end_time="",
@@ -197,32 +207,33 @@ class TestSnapshot:
         def array(shape):
             return data.draw(hnp.arrays(np.float64, shape, elements=st.floats()))
 
-        snap = Snapshot(t=t, h=array(n1), f=array(n1),
-                        **{name: array((n1, n2_plus if name.endswith("plus") else n2_minus))
-                           for name in FIELDS})
+        snap = Snapshot(t=t, h=array(n1), f=array(n1), n2_minus=n2_minus,
+                        **{name: array((n2_minus + n2_plus, n1)) for name in ARRAYS})
         out = tmp_path_factory.mktemp("snap")
         write_snapshot(out / "a.mskt", snap)
         back = read_snapshot(out / "a.mskt")
         assert np.float64(back.t).tobytes() == np.float64(snap.t).tobytes()
-        for name in ("h", "f") + FIELDS:
+        assert back.n2_minus == n2_minus
+        for name in ("h", "f") + ARRAYS:
             a, b = getattr(back, name), getattr(snap, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
         write_snapshot(out / "b.mskt", back)
         assert (out / "a.mskt").read_bytes() == (out / "b.mskt").read_bytes()
 
     def test_magic_and_layout(self, tmp_path):
-        snap = Snapshot(
-            t=1.0, h=np.zeros(4), f=np.zeros(4),
-            p_plus=np.zeros((4, 3)), p_minus=np.zeros((4, 3)),
-            w1_plus=np.zeros((4, 3)), w2_plus=np.zeros((4, 3)),
-            w1_minus=np.zeros((4, 3)), w2_minus=np.zeros((4, 3)),
-        )
+        # distinct values, 4 x (3 + 3) levels: the file holds P+, P-, w1+,
+        # w2+, w1-, w2-, each level after level from its strip's bottom up
+        p, w1, w2 = np.arange(3 * 6 * 4, dtype=float).reshape(3, 6, 4)
+        snap = Snapshot(t=1.0, h=np.zeros(4), f=np.zeros(4), n2_minus=3, p=p, w1=w1, w2=w2)
         path = tmp_path / "s.mskt"
         write_snapshot(path, snap)
         blob = path.read_bytes()
         assert blob[:4] == b"MSKT"
         # header 28 bytes + (2*4 + 6*12) doubles
         assert len(blob) == 28 + 8 * (8 + 72)
+        strips = np.frombuffer(blob, dtype="<f8", offset=28 + 8 * 8).reshape(6, 3, 4)
+        for got, want in zip(strips, (p[3:], p[:3], w1[3:], w2[3:], w1[:3], w2[:3])):
+            assert np.array_equal(got, want)
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.mskt"
@@ -237,12 +248,8 @@ class TestSnapshot:
         (868, "header declares 860 bytes, file has 868"),
     ], ids=["short_header", "truncated", "padded"])
     def test_rejects_wrong_length(self, tmp_path, length, message):
-        snap = Snapshot(
-            t=0.5, h=np.zeros(4), f=np.zeros(4),
-            p_plus=np.zeros((4, 3)), p_minus=np.zeros((4, 5)),
-            w1_plus=np.zeros((4, 3)), w2_plus=np.zeros((4, 3)),
-            w1_minus=np.zeros((4, 5)), w2_minus=np.zeros((4, 5)),
-        )
+        snap = Snapshot(t=0.5, h=np.zeros(4), f=np.zeros(4), n2_minus=5,
+                        **{name: np.zeros((5 + 3, 4)) for name in ARRAYS})
         path = tmp_path / "s.mskt"
         write_snapshot(path, snap)
         path.write_bytes((path.read_bytes() + bytes(8))[:length])
@@ -267,7 +274,7 @@ class TestCmdRun:
         assert csv_lines[0] == TIMESERIES_HEADER
         assert len(csv_lines) > 2
         snap = read_snapshot(out / "snapshot_final.mskt")
-        assert snap.p_plus.shape == (32, 9)
+        assert snap.n2_minus == 9 and snap.p.shape == (9 + 9, 32)
 
     def test_deterministic_replay(self, tmp_path):
         outputs = []
@@ -312,16 +319,56 @@ class TestCmdRun:
         profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
         for tag, state, head in (("initial", traj.states[0], traj.initial_head),
                                  ("final", traj.states[-1], traj.final_head)):
-            own = Snapshot(state.t, state.h.values, f.values,
-                           **{name: getattr(head, name).values for name in FIELDS})
+            own = Snapshot(state.t, state.h.values, f.values, head.n2_minus,
+                           head.p, head.w1, head.w2)
             write_snapshot(tmp_path / f"own_{tag}.mskt", own)
             written = tmp_path / "out" / f"snapshot_{tag}.mskt"
             assert (tmp_path / f"own_{tag}.mskt").read_bytes() == written.read_bytes()
             snap = read_snapshot(written)
-            _, cold, _ = evolution._evaluate(snap.h, profile, config)
-            for name in FIELDS:
-                diff = np.max(np.abs(getattr(cold, name).values - getattr(snap, name)))
+            _, cold = evolution._evaluate(snap.h, profile, config)
+            assert snap.n2_minus == cold.n2_minus
+            for name in ARRAYS:
+                diff = np.max(np.abs(getattr(cold, name) - getattr(snap, name)))
                 assert diff <= 1e-8, (tag, name)
+
+    def test_direct_oracle_reads_as_the_snapshot(self, tmp_path):
+        # perfbench/check.py::oracle_heads reads solve_head(...,
+        # solver="direct").p_plus and p_minus, (n1, n2) per strip, and
+        # compares them with a run's final snapshot as its own read_snapshot
+        # parses it.  Stacking that oracle (ROADMAP item 3) retires these
+        # per-strip views and this test.
+        check_py = Path(__file__).resolve().parent.parent / "perfbench" / "check.py"
+        spec = importlib.util.spec_from_file_location("perfbench_check", check_py)
+        check = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check)
+        cfg_path = tmp_path / "run.json"
+        cfg = write_config(cfg_path, n2_minus=7)
+        assert cmd_run(str(cfg_path)) == 0
+        snap = check.read_snapshot(tmp_path / "out" / "snapshot_final.mskt")
+        h = PeriodicField1D(np.array(snap["h"]))
+        f = PeriodicField1D.from_modes(32, cfg["f_modes"])
+        profile = PermeabilityProfile(f, cfg["beta_plus"], cfg["beta_minus"])
+        pack_p, pack_m = (metric_terms(harmonic_extension(h, f, StripGrid(strip, 32, n2)),
+                                       profile) for strip, n2 in ((UPPER, 9), (LOWER, 7)))
+        head = solve_head(pack_p, pack_m, h, profile, solver="direct")
+        for view, name, shape in ((head.p_plus, "p_plus", (32, 9)),
+                                  (head.p_minus, "p_minus", (32, 7))):
+            assert view.values.shape == snap[name].shape == shape, name
+            assert np.max(np.abs(view.values - snap[name])) <= check.HEAD_TOL, name
+            # read-only views of the stacked head
+            assert not view.values.flags.writeable
+            assert np.shares_memory(view.values, head.p)
+
+    def test_uncreatable_output_dir(self, tmp_path, capsys):
+        # output_dir under a regular file: a config error, not a traceback
+        (tmp_path / "blocker").write_text("")
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, output_dir="blocker/out")
+        assert cmd_run(str(cfg_path)) == 1
+        out_dir = tmp_path / "blocker" / "out"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out_dir}: ")
+        assert not (tmp_path / "blocker").is_dir()
 
     def test_gap_violation_exit_and_manifest(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -489,11 +536,15 @@ class TestFormatsInStep:
                 == [c.replace("_", "") for c in TIMESERIES_HEADER.split(",")])
 
     def test_snapshot_arrays_are_head_fields(self):
-        snapshot = {f.name for f in fields(Snapshot)}
+        # a snapshot is t, h, f and fields of the head solution, by name:
+        # the stacked arrays and the split between their strips
+        snapshot = [f.name for f in fields(Snapshot)]
         head = {f.name for f in fields(HeadSolution)}
-        assert len(cli_io._STRIP_ARRAYS) == 6
-        for name in cli_io._STRIP_ARRAYS:
-            assert name in snapshot and name in head, name
+        assert snapshot == ["t", "h", "f", "n2_minus", *ARRAYS]
+        assert set(snapshot[3:]) <= head
+        # the file's six strip arrays are the two strips of each
+        snap = Snapshot(0.0, np.zeros(4), np.zeros(4), 3, *np.zeros((3, 3 + 5, 4)))
+        assert len(cli_io._file_arrays(snap)) == 6
 
 
 class TestMain:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from muskat import diffeo
 from muskat.diffeo import (
     LOWER,
     UPPER,
@@ -126,6 +127,19 @@ class TestHarmonicExtension:
         low = harmonic_extension(h, f, StripGrid(LOWER, 48, 13))
         assert np.allclose(low.values[:, -1], f.values, atol=1e-12)
         assert np.allclose(low.values[:, 0], 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_profiles_cached_per_grid_read_only(self, derivative):
+        # equal grids share one set of tables, the tables an uncached
+        # computation gives, and no caller can write to them
+        tables = diffeo._extension_profiles(StripGrid(LOWER, 32, 9), derivative)
+        assert diffeo._extension_profiles(StripGrid(LOWER, 32, 9), derivative) is tables
+        fresh = diffeo._extension_profiles.__wrapped__(StripGrid(LOWER, 32, 9), derivative)
+        for table, expected in zip(tables, fresh):
+            assert np.array_equal(table, expected)
+            with pytest.raises(ValueError):
+                table[0] = 0.0
+        assert diffeo._extension_profiles(StripGrid(UPPER, 32, 9), derivative) is not tables
 
 
 def pack_from_gradients(d1_const, d2_const, beta=1.0, n1=16, n2=5, strip=UPPER):

@@ -17,7 +17,7 @@ from muskat.diffeo import (
     metric_terms,
     vertical_derivative,
 )
-from muskat.diagnostics import dispersion_rate, dissipation_l2
+from muskat.diagnostics import dispersion_rate
 from muskat.errors import (
     NoContraction,
     NonSPDSystem,
@@ -40,16 +40,14 @@ def setup(n1, n2, h_vals, f_vals, beta_plus, beta_minus):
 
 
 def w_max(head):
-    return max(float(np.max(np.abs(s.values))) for s in
-               (head.w1_plus, head.w2_plus, head.w1_minus, head.w2_minus))
+    return max(float(np.max(np.abs(w))) for w in (head.w1, head.w2))
 
 
 class TestRestStates:
     def test_flat_everything(self):
         head = solve_head(*setup(64, 17, np.zeros(64), np.zeros(64), 1.0, 1.0))
         assert w_max(head) <= 1e-12
-        assert np.max(np.abs(head.p_plus.values)) <= 1e-12
-        assert np.max(np.abs(head.p_minus.values)) <= 1e-12
+        assert np.max(np.abs(head.p)) <= 1e-12
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -161,10 +159,10 @@ class TestConservation:
                 64, n2, 0.05 * np.cos(x), 0.1 * np.sin(x), 1.0, 0.25)
             head = solve_head(pack_p, pack_m, h, profile)
             d = 1.0 / (n2 - 1)
-            pm, pp = head.p_minus.values, head.p_plus.values
-            dp2_below = (3 * pm[:, -1] - 4 * pm[:, -2] + pm[:, -3]) / (2 * d)
-            dp2_above = (-3 * pp[:, 0] + 4 * pp[:, 1] - pp[:, 2]) / (2 * d)
-            dp1 = x1_derivative(pp)[:, 0]
+            pm, pp = head.p[:n2], head.p[n2:]
+            dp2_below = (3 * pm[-1] - 4 * pm[-2] + pm[-3]) / (2 * d)
+            dp2_above = (-3 * pp[0] + 4 * pp[1] - pp[2]) / (2 * d)
+            dp1 = x1_derivative(pp, axis=1)[0]
             flux_below = pack_m.k12[:, -1] * dp1 + pack_m.k22[:, -1] * dp2_below
             flux_above = pack_p.k12[:, 0] * dp1 + pack_p.k22[:, 0] * dp2_above
             jumps[n2] = np.max(np.abs(flux_above - flux_below))
@@ -177,7 +175,7 @@ class TestConservation:
         for n2 in (17, 33):
             head = solve_head(*setup(64, n2, 0.05 * np.cos(x), 0.1 * np.cos(2 * x),
                                      1.0, 0.5))
-            vals[n2] = np.max(np.abs(head.w2_minus.values[:, 0]))
+            vals[n2] = np.max(np.abs(head.w2[0]))
         assert math.log2(vals[17] / vals[33]) >= 1.5
 
     def test_interior_divergence_truncation_order(self):
@@ -187,8 +185,9 @@ class TestConservation:
             pack_p, pack_m, h, profile = setup(
                 64, n2, 0.04 * np.cos(x), 0.08 * np.sin(x), 1.0, 0.5)
             head = solve_head(pack_p, pack_m, h, profile)
-            div = x1_derivative(head.w1_plus.values) \
-                + vertical_derivative(head.w2_plus.values, pack_p.grid.dx2)
+            # the upper strip as (n1, n2), the layout of the two derivatives
+            w1, w2 = head.w1[n2:].T, head.w2[n2:].T
+            div = x1_derivative(w1) + vertical_derivative(w2, pack_p.grid.dx2)
             res[n2] = np.max(np.abs(div[:, 2:-2]))
         assert math.log2(res[17] / res[33]) >= 1.5
 
@@ -201,19 +200,53 @@ class TestSymmetryAndPositivity:
         head = solve_head(*setup(n1, 17, 0.05 * np.cos(x), 0.1 * np.cos(2 * x),
                                  1.0, 0.5))
         refl = (-np.arange(n1)) % n1
-        assert np.max(np.abs(head.p_plus.values - head.p_plus.values[refl, :])) < 1e-12
-        assert np.max(np.abs(head.w1_plus.values + head.w1_plus.values[refl, :])) < 1e-12
-        assert np.max(np.abs(head.w2_minus.values - head.w2_minus.values[refl, :])) < 1e-12
+        # both strips: P and w2 even, w1 odd
+        assert np.max(np.abs(head.p - head.p[:, refl])) < 1e-12
+        assert np.max(np.abs(head.w1 + head.w1[:, refl])) < 1e-12
+        assert np.max(np.abs(head.w2 - head.w2[:, refl])) < 1e-12
 
-    def test_dissipation_nonnegative(self):
-        rng = np.random.default_rng(21)
-        x = PeriodicField1D.zeros(32).x1
-        for _ in range(3):
-            h_vals = 0.1 * rng.normal() * np.cos(x) + 0.05 * rng.normal() * np.sin(2 * x)
-            f_vals = 0.1 * rng.normal() * np.cos(x)
-            pack_p, pack_m, h, profile = setup(32, 9, h_vals, f_vals, 1.3, 0.4)
-            head = solve_head(pack_p, pack_m, h, profile)
-            assert dissipation_l2(head, pack_p, pack_m) >= 0.0
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        # a cosine amplitude of at least 0.2 per mode: h != 0, so k12 != 0
+        h_modes=st.lists(st.tuples(st.integers(1, 4), st.floats(0.2, 1.0),
+                                   st.floats(-1.0, 1.0)), min_size=1, max_size=3),
+        f_modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0)), min_size=1, max_size=2),
+        h_amp=st.floats(0.01, 0.1),
+        f_amp=st.floats(0.01, 0.15),
+        betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+        levels=st.tuples(st.integers(3, 12), st.integers(3, 12)),
+    )
+    def test_dissipation_matches_pullback_formula(self, h_modes, f_modes, h_amp, f_amp,
+                                                  betas, levels):
+        # the oracle is the pull-back form that recovery replaced: the sum
+        # over strips of (J / beta) (v1^2 + v2^2), with v from w = J A v, by
+        # the nodal x1 rule and the trapezoid rule in x2 per strip; since
+        # K = beta J A A^T it is grad P . K grad P pointwise
+        n1 = 16
+        m_plus, m_minus = levels
+
+        def field(modes, amp):
+            # per-mode amplitude amp / k, far from a degenerate strip map
+            return PeriodicField1D.from_modes(
+                n1, [(k, amp * c / k, amp * s / k) for k, c, s in modes])
+
+        h, f = field(h_modes, h_amp), field(f_modes, f_amp)
+        profile = PermeabilityProfile(f, *betas)
+        pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, n1, m_plus)), profile)
+        pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, n1, m_minus)), profile)
+        assert np.max(np.abs(pack_p.k12)) > 0.0
+        head = solve_head(pack_p, pack_m, h, profile)
+        oracle = 0.0
+        for pack, rows in ((pack_p, slice(m_minus, None)), (pack_m, slice(None, m_minus))):
+            w1, w2 = head.w1[rows].T, head.w2[rows].T
+            v1 = w1 / pack.J
+            v2 = pack.d1 * w1 / pack.J + w2
+            integrand = (pack.J / pack.beta) * (v1 * v1 + v2 * v2)
+            per_level = integrand.sum(axis=0) * pack.grid.dx1
+            oracle += pack.grid.dx2 * (per_level.sum() - 0.5 * (per_level[0] + per_level[-1]))
+        assert oracle > 0.0
+        assert abs(head.dissipation - oracle) <= 1e-12 * oracle
 
 
 class TestPicard:
@@ -226,11 +259,7 @@ class TestPicard:
         args = setup(64, 33, 0.005 * np.cos(x), 0.02 * np.cos(2 * x), 1.0, 0.5)
         direct = solve_head(*args)
         fixed = picard_head(*args)
-        diff = max(
-            np.max(np.abs(direct.p_plus.values - fixed.p_plus.values)),
-            np.max(np.abs(direct.p_minus.values - fixed.p_minus.values)),
-        )
-        assert diff <= 10 * PICARD_TOL
+        assert np.max(np.abs(direct.p - fixed.p)) <= 10 * PICARD_TOL
 
     def test_diverges_at_large_amplitude_while_direct_succeeds(self):
         x = PeriodicField1D.zeros(64).x1
@@ -247,8 +276,7 @@ class TestSolverOptions:
         args = setup(64, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
         direct = solve_head(*args, solver="direct")
         krylov = solve_head(*args, solver="krylov")
-        assert np.max(np.abs(direct.p_plus.values - krylov.p_plus.values)) < 1e-8
-        assert np.max(np.abs(direct.p_minus.values - krylov.p_minus.values)) < 1e-8
+        assert np.max(np.abs(direct.p - krylov.p)) < 1e-8
         assert np.max(np.abs(direct.gamma_trace_w2.values
                              - krylov.gamma_trace_w2.values)) < 1e-8
 
@@ -283,13 +311,11 @@ class TestSolverOptions:
                                    f, *betas), solver="krylov")
         direct = solve_head(*args, solver="direct")
         cold = solve_head(*args, solver="krylov")
-        warm = solve_head(*args, solver="krylov",
-                          guess=(nearby.p_plus.values, nearby.p_minus.values))
+        warm = solve_head(*args, solver="krylov", guess=nearby.p)
         for krylov in (cold, warm):
-            for name in ("p_plus", "p_minus", "gamma_trace_w2"):
-                diff = np.max(np.abs(getattr(direct, name).values
-                                     - getattr(krylov, name).values))
-                assert diff <= 1e-8, name
+            assert np.max(np.abs(direct.p - krylov.p)) <= 1e-8
+            assert np.max(np.abs(direct.gamma_trace_w2.values
+                                 - krylov.gamma_trace_w2.values)) <= 1e-8
             assert abs(direct.top_flux_total - krylov.top_flux_total) <= 1e-8
         # mass ledger and flux continuity hold to solver precision on both
         # paths (CG's residual leaves about 1e-12 here, LU roundoff)
@@ -304,25 +330,20 @@ class TestSolverOptions:
                      0.1 * np.cos(2 * x), 1.3, 0.4)
         cold = solve_head(*args, solver="krylov")
         assert cold.cg_iterations > 0
-        warm = solve_head(*args, solver="krylov",
-                          guess=(cold.p_plus.values, cold.p_minus.values))
+        warm = solve_head(*args, solver="krylov", guess=cold.p)
         assert warm.cg_iterations == 0
-        for name in ("p_plus", "p_minus", "w1_plus", "w2_plus", "w1_minus", "w2_minus",
-                     "gamma_trace_w2"):
-            diff = np.max(np.abs(getattr(warm, name).values - getattr(cold, name).values))
+        for name in ("p", "w1", "w2"):
+            diff = np.max(np.abs(getattr(warm, name) - getattr(cold, name)))
             assert diff <= 1e-12, name
+        assert np.max(np.abs(warm.gamma_trace_w2.values - cold.gamma_trace_w2.values)) <= 1e-12
         # the direct path counts no iteration and ignores the guess
-        assert solve_head(*args, guess=(cold.p_plus.values,
-                                        cold.p_minus.values)).cg_iterations == 0
+        assert solve_head(*args, guess=cold.p).cg_iterations == 0
 
     def test_free_unknowns_inverts_heads(self):
         balance = pressure._CellBalance.flat(16, 5, 7, 1.3, 0.4)
         rng = np.random.default_rng(5)
         x, top = rng.normal(size=balance.n_lev * 16), rng.normal(size=16)
-        p = balance.heads(x, top)
-        # strip heads as HeadSolution holds them: (n1, n2), lower strip first
-        p_minus, p_plus = p[:5].T, p[5:].T
-        assert np.array_equal(balance.free_unknowns(p_plus, p_minus), x)
+        assert np.array_equal(balance.free_unknowns(balance.heads(x, top)), x)
 
     # the ids keep the x1 stencil order (4) as their last field
     @pytest.mark.parametrize("n1, m_minus, m_plus",
@@ -431,6 +452,12 @@ class TestSolverOptions:
                                      1e20 * exact)
         assert 1 <= iterations <= 3
         assert np.max(np.abs(x - exact)) <= 1e-13
+        # so is a start that overflowed, as a guess scaled by 1 / max|h| does
+        # for a subnormal h, and one whose residual overflows
+        for x0 in (np.array([np.inf, 1.0, -np.inf]), np.full(3, 1e308)):
+            x, iterations = pressure._cg(lambda v: matrix @ v, b, lambda r: r, 1e-14, x0)
+            assert 1 <= iterations <= 3
+            assert np.max(np.abs(x - exact)) <= 1e-13
 
     def test_unknown_solver_rejected(self):
         args = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
@@ -498,9 +525,11 @@ class TestDataScaling:
         unit = solve_head(pack_p, pack_m, PeriodicField1D(np.sin(x)), profile)
         for solver in ("direct", "krylov"):
             head = solve_head(pack_p, pack_m, h, profile, solver=solver)
-            for name in ("p_plus", "p_minus", "w2_plus", "gamma_trace_w2"):
-                scaled = getattr(head, name).values / tiny
-                assert np.max(np.abs(scaled - getattr(unit, name).values)) <= 1e-8, name
+            for name in ("p", "w2"):
+                scaled = getattr(head, name) / tiny
+                assert np.max(np.abs(scaled - getattr(unit, name))) <= 1e-8, name
+            scaled = head.gamma_trace_w2.values / tiny
+            assert np.max(np.abs(scaled - unit.gamma_trace_w2.values)) <= 1e-8
 
     @pytest.mark.parametrize("solver", ["direct", "krylov"])
     def test_zero_interface_gives_exact_zero(self, solver):
@@ -508,10 +537,11 @@ class TestDataScaling:
         head = solve_head(*setup(32, 9, np.zeros(32), 0.2 * np.cos(x), 1.0, 0.3),
                           solver=solver)
         assert w_max(head) == 0.0
-        for field in (head.p_plus, head.p_minus, head.gamma_trace_w2,
-                      head.perm_flux_above, head.perm_flux_below):
+        assert not np.any(head.p)
+        for field in (head.gamma_trace_w2, head.perm_flux_above, head.perm_flux_below):
             assert not np.any(field.values)
         assert head.top_flux_total == 0.0
+        assert head.dissipation == 0.0
 
 
 class TestErrorPaths:

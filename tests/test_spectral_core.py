@@ -8,6 +8,7 @@ from muskat.spectral_core import (
     mean,
     project_zero_mean,
     sobolev_norm,
+    x1_derivative,
 )
 
 
@@ -73,6 +74,20 @@ class TestDeriv:
             deriv(h, 0)
         with pytest.raises(ValueError):
             deriv(h, 5)
+
+
+class TestX1Derivative:
+    def test_cos_on_strip_and_stacked_arrays(self):
+        # x1 is axis 0 of a (n1, n2) strip array and axis 1 of a stacked
+        # (levels, n1) one
+        x = PeriodicField1D.zeros(32).x1
+        levels = np.array([0.5, -1.0, 2.0])
+        stacked = levels[:, None] * np.cos(3 * x)
+        expected = -9.0 * stacked
+        assert np.max(np.abs(x1_derivative(stacked, order=2, axis=1) - expected)) < 1e-12
+        assert np.max(np.abs(x1_derivative(stacked.T, order=2) - expected.T)) < 1e-12
+        assert np.max(np.abs(x1_derivative(stacked, axis=1)
+                             + 3.0 * levels[:, None] * np.sin(3 * x))) < 1e-12
 
 
 class TestSobolevNorm:
