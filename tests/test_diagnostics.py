@@ -151,6 +151,10 @@ class TestReport:
         assert 0.8 <= rep.rt_margin <= 1.1
         assert all(math.isfinite(v) for v in astuple(rep))
 
+    def test_dissipation_nonnegative(self):
+        _, head = small_solve(h_amp=0.08, f_amp=0.05)
+        assert head.dissipation > 0
+
 
 class TestEnergyLaw:
     def test_l2_law_residual_small_run(self):

@@ -205,6 +205,15 @@ class TestSymmetryAndPositivity:
         assert np.max(np.abs(head.w1 + head.w1[:, refl])) < 1e-12
         assert np.max(np.abs(head.w2 - head.w2[:, refl])) < 1e-12
 
+    def test_dissipation_nonnegative(self):
+        rng = np.random.default_rng(21)
+        x = PeriodicField1D.zeros(32).x1
+        for _ in range(3):
+            h_vals = 0.1 * rng.normal() * np.cos(x) + 0.05 * rng.normal() * np.sin(2 * x)
+            f_vals = 0.1 * rng.normal() * np.cos(x)
+            head = solve_head(*setup(32, 9, h_vals, f_vals, 1.3, 0.4))
+            assert head.dissipation >= 0.0
+
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         # a cosine amplitude of at least 0.2 per mode: h != 0, so k12 != 0
