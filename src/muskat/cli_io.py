@@ -99,20 +99,20 @@ def _field_from_modes(n1: int, modes, what: str) -> PeriodicField1D:
 
 
 def load_config(path: str | Path):
-    """Parse a run configuration; returns (SimConfig, h0, f).
-
-    Unknown keys are rejected.  output_dir is resolved relative to the
-    config file's directory.
-    """
+    """Parse a run configuration; returns (SimConfig, h0, f, echo), echo the
+    JSON object as read.  Unknown keys and data that evolution.run rejects
+    are errors, so a command fails before it writes anything.  output_dir is
+    resolved relative to the config file's directory."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        echo = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(echo, dict):
         raise ConfigError("config must be a JSON object")
+    raw = dict(echo)
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -131,9 +131,10 @@ def load_config(path: str | Path):
     try:
         h0 = _field_from_modes(config.n1, h0_modes, "h0_modes")
         f = _field_from_modes(config.n1, f_modes, "f_modes")
+        evolution.check_data(config, h0, f)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return config, h0, f
+    return config, h0, f, echo
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +276,7 @@ def _now() -> str:
 
 def cmd_run(config_path: str) -> int:
     try:
-        config, h0, f = load_config(config_path)
+        config, h0, f, echo = load_config(config_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -287,12 +288,7 @@ def cmd_run(config_path: str) -> int:
         print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     start = _now()
-
-    try:
-        traj = evolution.run(config, h0, f)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    traj = evolution.run(config, h0, f)
 
     files = []
     csv_path = out_dir / "timeseries.csv"
@@ -308,7 +304,7 @@ def cmd_run(config_path: str) -> int:
             files.append(snap_path.name)
 
     manifest = RunManifest(
-        config=json.loads(Path(config_path).read_text()),
+        config=echo,
         version=__version__,
         start_time=start,
         end_time=_now(),
@@ -435,7 +431,7 @@ def _check_cfl(config) -> tuple[bool, str]:
 
 def cmd_check(config_path: str) -> int:
     try:
-        config, _, _ = load_config(config_path)
+        config = load_config(config_path)[0]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -460,7 +456,7 @@ def cmd_check(config_path: str) -> int:
 
 def cmd_convergence(config_path: str) -> int:
     try:
-        config, h0, f = load_config(config_path)
+        config, h0, f, _ = load_config(config_path)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -483,20 +479,21 @@ def cmd_convergence(config_path: str) -> int:
     # covers t_end makes two refinements the same run
     n0 = max(math.ceil(config.t_end / cfg.dt) for cfg in level_configs)
 
-    def final_h(cfg, n_steps):
+    # n0 steps at the three n2 levels, then 2 n0 and 4 n0 at the coarsest
+    plan = [(cfg, n0) for cfg in level_configs] + [(level_configs[0], n0 * s) for s in (2, 4)]
+    finals = []
+    for cfg, n_steps in plan:
         # min: a ratio of 1 may round above it
         safety = min(1.0, cfg.dt_safety * config.t_end / (n_steps * cfg.dt))
         traj = evolution.run(replace(cfg, dt_safety=safety), h0, f)
         if traj.termination != evolution.TERMINATION_COMPLETED:
-            raise RuntimeError(f"run terminated with {traj.termination}")
-        return traj.states[-1].h.values
-
-    spatial = [final_h(cfg, n0) for cfg in level_configs]
-    print("spatial " + _order(spatial, f"n2 levels {levels[0]} -> {levels[1]} -> "
+            print(f"error: the run at n2 = ({cfg.n2_plus}, {cfg.n2_minus}) with {n_steps} "
+                  f"steps terminated with {traj.termination}: {traj.error}", file=sys.stderr)
+            return _EXIT_CODES[traj.termination]
+        finals.append(traj.states[-1].h.values)
+    print("spatial " + _order(finals[:3], f"n2 levels {levels[0]} -> {levels[1]} -> "
                               f"{levels[2]}, {n0} steps", "refinement"))
-    # the coarsest spatial run is the first temporal one
-    temporal = [spatial[0]] + [final_h(level_configs[0], n0 * s) for s in (2, 4)]
-    print("temporal " + _order(temporal, f"{n0} -> {2 * n0} -> {4 * n0} steps",
+    print("temporal " + _order(finals[:1] + finals[3:], f"{n0} -> {2 * n0} -> {4 * n0} steps",
                                "step-halving"))
     return EXIT_OK
 

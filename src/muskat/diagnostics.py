@@ -121,7 +121,7 @@ def report(state, head: HeadSolution, h0_l2_sq: float) -> EnergyReport:
     hpp = deriv(h, 2)
     script_e = sobolev_norm(hpp, 0.0) ** 2
 
-    d11w = [x1_derivative(w, order=2, axis=1) for w in (head.w1, head.w2)]
+    d11w = [x1_derivative(w, order=2) for w in (head.w1, head.w2)]
     script_d = sum(float(np.sum(head.weights * (d * d))) for d in d11w)
     rt_margin = float(np.min(head.gamma_trace_w2.values)) + 1.0
 

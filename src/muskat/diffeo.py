@@ -7,6 +7,9 @@ strip with the interface trace h, the permeability-curve trace f, and zero on
 the floor as Dirichlet data.  From delta_psi we assemble the Jacobian
 J = 1 + delta_psi,2 and the pulled-back Darcy conductivity K = beta J A A^T,
 with A the inverse-gradient matrix.
+
+Every strip array is C-ordered (n2, n1), one row per x2 level from the bottom
+up: the head balance stacks these rows as they are, so nothing is transposed.
 """
 
 from __future__ import annotations
@@ -80,17 +83,17 @@ class StripGrid:
 
 @dataclass
 class StripField:
-    """Real samples on a strip grid; values[j, m] = field(x1_j, x2_m)."""
+    """Real samples on a strip grid, (n2, n1): values[m, j] = field(x1_j, x2_m)."""
 
     grid: StripGrid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n1, self.grid.n2):
+        if self.values.shape != (self.grid.n2, self.grid.n1):
             raise ResolutionMismatch(
                 f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.n1}, {self.grid.n2})"
+                f"({self.grid.n2}, {self.grid.n1})"
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("strip field values must be finite")
@@ -127,8 +130,8 @@ def _over_sinh(k: np.ndarray, xi: np.ndarray, sign: float) -> np.ndarray:
     """(e^(k xi) + sign e^(-k xi)) / (2 sinh k) for k >= 1, 0 <= xi <= 1, in
     overflow-safe form: sinh(k xi)/sinh(k) for sign = -1, cosh(k xi)/sinh(k)
     for sign = +1."""
-    kk = k[:, None]
-    xx = xi[None, :]
+    kk = k[None, :]
+    xx = xi[:, None]
     return np.exp(kk * (xx - 1.0)) * (1.0 + sign * np.exp(-2.0 * kk * xx)) / (
         1.0 - np.exp(-2.0 * kk)
     )
@@ -136,18 +139,18 @@ def _over_sinh(k: np.ndarray, xi: np.ndarray, sign: float) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _extension_profiles(grid: StripGrid, derivative: bool):
-    """Vertical profiles of the modes k = 0..n1/2, (n1/2 + 1, n2), that
+    """Vertical profiles of the modes k = 0..n1/2, (n2, n1/2 + 1), that
     multiply the top and bottom traces; k = 0 is the linear interpolant.
     Cached per grid and shared by every caller, so read-only."""
     k = np.arange(1, grid.n1 // 2 + 1, dtype=float)
     bottom, _ = grid.bounds
     xi = grid.x2 - bottom  # in [0, 1]
     if not derivative:
-        top = np.vstack([xi, _over_sinh(k, xi, -1.0)])
-        bot = np.vstack([1.0 - xi, _over_sinh(k, 1.0 - xi, -1.0)])
+        top = np.column_stack([xi, _over_sinh(k, xi, -1.0)])
+        bot = np.column_stack([1.0 - xi, _over_sinh(k, 1.0 - xi, -1.0)])
     else:
-        top = np.vstack([np.ones_like(xi), k[:, None] * _over_sinh(k, xi, 1.0)])
-        bot = np.vstack([-np.ones_like(xi), -k[:, None] * _over_sinh(k, 1.0 - xi, 1.0)])
+        top = np.column_stack([np.ones_like(xi), k * _over_sinh(k, xi, 1.0)])
+        bot = np.column_stack([-np.ones_like(xi), -k * _over_sinh(k, 1.0 - xi, 1.0)])
     top.setflags(write=False)
     bot.setflags(write=False)
     return top, bot
@@ -161,8 +164,8 @@ def _extend(h: PeriodicField1D, f: PeriodicField1D, grid: StripGrid,
         )
     bot_tr, top_tr = _strip_traces(h, f, grid)
     top, bot = _extension_profiles(grid, derivative)
-    coeffs = top_tr[:, None] * top + bot_tr[:, None] * bot
-    values = np.fft.irfft(coeffs * grid.n1, n=grid.n1, axis=0)
+    coeffs = top_tr * top + bot_tr * bot
+    values = np.fft.irfft(coeffs * grid.n1, n=grid.n1)
     return StripField(grid, values)
 
 
@@ -186,19 +189,19 @@ def vertical_derivative_exact(h: PeriodicField1D, f: PeriodicField1D,
 
 
 def vertical_derivative(values: np.ndarray, dx2: float) -> np.ndarray:
-    """x2-derivative along axis 1: centered interior, one-sided 2nd order at
-    the strip boundaries."""
+    """x2-derivative along axis 0, the levels: centered interior, one-sided
+    2nd order at the strip boundaries."""
     out = np.empty_like(values)
-    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx2)
-    out[:, 0] = (-3.0 * values[:, 0] + 4.0 * values[:, 1] - values[:, 2]) / (2.0 * dx2)
-    out[:, -1] = (3.0 * values[:, -1] - 4.0 * values[:, -2] + values[:, -3]) / (2.0 * dx2)
+    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dx2)
+    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx2)
+    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dx2)
     return out
 
 
 @dataclass
 class MetricPack:
     """Pulled-back geometry of one strip: the shift gradient's x1 part d1,
-    the Jacobian J and the conductivity K.
+    the Jacobian J and the conductivity K, each (n2, n1) like StripField.
 
     J = 1 + delta_psi,2 pointwise; A = (1/J) [[J, 0], [-delta_psi,1, 1]];
     K = beta J A A^T = beta [[J, -d1], [-d1, (1 + d1^2)/J]], symmetric and

@@ -39,7 +39,7 @@ from .errors import (
 from .pressure import HeadSolution, flat_top_rates, solve_head
 from .spectral_core import PeriodicField1D, mean, project_zero_mean, sobolev_norm
 
-__all__ = ["SimConfig", "SimState", "Trajectory", "step", "run"]
+__all__ = ["SimConfig", "SimState", "Trajectory", "check_data", "step", "run"]
 
 # classical RK4 is stable for dt * lambda in [-RK4_REAL_LIMIT, 0], lambda real
 RK4_REAL_LIMIT = 2.78529356340529
@@ -229,17 +229,22 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     return new_state, solved
 
 
-def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajectory:
-    """Advance from h0 to t_end, reporting every report_every steps.
-
-    Physical and solver failures do not raise; they terminate the run with
-    the reason and offending time recorded on the trajectory.
-    """
+def check_data(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> None:
+    """The checks run makes before it starts: ValueError for data it rejects."""
     config.validate()
     if h0.n != config.n1 or f.n != config.n1:
         raise ValueError("initial data resolution must match config.n1")
     if float(np.min(f.values)) <= -1.0 + config.gap_tol:
         raise ValueError("permeability curve within gap_tol of the floor")
+
+
+def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajectory:
+    """Advance from h0 to t_end, reporting every report_every steps.
+
+    Data that check_data rejects raise ValueError; physical and solver
+    failures terminate the run with the reason and time on the trajectory.
+    """
+    check_data(config, h0, f)
     profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
 
     h0 = project_zero_mean(h0)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -57,7 +58,6 @@ from .diffeo import (
     LOWER,
     UPPER,
     MetricPack,
-    StripField,
     StripGrid,
     PermeabilityProfile,
     vertical_derivative,
@@ -112,21 +112,21 @@ class HeadSolution:
     top_flux_total: float
     cg_iterations: int = 0
 
-    # read-only (n1, n2) views of p per strip, the layout of the per-strip
-    # oracle in perfbench/check.py
+    # read-only (n1, n2) views of p per strip under .values, the layout of the
+    # per-strip oracle in perfbench/check.py: the package's only (n1, n2) arrays
     @property
-    def p_plus(self) -> StripField:
-        return self._strip_view(UPPER, self.p[self.n2_minus:])
+    def p_plus(self) -> SimpleNamespace:
+        return self._oracle_view(self.p[self.n2_minus:])
 
     @property
-    def p_minus(self) -> StripField:
-        return self._strip_view(LOWER, self.p[:self.n2_minus])
+    def p_minus(self) -> SimpleNamespace:
+        return self._oracle_view(self.p[:self.n2_minus])
 
     @staticmethod
-    def _strip_view(strip: str, rows: np.ndarray) -> StripField:
+    def _oracle_view(rows: np.ndarray) -> SimpleNamespace:
         values = rows.T
         values.flags.writeable = False
-        return StripField(StripGrid(strip, rows.shape[1], rows.shape[0]), values)
+        return SimpleNamespace(values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +181,8 @@ class _CellBalance:
 
     @classmethod
     def from_packs(cls, pack_minus: MetricPack, pack_plus: MetricPack) -> "_CellBalance":
-        # C order, as the head arrays: mixed-order elementwise products are slow
         return cls(pack_minus.grid, pack_plus.grid,
-                   *(np.ascontiguousarray(np.vstack([getattr(pack_minus, k).T,
-                                                     getattr(pack_plus, k).T]))
+                   *(np.vstack([getattr(pack_minus, k), getattr(pack_plus, k)])
                      for k in ("k11", "k12", "k22")))
 
     @classmethod
@@ -330,8 +328,8 @@ def _recover(balance: _CellBalance, p: np.ndarray, scale: float,
     is quadratic, by scale squared)."""
     m = balance.m_minus
     d1p = balance._x1_difference(p)
-    d2p = np.concatenate([vertical_derivative(p[:m].T, balance.grid_minus.dx2).T,
-                          vertical_derivative(p[m:].T, balance.grid_plus.dx2).T])
+    d2p = np.concatenate([vertical_derivative(p[:m], balance.grid_minus.dx2),
+                          vertical_derivative(p[m:], balance.grid_plus.dx2)])
     w1 = -(balance.k11 * d1p + balance.k12 * d2p)
     w2 = -(balance.k12 * d1p + balance.k22 * d2p)
     weights = balance.dx1 * balance.height

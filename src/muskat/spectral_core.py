@@ -139,11 +139,7 @@ def project_zero_mean(h: PeriodicField1D) -> PeriodicField1D:
     return PeriodicField1D(h.values - mean(h))
 
 
-def x1_derivative(values2d: np.ndarray, order: int = 1, axis: int = 0) -> np.ndarray:
-    """Spectral x1-derivative of a 2-d sample array whose x1 axis is axis:
-    0 for a (n1, n2) strip array, 1 for a stacked (levels, n1) one."""
-    n = values2d.shape[axis]
-    mult = _deriv_multiplier(n, order)
-    if axis == 0:
-        mult = mult[:, None]
-    return np.fft.irfft(np.fft.rfft(values2d, axis=axis) * mult, n=n, axis=axis)
+def x1_derivative(values2d: np.ndarray, order: int = 1) -> np.ndarray:
+    """Spectral x1-derivative along the last axis, x1 of a (levels, n1) array."""
+    n = values2d.shape[-1]
+    return np.fft.irfft(np.fft.rfft(values2d) * _deriv_multiplier(n, order), n=n)

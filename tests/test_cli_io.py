@@ -45,8 +45,26 @@ from muskat.diffeo import (
     harmonic_extension,
     metric_terms,
 )
+from muskat.errors import DiffeoDegenerate, SolverDivergence
 from muskat.pressure import HeadSolution, solve_head
 from muskat.spectral_core import PeriodicField1D
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCHMARK_WORKLOADS = ("coarse_stiff", "reference", "fine_large_amp")
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded as it is; run.py imports its sibling
+    tracer, so the directory is on sys.path while a module loads."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return module
 
 
 def write_config(path, **overrides):
@@ -70,8 +88,9 @@ def write_config(path, **overrides):
 class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg_path = tmp_path / "run.json"
-        write_config(cfg_path)
-        config, h0, f = load_config(cfg_path)
+        written = write_config(cfg_path)
+        config, h0, f, echo = load_config(cfg_path)
+        assert echo == written
         assert config.n1 == 32
         assert config.beta_minus == 0.5
         assert config.output_dir == str(tmp_path / "out")
@@ -130,7 +149,7 @@ class TestConfig:
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, n1=16, h0_modes=[[8, 0.01, 0.0], [2, 1, 0]],
                      f_modes=[[0, 0.1, 0.0]])
-        _, h0, f = load_config(cfg_path)
+        _, h0, f, _ = load_config(cfg_path)
         x = h0.x1
         assert np.allclose(h0.values, 0.01 * np.cos(8 * x) + np.cos(2 * x), atol=1e-14)
         assert np.allclose(f.values, 0.1, atol=1e-14)
@@ -315,7 +334,7 @@ class TestCmdRun:
         # the snapshots are the run's own heads, byte for byte; a cold solve
         # of the same state (CG from zero, not from a neighbouring stage's
         # head) agrees with them to the oracle's 1e-8
-        config, _, f = load_config(cfg_path)
+        config, _, f, _ = load_config(cfg_path)
         profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
         for tag, state, head in (("initial", traj.states[0], traj.initial_head),
                                  ("final", traj.states[-1], traj.final_head)):
@@ -337,10 +356,7 @@ class TestCmdRun:
         # compares them with a run's final snapshot as its own read_snapshot
         # parses it.  Stacking that oracle (ROADMAP item 3) retires these
         # per-strip views and this test.
-        check_py = Path(__file__).resolve().parent.parent / "perfbench" / "check.py"
-        spec = importlib.util.spec_from_file_location("perfbench_check", check_py)
-        check = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(check)
+        check = perfbench_module("check")
         cfg_path = tmp_path / "run.json"
         cfg = write_config(cfg_path, n2_minus=7)
         assert cmd_run(str(cfg_path)) == 0
@@ -358,6 +374,51 @@ class TestCmdRun:
             # read-only views of the stacked head
             assert not view.values.flags.writeable
             assert np.shares_memory(view.values, head.p)
+
+    @pytest.mark.parametrize("workload", BENCHMARK_WORKLOADS)
+    def test_benchmark_check_passes(self, tmp_path, workload):
+        # perfbench/check.py on a run of each benchmark workload's tiny
+        # config: outputs the benchmark would count as a failed run fail here
+        bench, check = perfbench_module("run"), perfbench_module("check")
+        assert set(bench.WORKLOADS) == set(BENCHMARK_WORKLOADS)
+        cfg = bench.make_config(workload, 1, tiny=True)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = cmd_run(str(cfg_path))
+        problems, steps = check.check_run(tmp_path / "out", cfg, code)
+        assert problems == []
+        assert steps >= 1  # report_every = 1: one CSV row per step
+
+    def test_rejected_data_writes_nothing(self, tmp_path, capsys):
+        # the permeability curve within gap_tol of the floor: evolution.run
+        # rejects it, and cmd_run must do so before it creates out/
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n1=16, n2_plus=5, n2_minus=5, f_modes=[[0, -0.97, 0.0]])
+        assert cmd_run(str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: permeability curve within gap_tol of the floor\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change", ["delete", "rewrite"])
+    def test_manifest_echoes_the_config_that_ran(self, tmp_path, monkeypatch, change):
+        # the config file changes while the run is under way: the manifest
+        # echoes the config as it was loaded
+        real_run = evolution.run
+        cfg_path = tmp_path / "run.json"
+        ran = write_config(cfg_path)
+
+        def changing_run(*args, **kwargs):
+            if change == "delete":
+                cfg_path.unlink()
+            else:
+                write_config(cfg_path, t_end=5.0, h0_modes=[[2, 0.01, 0.0]])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "run", changing_run)
+        assert cmd_run(str(cfg_path)) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"] == ran
+        assert "manifest.json" in manifest["files"]
 
     def test_uncreatable_output_dir(self, tmp_path, capsys):
         # output_dir under a regular file: a config error, not a traceback
@@ -507,6 +568,38 @@ class TestCmdConvergence:
         assert cmd_convergence(str(cfg_path)) == 0
         out = capsys.readouterr().out
         assert out.count("exact") == 2
+
+    @pytest.mark.parametrize("error, code", [(None, 2), (DiffeoDegenerate, 2),
+                                             (SolverDivergence, 3)])
+    def test_terminated_run_exit_code(self, tmp_path, capsys, monkeypatch, error, code):
+        # a refinement run that terminates ends the command with the run's
+        # exit code and an error line, not a traceback; None is a real gap
+        # violation, the others are raised by the head solve
+        cfg_path = tmp_path / "run.json"
+        if error is None:
+            write_config(cfg_path, t_end=1.0, h0_modes=[[1, 0.01, 0.0]],
+                         f_modes=[[0, 0.98, 0.0]])
+        else:
+            write_config(cfg_path, t_end=0.05)
+
+            def failing_solve(*args, **kwargs):
+                raise error("injected")
+
+            monkeypatch.setattr(evolution, "solve_head", failing_solve)
+        assert cmd_convergence(str(cfg_path)) == code
+        captured = capsys.readouterr()
+        assert "order" not in captured.out
+        termination = {None: "gap_violation", DiffeoDegenerate: "diffeo_degenerate",
+                       SolverDivergence: "solver_failure"}[error]
+        assert captured.err.startswith("error: the run at n2 = (9, 9) with ")
+        assert f"terminated with {termination}: " in captured.err
+
+    def test_rejected_data_exit(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n1=16, n2_plus=5, n2_minus=5, f_modes=[[0, -0.97, 0.0]])
+        assert cmd_convergence(str(cfg_path)) == 1
+        assert (capsys.readouterr().err
+                == "error: permeability curve within gap_tol of the floor\n")
 
     def test_underresolved_warning(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"

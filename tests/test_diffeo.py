@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muskat import diffeo
 from muskat.diffeo import (
@@ -50,7 +52,7 @@ class TestHarmonicExtension:
         grid = StripGrid(UPPER, n, 33)
         h = cos_field(n)
         ext = harmonic_extension(h, PeriodicField1D.zeros(n), grid)
-        exact = np.cos(h.x1)[:, None] * np.sinh(grid.x2 + 1.0)[None, :] / math.sinh(1.0)
+        exact = np.sinh(grid.x2 + 1.0)[:, None] * np.cos(h.x1)[None, :] / math.sinh(1.0)
         assert np.max(np.abs(ext.values - exact)) < 1e-13
 
     def test_single_mode_point_value(self):
@@ -60,7 +62,7 @@ class TestHarmonicExtension:
         ext = harmonic_extension(cos_field(n), PeriodicField1D.zeros(n), grid)
         j0 = n // 2  # x1 = 0 node
         assert grid.x2[16] == pytest.approx(-0.5)
-        assert ext.values[j0, 16] == pytest.approx(
+        assert ext.values[16, j0] == pytest.approx(
             math.sinh(0.5) / math.sinh(1.0), abs=1e-14)
 
     def test_constant_f_lower_strip_linear(self):
@@ -69,7 +71,7 @@ class TestHarmonicExtension:
         f = PeriodicField1D(np.full(n, 0.25))
         ext = harmonic_extension(PeriodicField1D.zeros(n), f, grid)
         exact = 0.25 * (grid.x2 + 2.0)
-        assert np.max(np.abs(ext.values - exact[None, :])) < 1e-14
+        assert np.max(np.abs(ext.values - exact[:, None])) < 1e-14
 
     def test_discrete_laplacian_residual_second_order(self):
         # the stated oracle: substitute into a finite-difference Laplacian
@@ -80,8 +82,8 @@ class TestHarmonicExtension:
         for n2 in (17, 33):
             ext = harmonic_extension(h, f, StripGrid(UPPER, n, n2))
             v = ext.values
-            d11 = x1_derivative(v, order=2)[:, 1:-1]
-            d22 = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / ext.grid.dx2 ** 2
+            d11 = x1_derivative(v, order=2)[1:-1]
+            d22 = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / ext.grid.dx2 ** 2
             res[n2] = np.max(np.abs(d11 + d22))
         order = math.log2(res[17] / res[33])
         assert order >= 1.9
@@ -118,15 +120,33 @@ class TestHarmonicExtension:
             harmonic_extension(cos_field(32), PeriodicField1D.zeros(64),
                                StripGrid(UPPER, 32, 9))
 
-    def test_boundary_traces_reproduced(self):
-        rng = np.random.default_rng(12)
-        h, f = random_traces(48, rng)
-        up = harmonic_extension(h, f, StripGrid(UPPER, 48, 13))
-        assert np.allclose(up.values[:, -1], h.values, atol=1e-12)
-        assert np.allclose(up.values[:, 0], f.values, atol=1e-12)
-        low = harmonic_extension(h, f, StripGrid(LOWER, 48, 13))
-        assert np.allclose(low.values[:, -1], f.values, atol=1e-12)
-        assert np.allclose(low.values[:, 0], 0.0, atol=1e-15)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        half_n1=st.integers(2, 32),
+        n2=st.integers(3, 40),
+        h_modes=st.lists(st.tuples(st.integers(0, 32), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+        f_modes=st.lists(st.tuples(st.integers(0, 32), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0)), min_size=1, max_size=4),
+    )
+    def test_boundary_traces_reproduced(self, half_n1, n2, h_modes, f_modes):
+        # row m is level x2_m from the strip bottom up: the first row is the
+        # bottom trace and the last the top one, which a transposed
+        # extension fails even on a square grid
+        n1 = 2 * half_n1
+
+        def field(modes):
+            return PeriodicField1D.from_modes(
+                n1, [(k % (half_n1 + 1), c, s) for k, c, s in modes])
+
+        h, f = field(h_modes), field(f_modes)
+        up = harmonic_extension(h, f, StripGrid(UPPER, n1, n2))
+        low = harmonic_extension(h, f, StripGrid(LOWER, n1, n2))
+        assert up.values.shape == low.values.shape == (n2, n1)
+        assert np.allclose(up.values[0], f.values, rtol=0.0, atol=1e-12)
+        assert np.allclose(up.values[-1], h.values, rtol=0.0, atol=1e-12)
+        assert np.allclose(low.values[0], 0.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(low.values[-1], f.values, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("derivative", [False, True])
     def test_profiles_cached_per_grid_read_only(self, derivative):
@@ -144,7 +164,7 @@ class TestHarmonicExtension:
 
 def pack_from_gradients(d1_const, d2_const, beta=1.0, n1=16, n2=5, strip=UPPER):
     grid = StripGrid(strip, n1, n2)
-    shape = (n1, n2)
+    shape = (n2, n1)
     return assemble_metric(grid, beta, np.full(shape, d1_const), np.full(shape, d2_const))
 
 
@@ -182,14 +202,14 @@ class TestMetricTerms:
 
     def test_degenerate_map_raises(self):
         grid = StripGrid(UPPER, 16, 9)
-        vals = -0.95 * (grid.x2 + 1.0)[None, :] * np.ones((16, 1))
+        vals = -0.95 * (grid.x2 + 1.0)[:, None] * np.ones((1, 16))
         with pytest.raises(DiffeoDegenerate):
             metric_terms(StripField(grid, vals),
                          PermeabilityProfile(PeriodicField1D.zeros(16), 1.0, 1.0))
 
     def test_fd_gradient_of_linear_shift_is_exact(self):
         grid = StripGrid(UPPER, 16, 7)
-        vals = 0.4 * (grid.x2 + 1.0)[None, :] * np.ones((16, 1))
+        vals = 0.4 * (grid.x2 + 1.0)[:, None] * np.ones((1, 16))
         pack = metric_terms(StripField(grid, vals),
                             PermeabilityProfile(PeriodicField1D.zeros(16), 1.0, 1.0))
         assert np.allclose(pack.J - 1.0, 0.4, atol=1e-13)
@@ -237,8 +257,10 @@ class TestStripTypes:
             StripGrid(UPPER, 16, 2)
 
     def test_field_shape_checked(self):
-        with pytest.raises(ResolutionMismatch):
-            StripField(StripGrid(UPPER, 16, 9), np.zeros((16, 8)))
+        # (n2, n1) rows: a short array and the transposed (n1, n2) one fail
+        for shape in ((8, 16), (16, 9)):
+            with pytest.raises(ResolutionMismatch):
+                StripField(StripGrid(UPPER, 16, 9), np.zeros(shape))
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):

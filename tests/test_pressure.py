@@ -162,9 +162,9 @@ class TestConservation:
             pm, pp = head.p[:n2], head.p[n2:]
             dp2_below = (3 * pm[-1] - 4 * pm[-2] + pm[-3]) / (2 * d)
             dp2_above = (-3 * pp[0] + 4 * pp[1] - pp[2]) / (2 * d)
-            dp1 = x1_derivative(pp, axis=1)[0]
-            flux_below = pack_m.k12[:, -1] * dp1 + pack_m.k22[:, -1] * dp2_below
-            flux_above = pack_p.k12[:, 0] * dp1 + pack_p.k22[:, 0] * dp2_above
+            dp1 = x1_derivative(pp)[0]
+            flux_below = pack_m.k12[-1] * dp1 + pack_m.k22[-1] * dp2_below
+            flux_above = pack_p.k12[0] * dp1 + pack_p.k22[0] * dp2_above
             jumps[n2] = np.max(np.abs(flux_above - flux_below))
         assert math.log2(jumps[17] / jumps[33]) >= 1.5
         assert math.log2(jumps[33] / jumps[65]) >= 1.5
@@ -185,10 +185,10 @@ class TestConservation:
             pack_p, pack_m, h, profile = setup(
                 64, n2, 0.04 * np.cos(x), 0.08 * np.sin(x), 1.0, 0.5)
             head = solve_head(pack_p, pack_m, h, profile)
-            # the upper strip as (n1, n2), the layout of the two derivatives
-            w1, w2 = head.w1[n2:].T, head.w2[n2:].T
+            # the upper strip's rows, without the two levels next to each line
+            w1, w2 = head.w1[n2:], head.w2[n2:]
             div = x1_derivative(w1) + vertical_derivative(w2, pack_p.grid.dx2)
-            res[n2] = np.max(np.abs(div[:, 2:-2]))
+            res[n2] = np.max(np.abs(div[2:-2]))
         assert math.log2(res[17] / res[33]) >= 1.5
 
 
@@ -248,11 +248,11 @@ class TestSymmetryAndPositivity:
         head = solve_head(pack_p, pack_m, h, profile)
         oracle = 0.0
         for pack, rows in ((pack_p, slice(m_minus, None)), (pack_m, slice(None, m_minus))):
-            w1, w2 = head.w1[rows].T, head.w2[rows].T
+            w1, w2 = head.w1[rows], head.w2[rows]
             v1 = w1 / pack.J
             v2 = pack.d1 * w1 / pack.J + w2
             integrand = (pack.J / pack.beta) * (v1 * v1 + v2 * v2)
-            per_level = integrand.sum(axis=0) * pack.grid.dx1
+            per_level = integrand.sum(axis=1) * pack.grid.dx1
             oracle += pack.grid.dx2 * (per_level.sum() - 0.5 * (per_level[0] + per_level[-1]))
         assert oracle > 0.0
         assert abs(head.dissipation - oracle) <= 1e-12 * oracle
