@@ -243,10 +243,12 @@ def read_snapshot(path: str | Path) -> Snapshot:
 
 @dataclass
 class RunManifest:
-    """The run's record.  head_solves and cg_iterations total the run's head
-    solves and their CG iterations; max_abs_mean_h and max_abs_top_flux are
-    the largest |mean h| and |top-line flux total| over the evaluated states
-    (the mass ledger).  All four are evolution.Trajectory's."""
+    """The run's record.  error_time is the t of the state the run ended at
+    when it terminated early, None when it completed.  head_solves and
+    cg_iterations total the run's head solves and their CG iterations;
+    max_abs_mean_h and max_abs_top_flux are the largest |mean h| and
+    |top-line flux total| over the evaluated states (the mass ledger).  All
+    five are evolution.Trajectory's."""
 
     config: dict
     version: str
@@ -254,6 +256,7 @@ class RunManifest:
     end_time: str
     termination: str
     error: str | None
+    error_time: float | None
     head_solves: int
     cg_iterations: int
     max_abs_mean_h: float
@@ -310,6 +313,7 @@ def cmd_run(config_path: str) -> int:
         end_time=_now(),
         termination=traj.termination,
         error=traj.error,
+        error_time=traj.error_time,
         head_solves=traj.head_solves,
         cg_iterations=traj.cg_iterations,
         max_abs_mean_h=traj.max_abs_mean_h,
@@ -345,7 +349,8 @@ def _check_rest_state(config) -> tuple[bool, str]:
     for f_modes in ([], [(1, 0.2, 0.0)]):
         f = PeriodicField1D.from_modes(small.n1, f_modes)
         profile = PermeabilityProfile(f, small.beta_plus, small.beta_minus)
-        _, head = evolution._evaluate(h0.values, profile, small)
+        _, head = evolution._evaluate(h0.values, profile, small,
+                                      evolution.lower_pack(profile, small))
         w_max = max(float(np.max(np.abs(w))) for w in (head.w1, head.w2))
         if w_max > 1e-9:
             return False, f"rest-state velocity {w_max:.3e} exceeds 1e-9"

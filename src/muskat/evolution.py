@@ -11,6 +11,10 @@ nearest head at hand (H_i is the head of stage i, stage 1 the state):
 stage 2 from H1, stage 3 from H2, stage 4 from 2 H3 - H1, since
 y4 - y1 = dt k3 is about twice y3 - y1, and the next state from H4.  The
 start saves iterations only; the solver's stopping test does not change.
+
+The lower strip's map has the traces 0 and f, never h, so its metric is the
+same for every interface: run builds it once (lower_pack) and every
+evaluation of the run reads it.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .diffeo import (
     DEFAULT_J_MIN,
     LOWER,
     UPPER,
+    MetricPack,
     PermeabilityProfile,
     StripGrid,
     harmonic_extension,
@@ -39,7 +44,8 @@ from .errors import (
 from .pressure import HeadSolution, flat_top_rates, solve_head
 from .spectral_core import PeriodicField1D, mean, project_zero_mean, sobolev_norm
 
-__all__ = ["SimConfig", "SimState", "Trajectory", "check_data", "step", "run"]
+__all__ = ["SimConfig", "SimState", "Trajectory", "check_data", "lower_pack", "step",
+           "run"]
 
 # classical RK4 is stable for dt * lambda in [-RK4_REAL_LIMIT, 0], lambda real
 RK4_REAL_LIMIT = 2.78529356340529
@@ -165,27 +171,39 @@ def _gap_margin(h_values: np.ndarray, f_values: np.ndarray) -> float:
     return float(np.min(h_values + 1.0 - f_values))
 
 
-def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
-              config: SimConfig, guess=None):
-    """One full right-side evaluation: strip maps, metric, head solve.
+def _strip_pack(h: PeriodicField1D, profile: PermeabilityProfile, config: SimConfig,
+                grid: StripGrid) -> MetricPack:
+    return metric_terms(harmonic_extension(h, profile.f, grid), profile, j_min=config.j_min)
 
-    guess is solve_head's start, the head p of a nearby solution or None.
-    Returns (trace values, head); the head carries the weighted dissipation.
-    The returned trace is mean-projected; its analytic mean is zero and the
-    conservative recovery keeps the discrete mean at roundoff.
+
+def lower_pack(profile: PermeabilityProfile, config: SimConfig) -> MetricPack:
+    """The lower strip's metric, the same for every interface (its map's
+    traces are 0 and f); DiffeoDegenerate if that map is degenerate."""
+    return _strip_pack(PeriodicField1D.zeros(config.n1), profile, config, config.grids()[1])
+
+
+def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
+              config: SimConfig, pack_minus: MetricPack, guess=None):
+    """One full right-side evaluation: upper strip map, metric, head solve.
+
+    pack_minus is lower_pack(profile, config).  guess is solve_head's start,
+    the head p of a nearby solution or None.  Returns (trace values, head);
+    the head carries the weighted dissipation.  The returned trace is
+    mean-projected; its analytic mean is zero and the conservative recovery
+    keeps the discrete mean at roundoff.
     """
     h = PeriodicField1D(h_values)
-    pack_plus, pack_minus = (
-        metric_terms(harmonic_extension(h, profile.f, grid), profile, j_min=config.j_min)
-        for grid in config.grids())
+    pack_plus = _strip_pack(h, profile, config, config.grids()[0])
     head = solve_head(pack_plus, pack_minus, h, profile, solver="krylov", guess=guess)
     trace = head.gamma_trace_w2.values
     return trace - np.mean(trace), head
 
 
 def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
-         dt: float, _first_eval=None) -> tuple[SimState, list[HeadSolution]]:
-    """One classical RK4 step of h_t = w2 on the top line (_evaluate).
+         dt: float, pack_minus: MetricPack,
+         _first_eval=None) -> tuple[SimState, list[HeadSolution]]:
+    """One classical RK4 step of h_t = w2 on the top line (_evaluate), with
+    the lower strip's metric pack_minus = lower_pack(profile, config).
 
     Re-projects the mean, accumulates the weighted-dissipation integral with
     the RK4-consistent quadrature, and re-checks the interface gap.  Returns
@@ -200,13 +218,14 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
 
     solved = []
     if _first_eval is None:
-        _first_eval = _evaluate(y, profile, config)
+        _first_eval = _evaluate(y, profile, config, pack_minus)
         solved.append(_first_eval[1])
     k1, head1 = _first_eval
-    k2, head2 = _evaluate(y + 0.5 * dt * k1, profile, config, head1.p)
-    k3, head3 = _evaluate(y + 0.5 * dt * k2, profile, config, head2.p)
+    k2, head2 = _evaluate(y + 0.5 * dt * k1, profile, config, pack_minus, head1.p)
+    k3, head3 = _evaluate(y + 0.5 * dt * k2, profile, config, pack_minus, head2.p)
     # y4 - y = dt k3 is about twice y3 - y: extrapolate the head linearly
-    k4, head4 = _evaluate(y + dt * k3, profile, config, 2.0 * head3.p - head1.p)
+    k4, head4 = _evaluate(y + dt * k3, profile, config, pack_minus,
+                          2.0 * head3.p - head1.p)
     solved += [head2, head3, head4]
 
     y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
@@ -262,10 +281,17 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
     dt = None
     guess = None  # the last stage head of the step before
     try:
+        try:
+            pack_minus = lower_pack(profile, config)
+        except DiffeoDegenerate:
+            # an evaluation maps the upper strip first: if both maps are
+            # degenerate, the upper one is reported
+            _strip_pack(state.h, profile, config, config.grids()[0])
+            raise
         # each pass visits one evaluated state: ledger, report, then stop at
         # t_end or step
         while True:
-            current_eval = _evaluate(state.h.values, profile, config, guess)
+            current_eval = _evaluate(state.h.values, profile, config, pack_minus, guess)
             head = current_eval[1]
             traj.head_solves += 1
             traj.cg_iterations += head.cg_iterations
@@ -286,7 +312,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
                 # later evaluation about 12% slower at 192x(96+96) (heap layout)
                 dt = config.dt
             state, solved = step(state, profile, config, min(dt, config.t_end - state.t),
-                                 _first_eval=current_eval)
+                                 pack_minus, _first_eval=current_eval)
             traj.head_solves += len(solved)
             traj.cg_iterations += sum(stage.cg_iterations for stage in solved)
             guess = solved[-1].p

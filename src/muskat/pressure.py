@@ -33,17 +33,26 @@ Solvers: "krylov" (used by every run) is conjugate gradient on the balance
 itself, no matrix formed, preconditioned by the exact inverse of the
 flat-metric balance (k12 = 0, constant k11 = k22 = beta per strip), which
 an rfft in x1 reduces to one tridiagonal level system per Fourier mode,
-solved for all modes at once by parallel cyclic reduction.  CG starts from
-a guess when the caller has a nearby head (evolution passes the head of a
-neighbouring RK stage) and from zero otherwise; its stopping test is
-relative to the right side either way.  The run path is numpy only.
+solved for all modes at once by parallel cyclic reduction.  Inside CG that
+reduction runs in float32: a preconditioner need not be exact, and at
+192 x (96+96) its coefficients and work buffers take 4.8 MB in float64
+(2.4 MB in float32), more than a core's L2 cache, so each call streams
+them.  The FFTs, the operator, CG's vectors and the residual gate stay
+float64, so the stopping test and the gate see the float64 system.  CG
+starts from a guess when the caller has a nearby head (evolution passes
+the head of a neighbouring RK stage) and from zero otherwise; its stopping
+test is relative to the right side either way.  One apply of the balance
+at the solved head serves both the residual gate (its free rows) and the
+recovery (its trace rows).  The apply runs the x1 stencil without its
+1/(12 dx1), which its coefficients carry.  The run path is numpy only.
 "direct" is sparse LU of the matrix read off the balance by coloured unit
 probes (Curtis, Powell & Reid 1974); it is the oracle the Krylov path is
 tested against, and the only code that imports scipy, when it is first
 called.
 picard_head is a fixed-point cross-check built on the same flat inverse.
 flat_top_rates reads off the flat inverse the rate of each interface mode
-over the flat metric, which sets the RK4 step of evolution.
+over the flat metric, which sets the RK4 step of evolution.  Both use the
+flat inverse in float64, so the step does not depend on the float32 path.
 """
 
 from __future__ import annotations
@@ -168,10 +177,15 @@ class _CellBalance:
         inv_dx2 = np.r_[np.full(m_minus - 1, 1.0 / dx2_minus), 0.0,
                         np.full(m_plus - 1, 1.0 / dx2_plus)]
         self.face_k22 = 0.5 * (k22[:-1] + k22[1:]) * inv_dx2[:, None]
-        self.face_k12 = 0.25 * (k12[:-1] + k12[1:]) * (inv_dx2 != 0.0)[:, None]
         self.height = np.r_[_trapezoid_heights(m_minus, dx2_minus),
                             _trapezoid_heights(m_plus, dx2_plus)][:, None]
-        self._neg_height_k11 = -self.height * k11
+        # the apply differences with the integer stencil S = 12 dx1 D1, so
+        # these two carry its scale: half the face k12 over 12 dx1, and
+        # -height k11 over (12 dx1)^2
+        stencil_scale = 12.0 * self.dx1
+        self._face_k12 = (0.25 / stencil_scale) * (k12[:-1] + k12[1:]) \
+            * (inv_dx2 != 0.0)[:, None]
+        self._neg_height_k11 = (-1.0 / stencil_scale ** 2) * self.height * k11
         # work buffers, allocated once per balance and never returned: the
         # x1-difference's periodic padding and its one scratch array, and
         # three face arrays of the apply
@@ -194,9 +208,9 @@ class _CellBalance:
         return cls(StripGrid(LOWER, n1, m_minus), StripGrid(UPPER, n1, m_plus),
                    beta, np.zeros_like(beta), beta)
 
-    def _x1_difference(self, v: np.ndarray) -> np.ndarray:
-        """Fourth-order antisymmetric periodic x1-difference along axis 1,
-        ((v[j-2] - v[j+2]) + 8 (v[j+1] - v[j-1])) / (12 dx1), as a new array."""
+    def _stencil(self, v: np.ndarray) -> np.ndarray:
+        """The fourth-order antisymmetric periodic x1-difference along axis 1
+        times 12 dx1, (v[j-2] - v[j+2]) + 8 (v[j+1] - v[j-1]), as a new array."""
         w = self._padded
         w[:, 2:-2] = v
         w[:, :2] = v[:, -2:]
@@ -205,29 +219,33 @@ class _CellBalance:
         eight = np.subtract(w[:, 3:-1], w[:, 1:-3], out=self._scratch)
         eight *= 8.0
         out += eight
+        return out
+
+    def _x1_difference(self, v: np.ndarray) -> np.ndarray:
+        """The x1-difference D1 along axis 1: the stencil over 12 dx1."""
+        out = self._stencil(v)
         out /= 12.0 * self.dx1
         return out
 
     def __call__(self, p: np.ndarray) -> np.ndarray:
-        d1p = self._x1_difference(p)
+        s1p = self._stencil(p)
         dp = np.subtract(p[1:], p[:-1], out=self._face[0])
-        # face_k12 holds half the face k12
-        half_cross = np.multiply(self.face_k12, dp, out=self._face[1])
-        cross = np.add(d1p[:-1], d1p[1:], out=self._face[2])
-        cross *= self.face_k12
-        # w2 on the faces: -(face_k22 dp + face_k12 (d1p below + d1p above))
-        w2_face = dp
-        w2_face *= self.face_k22
-        w2_face += cross
-        np.negative(w2_face, out=w2_face)
-        # w1 times the cell height: its k12 part averages the face cross fluxes
-        side_flux = d1p
+        half_cross = np.multiply(self._face_k12, dp, out=self._face[1])
+        cross = np.add(s1p[:-1], s1p[1:], out=self._face[2])
+        cross *= self._face_k12
+        # minus w2 on the faces: face k22 dp + half face k12 (d1p below + above)
+        neg_w2_face = dp
+        neg_w2_face *= self.face_k22
+        neg_w2_face += cross
+        # w1 times the cell height, over 12 dx1: its k12 part averages the
+        # face cross fluxes
+        side_flux = s1p
         side_flux *= self._neg_height_k11
         side_flux[:-1] -= half_cross
         side_flux[1:] -= half_cross
-        rows = self._x1_difference(side_flux)
-        rows[:-1] += w2_face
-        rows[1:] -= w2_face
+        rows = self._stencil(side_flux)
+        rows[:-1] -= neg_w2_face
+        rows[1:] += neg_w2_face
         return rows
 
     def heads(self, x: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -245,8 +263,12 @@ class _CellBalance:
     def free_rows(self, x: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
         """Balance rows of the free nodes; with top omitted (zero) this is
         the head matrix applied to x."""
+        return self.free_part(self(self.heads(x, np.zeros(self.n1) if top is None else top)))
+
+    def free_part(self, rows: np.ndarray) -> np.ndarray:
+        """The free nodes' rows of a balance, raveled like the free unknowns:
+        the upper permeability-line row folded into the lower one."""
         m = self.m_minus
-        rows = self(self.heads(x, np.zeros(self.n1) if top is None else top))
         out = np.concatenate([rows[:m], rows[m + 1:-1]])
         out[m - 1] += rows[m]
         return out.ravel()
@@ -321,11 +343,12 @@ def _check_inputs(pack_plus: MetricPack, pack_minus: MetricPack,
 # ---------------------------------------------------------------------------
 
 
-def _recover(balance: _CellBalance, p: np.ndarray, scale: float,
+def _recover(balance: _CellBalance, p: np.ndarray, rows: np.ndarray, scale: float,
              cg_iterations: int = 0) -> HeadSolution:
     """Velocity, dissipation and traces at the head array p, all from the
     balance, with every output multiplied by scale (the dissipation, which
-    is quadratic, by scale squared)."""
+    is quadratic, by scale squared).  rows is balance(p), which the caller
+    has formed: the traces are three of its rows."""
     m = balance.m_minus
     d1p = balance._x1_difference(p)
     d2p = np.concatenate([vertical_derivative(p[:m], balance.grid_minus.dx2),
@@ -334,14 +357,14 @@ def _recover(balance: _CellBalance, p: np.ndarray, scale: float,
     w2 = -(balance.k12 * d1p + balance.k22 * d2p)
     weights = balance.dx1 * balance.height
     dissipation = -scale * scale * float(np.sum(weights * (w1 * d1p + w2 * d2p)))
-    rows = scale * balance(p)
+    top = scale * rows[-1]
     return HeadSolution(
         p=scale * p, w1=scale * w1, w2=scale * w2, weights=weights, n2_minus=m,
         dissipation=dissipation,
-        gamma_trace_w2=PeriodicField1D(-rows[-1]),
-        perm_flux_above=PeriodicField1D(-rows[m]),
-        perm_flux_below=PeriodicField1D(rows[m - 1].copy()),
-        top_flux_total=float(balance.dx1 * np.sum(rows[-1])),
+        gamma_trace_w2=PeriodicField1D(-top),
+        perm_flux_above=PeriodicField1D(-scale * rows[m]),
+        perm_flux_below=PeriodicField1D(scale * rows[m - 1]),
+        top_flux_total=float(balance.dx1 * np.sum(top)),
         cg_iterations=cg_iterations,
     )
 
@@ -369,11 +392,19 @@ class _FlatInverse:
     are computed once, each repeated to match the re/im pairs of the float
     view of the modes; a solve is one rfft, two multiplies and two in-place
     adds per stage into two work buffers, one scaling and one irfft.  Only
-    elementwise ufuncs run.  Fast diagonalisation (an eigh of the level
-    pencil, then two gemm per solve) was measured and not taken: it is
-    BLAS, which OpenBLAS threads, and on a shared two-core host its build
-    took up to 354 ms and its slowest solves 16-32 ms at 192 x (96+96);
-    single-threaded its solve was still slower than the band solve.
+    elementwise ufuncs run.  The stages, 1/diagonal and the work buffers are
+    kept in float64 and in float32, and a solve picks one (solve's dtype).
+    float64, in place on the spectrum, serves sigma_h, picard_head and the
+    tests against LU.  float32 serves the CG preconditioner: it halves the
+    bytes that each call streams, and its rounding, about 1e-7 of the
+    result, is far below the gap between the flat and the curved operator
+    that CG corrects anyway.  The FFTs stay float64: numpy's rfft of float32
+    rows measured slower, 0.40 ms against 0.15 ms at 190 x 192.  Fast
+    diagonalisation (an eigh of the level pencil, then two gemm per solve)
+    was measured and not taken: it is BLAS, which OpenBLAS threads, and on
+    a shared two-core host its build took up to 354 ms and its slowest
+    solves 16-32 ms at 192 x (96+96); single-threaded its solve was still
+    slower than the band solve.
 
     sigma_h is the top-line Dirichlet-to-Neumann symbol of the flat balance:
     mode k of h_t = w2 is sigma_h[k] times mode k of h, k = 0..n1/2.  The
@@ -394,7 +425,7 @@ class _FlatInverse:
         g = np.arange(n_lev)
         lower, diag, upper = (response[(g + s) % 3, g].real for s in (-1, 0, 1))
         # stage h: row g couples to g - h by lower[g] and to g + h by upper[g]
-        self._stages = []
+        stages = []
         h = 1
         while h < n_lev:
             alpha = -lower[h:] / diag[:-h]
@@ -405,28 +436,41 @@ class _FlatInverse:
             zero = np.zeros_like(diag[:h])
             lower = np.concatenate([zero, alpha * lower[:-h]])
             upper = np.concatenate([gamma * upper[h:], zero])
-            self._stages.append((h, np.repeat(alpha, 2, axis=1), np.repeat(gamma, 2, axis=1)))
+            stages.append((h, np.repeat(alpha, 2, axis=1), np.repeat(gamma, 2, axis=1)))
             h *= 2
-        self._inv_diag = np.repeat(1.0 / diag, 2, axis=1)
-        # shared by every caller of the cached inverse: solves must not overlap
-        self._below = np.empty_like(self._inv_diag)
-        self._above = np.empty_like(self._inv_diag)
+        inv_diag = np.repeat(1.0 / diag, 2, axis=1)
+        # per precision: the stages, 1/diagonal and two work buffers, shared
+        # by every caller of the cached inverse, so solves must not overlap
+        self._work = {
+            dtype: ([(h, alpha.astype(dtype, copy=False), gamma.astype(dtype, copy=False))
+                     for h, alpha, gamma in stages],
+                    inv_diag.astype(dtype, copy=False),
+                    np.empty(inv_diag.shape, dtype), np.empty(inv_diag.shape, dtype))
+            for dtype in (np.float64, np.float32)}
         impulse = np.zeros(self.n1)
         impulse[0] = 1.0
         x = self.solve(-flat.free_rows(np.zeros(n_lev * self.n1), impulse))
         self.sigma_h = np.fft.rfft(-flat(flat.heads(x, impulse))[-1])
         self.sigma_h.setflags(write=False)  # every caller shares the cached array
 
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        d = np.fft.rfft(r.reshape(-1, self.n1)).view(np.float64)
-        below, above = self._below, self._above
-        for h, alpha, gamma in self._stages:
+    def solve(self, r: np.ndarray, dtype=np.float64) -> np.ndarray:
+        """The flat inverse applied to the free rows r; float64 like r.
+
+        dtype np.float32 runs the reduction on the spectrum rounded to
+        single precision and writes its last scaling into the float64
+        spectrum, which the irfft reads.  np.float64 reduces the spectrum
+        in place."""
+        spectrum = np.fft.rfft(r.reshape(-1, self.n1))
+        out = spectrum.view(np.float64)
+        stages, inv_diag, below, above = self._work[dtype]
+        d = out.astype(dtype, copy=False)
+        for h, alpha, gamma in stages:
             np.multiply(alpha, d[:-h], out=below[h:])
             np.multiply(gamma, d[h:], out=above[:-h])
             d[h:] += below[h:]
             d[:-h] += above[:-h]
-        d *= self._inv_diag
-        return np.fft.irfft(d.view(np.complex128), n=self.n1).ravel()
+        np.multiply(d, inv_diag, out=out)
+        return np.fft.irfft(spectrum, n=self.n1).ravel()
 
 
 @lru_cache(maxsize=8)
@@ -523,7 +567,8 @@ def _solve_krylov(balance: _CellBalance, b: np.ndarray, profile: PermeabilityPro
                          profile.beta_plus, profile.beta_minus)
     # |r|_inf <= |r|_2 <= rtol |b|_2 <= rtol sqrt(n_free) |b|_inf, so this
     # rtol meets the max-norm residual gate of solve_head
-    return _cg(balance.free_rows, b, flat.solve, RESIDUAL_TOL / np.sqrt(b.size), x0)
+    return _cg(balance.free_rows, b, lambda r: flat.solve(r, np.float32),
+               RESIDUAL_TOL / np.sqrt(b.size), x0)
 
 
 def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
@@ -533,7 +578,8 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
 
     solver: "direct" (sparse LU of the probed matrix, the default here and
     the test oracle) or "krylov" (CG on the matrix-free balance,
-    preconditioned by the exact flat-metric inverse, used by every run).
+    preconditioned by the flat-metric inverse reduced in float32, used by
+    every run).
     The system is solved for h / max|h| and every output rescaled, since it
     is linear in h; h = 0 gives the exact zero solution.
 
@@ -555,7 +601,8 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     zero = np.zeros(balance.n1 * balance.n_lev)
     scale = float(np.max(np.abs(h.values)))
     if scale == 0.0:
-        return _recover(balance, balance.heads(zero, h.values), 1.0)
+        p = balance.heads(zero, h.values)
+        return _recover(balance, p, balance(p), 1.0)
     top = h.values / scale
     b = -balance.free_rows(zero, top)
     if solver == "direct":
@@ -564,10 +611,14 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
         with np.errstate(over="ignore"):  # inf for a subnormal h: _cg drops it
             x0 = None if guess is None else balance.free_unknowns(guess) / scale
         x, iterations = _solve_krylov(balance, b, profile, x0)
-    res = float(np.max(np.abs(balance.free_rows(x) - b))) / float(np.max(np.abs(b)))
+    # one apply serves the gate and the recovery: the free rows of the
+    # balance at (x, top) are L x - b
+    p = balance.heads(x, top)
+    rows = balance(p)
+    res = float(np.max(np.abs(balance.free_part(rows)))) / float(np.max(np.abs(b)))
     if not np.isfinite(res) or res > RESIDUAL_TOL:
         raise SolverDivergence(f"head solve residual {res:.3e} exceeds {RESIDUAL_TOL}")
-    return _recover(balance, balance.heads(x, top), scale, iterations)
+    return _recover(balance, p, rows, scale, iterations)
 
 
 def picard_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
@@ -596,7 +647,8 @@ def picard_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1
         diff = float(np.max(np.abs(x_new - x))) if x.size else 0.0
         x = x_new
         if diff <= PICARD_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0))):
-            return _recover(balance, balance.heads(x, h.values), 1.0)
+            p = balance.heads(x, h.values)
+            return _recover(balance, p, balance(p), 1.0)
         growth_streak = growth_streak + 1 if diff > prev_diff else 0
         if growth_streak >= 3 or not np.isfinite(diff):
             raise NoContraction(

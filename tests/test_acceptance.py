@@ -23,7 +23,7 @@ from muskat.diffeo import (
     vertical_derivative_exact,
 )
 from muskat.diagnostics import decay_fit, dispersion_rate
-from muskat.evolution import SimConfig, TERMINATION_COMPLETED, _evaluate, run
+from muskat.evolution import SimConfig, TERMINATION_COMPLETED, _evaluate, lower_pack, run
 from muskat.pressure import picard_head, solve_head
 from muskat.spectral_core import PeriodicField1D, sobolev_norm
 
@@ -94,7 +94,8 @@ def test_criterion_1_rest_state_exactness():
         h_inf = 0.0
         for state in traj.states:
             h_inf = max(h_inf, float(np.max(np.abs(state.h.values))))
-            _, head = _evaluate(state.h.values, profile, config)
+            _, head = _evaluate(state.h.values, profile, config,
+                                 lower_pack(profile, config))
             w_inf = max(w_inf, max(float(np.max(np.abs(w))) for w in (head.w1, head.w2)))
         assert w_inf <= 1e-9
         assert h_inf == 0.0

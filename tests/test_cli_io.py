@@ -199,8 +199,8 @@ class TestOutputFiles:
 
         def manifest(files):
             return RunManifest(config={}, version="0", start_time="", end_time="",
-                               termination="completed", error=None, head_solves=0,
-                               cg_iterations=0, max_abs_mean_h=0.0,
+                               termination="completed", error=None, error_time=None,
+                               head_solves=0, cg_iterations=0, max_abs_mean_h=0.0,
                                max_abs_top_flux=0.0, files=files)
 
         # (writer, file name, output under 1 KiB, output that the limit cuts)
@@ -284,6 +284,7 @@ class TestCmdRun:
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "completed"
+        assert manifest["error_time"] is None
         assert set(manifest["files"]) == {
             "timeseries.csv", "snapshot_initial.mskt", "snapshot_final.mskt",
             "manifest.json"}
@@ -344,7 +345,8 @@ class TestCmdRun:
             written = tmp_path / "out" / f"snapshot_{tag}.mskt"
             assert (tmp_path / f"own_{tag}.mskt").read_bytes() == written.read_bytes()
             snap = read_snapshot(written)
-            _, cold = evolution._evaluate(snap.h, profile, config)
+            _, cold = evolution._evaluate(snap.h, profile, config,
+                                         evolution.lower_pack(profile, config))
             assert snap.n2_minus == cold.n2_minus
             for name in ARRAYS:
                 diff = np.max(np.abs(getattr(cold, name) - getattr(snap, name)))
@@ -439,8 +441,29 @@ class TestCmdRun:
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["termination"] == "gap_violation"
+        assert manifest["error_time"] == 0.0
         csv_lines = (out / "timeseries.csv").read_text().strip().split("\n")
         assert csv_lines == [TIMESERIES_HEADER]
+
+    def test_solver_failure_after_a_step_records_its_time(self, tmp_path, monkeypatch):
+        # solve 1 is the initial evaluation, 2-4 the stages of step 1, 5 the
+        # evaluation after it; solve 6, in step 2, fails
+        calls = []
+
+        def failing_solve(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 6:
+                raise SolverDivergence("injected")
+            return solve_head(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "solve_head", failing_solve)
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path)
+        assert cmd_run(str(cfg_path)) == 3
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["termination"] == "solver_failure"
+        assert manifest["error"] == "injected"
+        assert manifest["error_time"] == load_config(cfg_path)[0].dt
 
     def test_missing_config_exit(self, tmp_path, capsys):
         assert cmd_run(str(tmp_path / "nope.json")) == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from muskat import evolution, pressure
-from muskat.diffeo import PermeabilityProfile
+from muskat.diffeo import LOWER, UPPER, PermeabilityProfile, harmonic_extension
 from muskat.errors import GapViolation, SolverDivergence
 from muskat.evolution import (
     SimConfig,
@@ -13,6 +13,7 @@ from muskat.evolution import (
     TERMINATION_DEGENERATE,
     TERMINATION_GAP,
     TERMINATION_SOLVER,
+    lower_pack,
     run,
     step,
 )
@@ -31,35 +32,40 @@ def profile_for(config, f=None):
     return PermeabilityProfile(f, config.beta_plus, config.beta_minus)
 
 
+def evaluate(h_values, profile, config):
+    return evolution._evaluate(h_values, profile, config, lower_pack(profile, config))
+
+
 class TestRhs:
     def test_rest_state(self):
-        out = evolution._evaluate(np.zeros(32), profile_for(COARSE), COARSE)[0]
+        out = evaluate(np.zeros(32), profile_for(COARSE), COARSE)[0]
         assert np.max(np.abs(out)) <= 1e-12
 
     def test_flat_interface_steady_for_any_curve(self):
         f = cos_field(32, amp=0.2)
-        out = evolution._evaluate(np.zeros(32), profile_for(COARSE, f), COARSE)[0]
+        out = evaluate(np.zeros(32), profile_for(COARSE, f), COARSE)[0]
         assert np.max(np.abs(out)) <= 1e-12
 
     def test_small_mode_matches_linear_rate(self):
         # depth-2 uniform layer: rhs ~ -beta tanh(2) * h for k = 1
         config = SimConfig(n1=64, n2_plus=32, n2_minus=32)
         h = cos_field(64, amp=1e-4)
-        out = evolution._evaluate(h.values, profile_for(config), config)[0]
+        out = evaluate(h.values, profile_for(config), config)[0]
         expected = -math.tanh(2.0) * h.values
         assert np.max(np.abs(out - expected)) <= 0.01 * np.max(np.abs(expected))
 
     def test_mean_projected(self):
         config = SimConfig(n1=32, n2_plus=9, n2_minus=9)
         h = cos_field(32, amp=0.05)
-        out = evolution._evaluate(h.values, profile_for(config), config)[0]
+        out = evaluate(h.values, profile_for(config), config)[0]
         assert abs(np.mean(out)) <= 1e-15
 
 
 class TestStep:
     def test_rest_state_fixed_point(self):
         state = SimState(h=PeriodicField1D.zeros(32))
-        new, _ = step(state, profile_for(COARSE), COARSE, 0.01)
+        prof = profile_for(COARSE)
+        new, _ = step(state, prof, COARSE, 0.01, lower_pack(prof, COARSE))
         assert np.max(np.abs(new.h.values)) <= 1e-12
         assert new.t == pytest.approx(0.01)
         assert new.step_count == 1
@@ -68,12 +74,13 @@ class TestStep:
         # Richardson: error(dt) / error(dt/2) ~ 2^4 over a fixed interval
         config = SimConfig(n1=32, n2_plus=9, n2_minus=9)
         prof = profile_for(config)
+        pack_minus = lower_pack(prof, config)
         h0 = cos_field(32, amp=1e-3)
 
         def advance(n_steps, dt):
             s = SimState(h=h0)
             for _ in range(n_steps):
-                s, _ = step(s, prof, config, dt)
+                s, _ = step(s, prof, config, dt, pack_minus)
             return s.h.values
 
         dt = 0.2
@@ -86,9 +93,10 @@ class TestStep:
     def test_mean_conserved_over_many_steps(self):
         config = SimConfig(n1=16, n2_plus=5, n2_minus=5)
         prof = profile_for(config)
+        pack_minus = lower_pack(prof, config)
         s = SimState(h=cos_field(16, amp=0.05))
         for _ in range(300):
-            s, _ = step(s, prof, config, config.dt)
+            s, _ = step(s, prof, config, config.dt, pack_minus)
         assert abs(mean(s.h)) <= 1e-10
 
     def test_gap_violation_raised(self):
@@ -98,7 +106,7 @@ class TestStep:
         state = SimState(h=PeriodicField1D(np.zeros(32)))
         prof = profile_for(config, PeriodicField1D(np.full(32, 0.85)))
         with pytest.raises(GapViolation):
-            step(state, prof, config, config.dt)
+            step(state, prof, config, config.dt, lower_pack(prof, config))
 
 
 class TestRun:
@@ -125,6 +133,36 @@ class TestRun:
         assert traj.error
         assert traj.error_time == 0.0
         assert traj.states == [] and traj.reports == []
+
+    @pytest.mark.parametrize("h0_amp, message", [
+        (0.0, "strip map degenerate on lower strip: min J = 0.5 <= j_min = 0.6"),
+        # both maps degenerate: the upper strip is reported, as each
+        # evaluation maps it first
+        (0.45, "strip map degenerate on upper strip: min J = 0.1918 <= j_min = 0.6"),
+    ])
+    def test_degenerate_lower_strip_map_terminates(self, h0_amp, message):
+        # f = -0.5 gives the lower map J = 0.5 everywhere, the upper 1.5 at h = 0
+        config = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.3, j_min=0.6)
+        traj = run(config, cos_field(32, k=3, amp=-h0_amp), PeriodicField1D(np.full(32, -0.5)))
+        assert traj.termination == TERMINATION_DEGENERATE
+        assert traj.error == message
+        assert traj.error_time == 0.0
+        assert traj.states == [] and traj.reports == [] and traj.head_solves == 0
+
+    def test_lower_strip_extended_once_per_run(self, monkeypatch):
+        # the lower map's traces are 0 and f: one extension serves the run
+        strips = []
+
+        def counting_extension(h, f, grid):
+            strips.append(grid.strip)
+            return harmonic_extension(h, f, grid)
+
+        monkeypatch.setattr(evolution, "harmonic_extension", counting_extension)
+        config = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.3)
+        traj = run(config, cos_field(32, amp=0.05), cos_field(32, k=2, amp=0.1))
+        assert traj.termination == TERMINATION_COMPLETED and traj.head_solves > 5
+        assert strips.count(LOWER) == 1
+        assert strips.count(UPPER) == traj.head_solves
 
     def test_solver_failure_terminates(self, monkeypatch):
         monkeypatch.setattr(pressure, "KRYLOV_MAXITER", 1)

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
 
 from muskat import pressure
 from muskat.diffeo import (
+    DEFAULT_J_MIN,
     LOWER,
     UPPER,
     PermeabilityProfile,
@@ -37,6 +38,18 @@ def setup(n1, n2, h_vals, f_vals, beta_plus, beta_minus):
     pack_p = metric_terms(harmonic_extension(h, f, grid_p), profile)
     pack_m = metric_terms(harmonic_extension(h, f, grid_m), profile)
     return pack_p, pack_m, h, profile
+
+
+def gate_problem():
+    # an interface and a curve that both paths solve within the gate
+    x = PeriodicField1D.zeros(64).x1
+    return setup(64, 17, 0.07 * np.cos(x) + 0.02 * np.sin(3 * x), 0.1 * np.cos(2 * x),
+                 1.3, 0.4)
+
+
+def perturbed(x):
+    noise = np.random.default_rng(6).uniform(-1.0, 1.0, size=x.shape)
+    return x + 1e-6 * np.max(np.abs(x)) * noise
 
 
 def w_max(head):
@@ -382,6 +395,94 @@ class TestSolverOptions:
         expected = lu.solve(r)
         assert np.max(np.abs(inverse.solve(r) - expected)) <= 1e-11 * np.max(np.abs(expected))
 
+    # the Krylov preconditioner runs the reduction in float32: it stays within
+    # float32 roundoff of the float64 solve, which the tests above hold to
+    # 1e-11 of LU; the examples are their grids (levels are m_minus, m_plus)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n1=st.integers(2, 32).map(lambda k: 2 * k),
+           levels=st.tuples(st.integers(3, 40), st.integers(3, 40)),
+           betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n1=4, levels=(3, 3), betas=(1.7, 0.3), seed=10)
+    @example(n1=64, levels=(3, 3), betas=(1.7, 0.3), seed=70)
+    @example(n1=4, levels=(7, 4), betas=(1.7, 0.3), seed=15)
+    @example(n1=64, levels=(9, 17), betas=(1.7, 0.3), seed=90)
+    def test_single_precision_flat_inverse_property(self, n1, levels, betas, seed):
+        m_minus, m_plus = levels
+        inverse = pressure._flat_inverse(n1, m_minus, m_plus, *betas)
+        r = np.random.default_rng(seed).normal(size=n1 * (m_minus + m_plus - 2))
+        z, z32 = inverse.solve(r), inverse.solve(r, np.float32)
+        assert z32.dtype == np.float64 and z32.shape == z.shape
+        assert np.max(np.abs(z32 - z)) <= 1e-6 * np.max(np.abs(z))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        h_modes=st.lists(st.tuples(st.integers(1, 4), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0)), min_size=1, max_size=3),
+        f_modes=st.lists(st.tuples(st.integers(0, 4), st.floats(-1.0, 1.0),
+                                   st.floats(-1.0, 1.0)), max_size=2),
+        reach=st.floats(0.0, 0.97),
+        betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+        n1=st.integers(4, 32).map(lambda k: 2 * k),
+        levels=st.tuples(st.integers(3, 17), st.integers(3, 17)),
+    )
+    @example(h_modes=[(1, 1.0, 0.0), (3, 0.0, 0.5)], f_modes=[(2, 1.0, 0.0)], reach=0.97,
+             betas=(1.0, 2.0), n1=32, levels=(9, 9))
+    def test_krylov_matches_direct_near_j_min_property(self, h_modes, f_modes, reach,
+                                                       betas, n1, levels):
+        # the interface amplitude runs up to 0.97 of the one at which the
+        # upper strip's min J reaches j_min: J is affine in the amplitude a
+        # of h, J0 + a dJ, so min J is concave in a, and at reach times that
+        # amplitude it is at least (1 - reach) min J0 + reach j_min > j_min
+        def field(modes, amp):
+            return PeriodicField1D.from_modes(
+                n1, [(k, amp * c / max(k, 1), amp * s / max(k, 1)) for k, c, s in modes])
+
+        shape, f = field(h_modes, 1.0), field(f_modes, 0.15)
+        profile = PermeabilityProfile(f, *betas)
+        m_minus, m_plus = levels
+        grid_p, grid_m = StripGrid(UPPER, n1, m_plus), StripGrid(LOWER, n1, m_minus)
+
+        def jacobian(h):  # J of the upper strip, as metric_terms forms it
+            delta_psi = harmonic_extension(h, f, grid_p).values
+            return 1.0 + vertical_derivative(delta_psi, grid_p.dx2)
+
+        j0 = jacobian(PeriodicField1D.zeros(n1))
+        dj = jacobian(shape) - j0
+        falling = dj < 0.0
+        # a zero-mean h lowers J somewhere, unless its modes are too small to
+        # move J at all (zero or subnormal coefficients)
+        assume(np.any(falling))
+        a_max = float(np.min((j0[falling] - DEFAULT_J_MIN) / -dj[falling]))
+        h = PeriodicField1D(reach * a_max * shape.values)
+        pack_p = metric_terms(harmonic_extension(h, f, grid_p), profile)
+        pack_m = metric_terms(harmonic_extension(h, f, grid_m), profile)
+        direct = solve_head(pack_p, pack_m, h, profile, solver="direct")
+        krylov = solve_head(pack_p, pack_m, h, profile, solver="krylov")  # the gate passes
+        assert np.max(np.abs(direct.p - krylov.p)) <= 1e-8
+        assert np.max(np.abs(direct.gamma_trace_w2.values
+                             - krylov.gamma_trace_w2.values)) <= 1e-8
+
+    # the gate reads the free rows of the balance that the recovery reads;
+    # a solution off by 1e-6 of its size must fail it on either path
+    def test_residual_gate_rejects_a_corrupted_krylov_solve(self, monkeypatch):
+        cg = pressure._cg
+
+        def corrupted(*args, **kwargs):
+            x, iterations = cg(*args, **kwargs)
+            return perturbed(x), iterations
+
+        monkeypatch.setattr(pressure, "_cg", corrupted)
+        with pytest.raises(SolverDivergence, match="exceeds"):
+            solve_head(*gate_problem(), solver="krylov")
+
+    def test_residual_gate_rejects_a_corrupted_direct_solve(self, monkeypatch):
+        solve_direct = pressure._solve_direct
+        monkeypatch.setattr(pressure, "_solve_direct",
+                            lambda *args: perturbed(solve_direct(*args)))
+        with pytest.raises(SolverDivergence, match="exceeds"):
+            solve_head(*gate_problem(), solver="direct")
+
     # column colours q: n1 itself for 4, 6, 8, 10, 14; 11 for 22, 9 for 18, 16 for 64
     @pytest.mark.parametrize("n1, m_minus, m_plus",
                              [(4, 3, 17), (6, 17, 3), (8, 5, 9), (10, 9, 4), (14, 3, 3),
@@ -501,17 +602,21 @@ class TestWorkBuffers:
             assert not np.shares_memory(second, buffer)
 
     def test_flat_inverse_returns_unaliased_arrays(self):
+        # both precisions: the float32 solve returns float64 arrays too
         inverse = pressure._flat_inverse(16, 5, 7, 1.3, 0.4)
         r = np.random.default_rng(4).normal(size=16 * 10)
         r_before = r.copy()
-        first, second = inverse.solve(r), inverse.solve(r)
-        assert np.array_equal(first, second)
-        assert np.array_equal(r, r_before)
-        buffers = (r, inverse._below, inverse._above)
-        for buffer in (second,) + buffers:
-            assert not np.shares_memory(first, buffer)
-        for buffer in buffers:
-            assert not np.shares_memory(second, buffer)
+        buffers = (r,) + tuple(buffer for _, _, below, above in inverse._work.values()
+                               for buffer in (below, above))
+        for dtype in (np.float64, np.float32):
+            first, second = inverse.solve(r, dtype), inverse.solve(r, dtype)
+            assert first.dtype == second.dtype == np.float64
+            assert np.array_equal(first, second)
+            assert np.array_equal(r, r_before)
+            for buffer in (second,) + buffers:
+                assert not np.shares_memory(first, buffer)
+            for buffer in buffers:
+                assert not np.shares_memory(second, buffer)
 
     @pytest.mark.parametrize("n1, m_minus, m_plus", [(4, 3, 3), (16, 5, 7), (64, 9, 17)])
     def test_x1_difference_matches_the_stencil_bit_for_bit(self, n1, m_minus, m_plus):
