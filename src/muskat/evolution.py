@@ -3,7 +3,8 @@ velocity.  Classical RK4 in time.  The linearized operator is first-order
 dissipative: its rates are the top-line Dirichlet-to-Neumann symbol sigma_h
 of the flat-metric head balance, real and nonpositive, so the step is a
 fraction dt_safety of RK4's stability limit on the negative real axis over
-max |sigma_h|.
+max |sigma_h|.  sigma_h is zero at the mean and at the Nyquist mode, which
+the run removes from h at t = 0 and after every step.
 
 Each head solve is for an interface that differs by O(dt) from one solved
 just before, so every solve of a run but the first starts CG from the
@@ -182,6 +183,16 @@ def lower_pack(profile: PermeabilityProfile, config: SimConfig) -> MetricPack:
     return _strip_pack(PeriodicField1D.zeros(config.n1), profile, config, config.grids()[1])
 
 
+def _project_rest_modes(h: PeriodicField1D) -> PeriodicField1D:
+    """h without the two modes whose flat rate sigma_h is zero: the mean,
+    which the dynamics conserve, and the Nyquist mode k = n1/2, which the
+    antisymmetric x1-difference does not see, so that it would never
+    decay.  At the nodes that mode is a multiple of (-1)^j."""
+    h = project_zero_mean(h)
+    nyquist = (-1.0) ** np.arange(h.n)
+    return PeriodicField1D(h.values - nyquist * np.mean(nyquist * h.values))
+
+
 def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
               config: SimConfig, pack_minus: MetricPack, guess=None):
     """One full right-side evaluation: upper strip map, metric, head solve.
@@ -201,51 +212,47 @@ def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
 
 def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
          dt: float, pack_minus: MetricPack,
-         _first_eval=None) -> tuple[SimState, list[HeadSolution]]:
+         evaluation: tuple[np.ndarray, HeadSolution]) -> tuple[SimState, list[HeadSolution]]:
     """One classical RK4 step of h_t = w2 on the top line (_evaluate), with
-    the lower strip's metric pack_minus = lower_pack(profile, config).
+    the lower strip's metric pack_minus = lower_pack(profile, config) and
+    the state's own evaluation (k1, head1), which the caller has made.
 
-    Re-projects the mean, accumulates the weighted-dissipation integral with
-    the RK4-consistent quadrature, and re-checks the interface gap.  Returns
-    the new state and the heads solved in this call, in stage order: stages
-    2-4, after stage 1 when _first_eval is not given.  Stages 2-4 start
-    their solves from the heads of the stages before them.
+    Removes the mean and the Nyquist mode (_project_rest_modes), accumulates
+    the weighted-dissipation integral with the RK4-consistent quadrature,
+    and re-checks the interface gap.  Returns the new state and the heads of
+    stages 2-4, in stage order; each starts its solve from the heads of the
+    stages before it.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     f_values = profile.f.values
     y = state.h.values
 
-    solved = []
-    if _first_eval is None:
-        _first_eval = _evaluate(y, profile, config, pack_minus)
-        solved.append(_first_eval[1])
-    k1, head1 = _first_eval
+    k1, head1 = evaluation
     k2, head2 = _evaluate(y + 0.5 * dt * k1, profile, config, pack_minus, head1.p)
     k3, head3 = _evaluate(y + 0.5 * dt * k2, profile, config, pack_minus, head2.p)
     # y4 - y = dt k3 is about twice y3 - y: extrapolate the head linearly
     k4, head4 = _evaluate(y + dt * k3, profile, config, pack_minus,
                           2.0 * head3.p - head1.p)
-    solved += [head2, head3, head4]
 
-    y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    y_new = y_new - np.mean(y_new)
+    h_new = _project_rest_modes(
+        PeriodicField1D(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)))
     d1, d2, d3, d4 = (head.dissipation for head in (head1, head2, head3, head4))
     diss_inc = (dt / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
 
-    margin = _gap_margin(y_new, f_values)
+    margin = _gap_margin(h_new.values, f_values)
     if margin <= config.gap_tol:
         raise GapViolation(
             f"interface within {margin:.4g} of the permeability curve at "
             f"t = {state.t + dt:.6g} (gap_tol = {config.gap_tol})"
         )
     new_state = SimState(
-        h=PeriodicField1D(y_new),
+        h=h_new,
         t=state.t + dt,
         step_count=state.step_count + 1,
         diss_l2_integral=state.diss_l2_integral + diss_inc,
     )
-    return new_state, solved
+    return new_state, [head2, head3, head4]
 
 
 def check_data(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> None:
@@ -266,7 +273,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
     check_data(config, h0, f)
     profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
 
-    h0 = project_zero_mean(h0)
+    h0 = _project_rest_modes(h0)
     traj = Trajectory()
     state = SimState(h=h0)
 
@@ -312,7 +319,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
                 # later evaluation about 12% slower at 192x(96+96) (heap layout)
                 dt = config.dt
             state, solved = step(state, profile, config, min(dt, config.t_end - state.t),
-                                 pack_minus, _first_eval=current_eval)
+                                 pack_minus, current_eval)
             traj.head_solves += len(solved)
             traj.cg_iterations += sum(stage.cg_iterations for stage in solved)
             guess = solved[-1].p

@@ -6,9 +6,9 @@ line, continuity of P and of the vertical K-flux across the permeability
 line, and zero flux through the floor.  The pulled-back velocity is
 w = -K grad P; the interface moves with the trace of w2 on the top line.
 
-Discretization: vertex-centered cell balances on the two strip grids, which
-share the permeability-line nodes.  One map, _CellBalance, takes the nodal
-head of both strips to the balance of div w over each level's cell:
+Discretization: vertex-centered cell balances on the shared grid of both
+strips, whose permeability line is one level.  One map, _CellBalance, takes
+the nodal head on that grid to the balance of div w over each level's cell:
 
     L = D1^T H k11 D1 + delta^T k22f delta + delta^T k12f A D1 + D1^T A^T k12f delta
 
@@ -16,18 +16,20 @@ with D1 one fourth-order antisymmetric x1-difference, delta the level
 difference onto the faces, A the average onto them, H the trapezoid cell
 heights and k22f, k12f face averages (k22f over the level spacing).  The
 last term, the horizontal cross flux, is the adjoint of the third, so L is
-symmetric by construction.  Half cells sit at the floor, at the top line
-and on both sides of the permeability line; the two there sum to the
-balance of the shared node.  The column sums of the vertical fluxes
+symmetric by construction.  Half cells sit at the floor and at the top
+line; the permeability line's cell is the two half cells on either side, so
+its row is the balance of the normal K-flux across that internal interface,
+a free row like any other.  The column sums of the vertical fluxes
 telescope and those of the antisymmetric horizontal stencil vanish
 identically, so the total flux through the top line is zero to solver
 precision -- the discrete mass ledger.  The antisymmetry also makes the
 discrete summation-by-parts of the horizontal terms exact, which keeps the
 energy-law defect free of any horizontal-resolution floor.  The recovered
-traces are rows of the same balance: the top-line row and the two half-cell
-rows at the permeability line.  Recovery also integrates the Darcy
-dissipation grad P . K grad P = -w . grad P over both strips, from the
-gradient it forms for w, with the balance's own trapezoid cell heights.
+trace is a row of the same balance, the top-line row.  Recovery also
+integrates the Darcy dissipation grad P . K grad P = -w . grad P over both
+strips, from the gradient it forms for w, with the balance's own trapezoid
+cell heights.  The permeability line appears once in the solve and twice,
+once per strip, only in the outputs.
 
 Solvers: "krylov" (used by every run) is conjugate gradient on the balance
 itself, no matrix formed, preconditioned by the exact inverse of the
@@ -43,7 +45,7 @@ starts from a guess when the caller has a nearby head (evolution passes
 the head of a neighbouring RK stage) and from zero otherwise; its stopping
 test is relative to the right side either way.  One apply of the balance
 at the solved head serves both the residual gate (its free rows) and the
-recovery (its trace rows).  The apply runs the x1 stencil without its
+recovery (its top-line row).  The apply runs the x1 stencil without its
 1/(12 dx1), which its coefficients carry.  The run path is numpy only.
 "direct" is sparse LU of the matrix read off the balance by coloured unit
 probes (Curtis, Powell & Reid 1974); it is the oracle the Krylov path is
@@ -93,20 +95,18 @@ PICARD_MAX_ITER = 100
 class HeadSolution:
     """Head, pulled-back velocity and Darcy dissipation on both strips.
 
-    p, w1 and w2 are stacked as the balance's C-ordered head arrays,
-    (n2_minus + n2_plus, n1): the lower strip's levels from the floor up,
-    then the upper strip's, so the permeability line appears twice (rows
-    n2_minus - 1 and n2_minus).  weights is the quadrature column, dx1
-    times each level's trapezoid height in its strip, so sum(weights * g)
-    integrates a nodal g over both strips; dissipation is that integral of
-    grad P . K grad P = -w . grad P.
+    p, w1 and w2 are stacked per strip, (n2_minus + n2_plus, n1): the lower
+    strip's levels from the floor up, then the upper strip's, so the
+    permeability line, one level of the solve, appears twice (rows
+    n2_minus - 1 and n2_minus, equal in p).  weights is the quadrature
+    column, dx1 times each level's trapezoid height in its strip, so
+    sum(weights * g) integrates a nodal g over both strips; dissipation is
+    that integral of grad P . K grad P = -w . grad P.
 
     gamma_trace_w2 is the conservative flux trace of w2 on the top line (the
     value balancing the top half cells); its circle integral vanishes to
-    solver precision.  perm_flux_above/below are the vertical K-fluxes
-    recovered on each side of the permeability line from the adjacent half
-    cells; the interface rows force them equal.  cg_iterations counts the
-    CG iterations of a Krylov solve (0 for the other solvers).
+    solver precision.  cg_iterations counts the CG iterations of a Krylov
+    solve (0 for the other solvers).
     """
 
     p: np.ndarray
@@ -116,8 +116,6 @@ class HeadSolution:
     n2_minus: int
     dissipation: float
     gamma_trace_w2: PeriodicField1D
-    perm_flux_above: PeriodicField1D
-    perm_flux_below: PeriodicField1D
     top_flux_total: float
     cg_iterations: int = 0
 
@@ -146,20 +144,21 @@ class HeadSolution:
 class _CellBalance:
     """Per-level cell balances of div w, w = -K grad P, on both strips.
 
-    A head array is (m_minus + m_plus, n1): the lower strip's levels from the
-    floor up, then the upper strip's, so the permeability line appears twice
-    (rows m_minus - 1 and m_minus).  Between the two copies sits a
-    zero-width pseudo-face that carries no flux.  Row s of the balance is
+    A head array is (n_lev + 1, n1) on the shared grid: the lower strip's
+    levels from the floor up, the permeability line once, then the upper
+    strip's levels, n_lev = m_minus + m_plus - 2.  Row s of the balance is
     the integral of div w over the cell of level s per unit x1-width: w2 on
     the face above minus w2 on the face below, plus the x1-difference of
     w1 times the cell height, whose k12 part is the node average of the
-    face cross fluxes.  The top line has no face above, so its row is
-    minus the conservative w2 trace there; the two permeability-line rows
-    lack the flux through that line, and their sum is the balance of the
-    shared cell.
+    face cross fluxes.  The top line has no face above, so its row is minus
+    the conservative w2 trace there.  The permeability line's cell is the
+    two half cells of its copies: its height k11 is the sum of theirs, and
+    its faces are those of each strip.
 
-    Free unknowns are the heads below the top line, level after level of
-    the shared grid: (n_lev, n1) raveled, n_lev = m_minus + m_plus - 2.  In
+    The coefficients come stacked per strip, (m_minus + m_plus, n1), the
+    line once per strip, as from_packs and the outputs hold them; the
+    constructor builds the shared grid's once.  Free unknowns are the first
+    n_lev rows of a head array, level after level of the shared grid.  In
     this order sparse LU of the probed matrix fills in about a quarter less
     than with the levels of each x1 column contiguous.
     """
@@ -170,28 +169,32 @@ class _CellBalance:
         self.n1, self.dx1 = grid_minus.n1, grid_minus.dx1
         self.m_minus = m_minus = grid_minus.n2
         self.m_plus = m_plus = grid_plus.n2
-        n_strip_levels = m_minus + m_plus
-        self.n_lev = n_strip_levels - 2
+        self.n_lev = n_lev = m_minus + m_plus - 2
         dx2_minus, dx2_plus = grid_minus.dx2, grid_plus.dx2
         self.k11, self.k12, self.k22 = k11, k12, k22
-        inv_dx2 = np.r_[np.full(m_minus - 1, 1.0 / dx2_minus), 0.0,
-                        np.full(m_plus - 1, 1.0 / dx2_plus)]
-        self.face_k22 = 0.5 * (k22[:-1] + k22[1:]) * inv_dx2[:, None]
         self.height = np.r_[_trapezoid_heights(m_minus, dx2_minus),
                             _trapezoid_heights(m_plus, dx2_plus)][:, None]
+
+        def face_mean(k):  # no face joins the two copies of the line
+            return np.delete(0.5 * (k[:-1] + k[1:]), m_minus - 1, axis=0)
+
+        inv_dx2 = np.r_[np.full(m_minus - 1, 1.0 / dx2_minus),
+                        np.full(m_plus - 1, 1.0 / dx2_plus)]
+        self.face_k22 = face_mean(k22) * inv_dx2[:, None]
         # the apply differences with the integer stencil S = 12 dx1 D1, so
         # these two carry its scale: half the face k12 over 12 dx1, and
         # -height k11 over (12 dx1)^2
         stencil_scale = 12.0 * self.dx1
-        self._face_k12 = (0.25 / stencil_scale) * (k12[:-1] + k12[1:]) \
-            * (inv_dx2 != 0.0)[:, None]
-        self._neg_height_k11 = (-1.0 / stencil_scale ** 2) * self.height * k11
+        self._face_k12 = (0.5 / stencil_scale) * face_mean(k12)
+        neg_height_k11 = (-1.0 / stencil_scale ** 2) * self.height * k11
+        self._neg_height_k11 = np.delete(neg_height_k11, m_minus, axis=0)
+        self._neg_height_k11[m_minus - 1] += neg_height_k11[m_minus]
         # work buffers, allocated once per balance and never returned: the
         # x1-difference's periodic padding and its one scratch array, and
         # three face arrays of the apply
-        self._padded = np.empty((n_strip_levels, self.n1 + 4))
-        self._scratch = np.empty((n_strip_levels, self.n1))
-        self._face = np.empty((3, n_strip_levels - 1, self.n1))
+        self._padded = np.empty((n_lev + 1, self.n1 + 4))
+        self._scratch = np.empty((n_lev + 1, self.n1))
+        self._face = np.empty((3, n_lev, self.n1))
 
     @classmethod
     def from_packs(cls, pack_minus: MetricPack, pack_plus: MetricPack) -> "_CellBalance":
@@ -203,8 +206,8 @@ class _CellBalance:
     def flat(cls, n1: int, m_minus: int, m_plus: int, beta_plus: float,
              beta_minus: float) -> "_CellBalance":
         """The flat-metric balance: k12 = 0, k11 = k22 = beta per strip."""
-        beta = np.repeat(np.r_[np.full(m_minus, beta_minus), np.full(m_plus, beta_plus)],
-                         n1).reshape(-1, n1)
+        beta = np.repeat(np.r_[np.full(m_minus, beta_minus),
+                               np.full(m_plus, beta_plus)][:, None], n1, axis=1)
         return cls(StripGrid(LOWER, n1, m_minus), StripGrid(UPPER, n1, m_plus),
                    beta, np.zeros_like(beta), beta)
 
@@ -250,28 +253,18 @@ class _CellBalance:
 
     def heads(self, x: np.ndarray, top: np.ndarray) -> np.ndarray:
         """Head array from the free unknowns and the top-line values."""
-        m = self.m_minus
-        x = x.reshape(self.n_lev, self.n1)
-        return np.concatenate([x[:m], x[m - 1:], top[None]])
+        return np.vstack([x, top])
 
     def free_unknowns(self, p: np.ndarray) -> np.ndarray:
-        """Free unknowns from a head array: the inverse of heads, dropping
-        the top line and the upper copy of the permeability line."""
+        """Free unknowns from a head array stacked per strip, as HeadSolution
+        holds it: the top line and the upper copy of the line dropped."""
         m = self.m_minus
-        return np.concatenate([p[:m], p[m + 1:-1]]).ravel()
+        return np.concatenate([p[:m], p[m + 1:-1]])
 
     def free_rows(self, x: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
         """Balance rows of the free nodes; with top omitted (zero) this is
         the head matrix applied to x."""
-        return self.free_part(self(self.heads(x, np.zeros(self.n1) if top is None else top)))
-
-    def free_part(self, rows: np.ndarray) -> np.ndarray:
-        """The free nodes' rows of a balance, raveled like the free unknowns:
-        the upper permeability-line row folded into the lower one."""
-        m = self.m_minus
-        out = np.concatenate([rows[:m], rows[m + 1:-1]])
-        out[m - 1] += rows[m]
-        return out.ravel()
+        return self(self.heads(x, np.zeros(self.n1) if top is None else top))[:-1]
 
 
 def _trapezoid_heights(m: int, dx2: float) -> np.ndarray:
@@ -311,7 +304,7 @@ def _probe(balance: _CellBalance) -> "scipy.sparse.csc_matrix":
         for c in range(q):
             seed = np.zeros((n_lev, n1))
             seed[a::3, c::q] = 1.0
-            response = balance.free_rows(seed.ravel()).reshape(n_lev, n1)
+            response = balance.free_rows(seed)
             hit = response != 0.0
             j0 = (j + (c - j + 4) % q - 4) % n1
             end = nnz + np.count_nonzero(hit)
@@ -345,12 +338,19 @@ def _check_inputs(pack_plus: MetricPack, pack_minus: MetricPack,
 
 def _recover(balance: _CellBalance, p: np.ndarray, rows: np.ndarray, scale: float,
              cg_iterations: int = 0) -> HeadSolution:
-    """Velocity, dissipation and traces at the head array p, all from the
+    """Velocity, dissipation and trace at the head array p, all from the
     balance, with every output multiplied by scale (the dissipation, which
     is quadratic, by scale squared).  rows is balance(p), which the caller
-    has formed: the traces are three of its rows."""
+    has formed: the trace is its last row.  The outputs are stacked per
+    strip, so p and its x1-difference are expanded to two copies of the
+    permeability line here, once."""
     m = balance.m_minus
-    d1p = balance._x1_difference(p)
+
+    def stacked(a):
+        return np.concatenate([a[:m], a[m - 1:]])
+
+    d1p = stacked(balance._x1_difference(p))
+    p = stacked(p)
     d2p = np.concatenate([vertical_derivative(p[:m], balance.grid_minus.dx2),
                           vertical_derivative(p[m:], balance.grid_plus.dx2)])
     w1 = -(balance.k11 * d1p + balance.k12 * d2p)
@@ -362,8 +362,6 @@ def _recover(balance: _CellBalance, p: np.ndarray, rows: np.ndarray, scale: floa
         p=scale * p, w1=scale * w1, w2=scale * w2, weights=weights, n2_minus=m,
         dissipation=dissipation,
         gamma_trace_w2=PeriodicField1D(-top),
-        perm_flux_above=PeriodicField1D(-scale * rows[m]),
-        perm_flux_below=PeriodicField1D(scale * rows[m - 1]),
         top_flux_total=float(balance.dx1 * np.sum(top)),
         cg_iterations=cg_iterations,
     )
@@ -419,7 +417,7 @@ class _FlatInverse:
         for a in range(3):
             seed = np.zeros((n_lev, self.n1))
             seed[a::3, 0] = 1.0
-            response.append(np.fft.rfft(flat.free_rows(seed.ravel()).reshape(n_lev, self.n1)))
+            response.append(np.fft.rfft(flat.free_rows(seed)))
         response = np.stack(response)
         # row g is reached by the seed level g + s of colour (g + s) mod 3
         g = np.arange(n_lev)
@@ -449,7 +447,7 @@ class _FlatInverse:
             for dtype in (np.float64, np.float32)}
         impulse = np.zeros(self.n1)
         impulse[0] = 1.0
-        x = self.solve(-flat.free_rows(np.zeros(n_lev * self.n1), impulse))
+        x = self.solve(-flat.free_rows(np.zeros((n_lev, self.n1)), impulse))
         self.sigma_h = np.fft.rfft(-flat(flat.heads(x, impulse))[-1])
         self.sigma_h.setflags(write=False)  # every caller shares the cached array
 
@@ -460,7 +458,7 @@ class _FlatInverse:
         single precision and writes its last scaling into the float64
         spectrum, which the irfft reads.  np.float64 reduces the spectrum
         in place."""
-        spectrum = np.fft.rfft(r.reshape(-1, self.n1))
+        spectrum = np.fft.rfft(r)
         out = spectrum.view(np.float64)
         stages, inv_diag, below, above = self._work[dtype]
         d = out.astype(dtype, copy=False)
@@ -470,7 +468,7 @@ class _FlatInverse:
             d[h:] += below[h:]
             d[:-h] += above[:-h]
         np.multiply(d, inv_diag, out=out)
-        return np.fft.irfft(spectrum, n=self.n1).ravel()
+        return np.fft.irfft(spectrum, n=self.n1)
 
 
 @lru_cache(maxsize=8)
@@ -512,7 +510,7 @@ def _cg(apply, b: np.ndarray, precond, rtol: float,
     (u * v).sum(), which allocates the product.
     """
     def dot(u, v):
-        return float(np.einsum("i,i->", u, v))
+        return float(np.einsum("ij,ij->", u, v))
 
     b_sq = dot(b, b)
     x, r = np.zeros_like(b), b.copy()
@@ -558,7 +556,7 @@ def _solve_direct(balance: _CellBalance, b: np.ndarray) -> np.ndarray:
         lu = spla.splu(l_free, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # singular factor
         raise NonSPDSystem(f"sparse factorization failed: {exc}") from exc
-    return lu.solve(b)
+    return lu.solve(b.ravel()).reshape(b.shape)
 
 
 def _solve_krylov(balance: _CellBalance, b: np.ndarray, profile: PermeabilityProfile,
@@ -598,7 +596,7 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
         raise ValueError(f"unknown solver {solver!r}")
     _check_inputs(pack_plus, pack_minus, h, profile)
     balance = _CellBalance.from_packs(pack_minus, pack_plus)
-    zero = np.zeros(balance.n1 * balance.n_lev)
+    zero = np.zeros((balance.n_lev, balance.n1))
     scale = float(np.max(np.abs(h.values)))
     if scale == 0.0:
         p = balance.heads(zero, h.values)
@@ -615,7 +613,7 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     # balance at (x, top) are L x - b
     p = balance.heads(x, top)
     rows = balance(p)
-    res = float(np.max(np.abs(balance.free_part(rows)))) / float(np.max(np.abs(b)))
+    res = float(np.max(np.abs(rows[:-1]))) / float(np.max(np.abs(b)))
     if not np.isfinite(res) or res > RESIDUAL_TOL:
         raise SolverDivergence(f"head solve residual {res:.3e} exceeds {RESIDUAL_TOL}")
     return _recover(balance, p, rows, scale, iterations)
@@ -637,7 +635,7 @@ def picard_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1
     balance = _CellBalance.from_packs(pack_minus, pack_plus)
     flat = _flat_inverse(balance.n1, balance.m_minus, balance.m_plus,
                          profile.beta_plus, profile.beta_minus)
-    x = np.zeros(balance.n1 * balance.n_lev)
+    x = np.zeros((balance.n_lev, balance.n1))
     b = -balance.free_rows(x, h.values)
 
     prev_diff = np.inf

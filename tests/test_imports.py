@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, every
-name its __all__ exports is defined there, and every private function or
-class it defines at module level is read there.
+name its __all__ exports is defined there, every private function or class
+it defines at module level is read there, and every field of a record (a
+dataclass) is read as an attribute somewhere in the package.
 
 An AST scan stands in for a linter: a binding counts as used when it is
 read as a name anywhere in the module (attribute chains included) or is
@@ -99,3 +100,44 @@ def test_scan_flags_an_unused_private_definition():
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_no_unused_private_definitions(module):
     assert unused_private_definitions(module.read_text()) == []
+
+
+# records written whole, so that every field reaches an output without an
+# attribute read: EnergyReport by astuple into timeseries.csv, RunManifest
+# by asdict into manifest.json
+WRITTEN_WHOLE = {"EnergyReport", "RunManifest"}
+
+
+def unread_fields(sources: list[str], written_whole=frozenset()) -> list[str]:
+    """Fields of the dataclasses defined in sources that no source reads as
+    an attribute (x.field), as Class.field; the classes in written_whole
+    are not scanned."""
+    trees = [ast.parse(source) for source in sources]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or node.name in written_whole:
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            unread += [f"{node.name}.{item.target.id}" for item in node.body
+                       if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                       and item.target.id not in read]
+    return sorted(unread)
+
+
+def test_scan_flags_an_unread_field():
+    record = ("from dataclasses import dataclass\n"
+              "@dataclass(frozen=True)\nclass R:\n    kept: int\n    dropped: int = 0\n"
+              "@dataclass\nclass Whole:\n    x: int\n"
+              "class Plain:\n    y: int\n")
+    reader = "def use(r):\n    r.dropped = 1\n    return r.kept\n"
+    assert unread_fields([record, reader]) == ["R.dropped", "Whole.x"]
+    assert unread_fields([record, reader], {"Whole"}) == ["R.dropped"]
+
+
+def test_every_record_field_is_read():
+    assert unread_fields([m.read_text() for m in MODULES], WRITTEN_WHOLE) == []

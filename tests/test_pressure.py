@@ -25,7 +25,7 @@ from muskat.errors import (
     ResolutionMismatch,
     SolverDivergence,
 )
-from muskat.pressure import PICARD_TOL, picard_head, solve_head
+from muskat.pressure import PICARD_TOL, RESIDUAL_TOL, picard_head, solve_head
 from muskat.spectral_core import PeriodicField1D, x1_derivative
 
 
@@ -54,6 +54,14 @@ def perturbed(x):
 
 def w_max(head):
     return max(float(np.max(np.abs(w))) for w in (head.w1, head.w2))
+
+
+def line_row(head, pack_p, pack_m, h):
+    """The permeability line's balance row at the head: the jump of the
+    normal K-flux across the line, integrated over its cell."""
+    balance = pressure._CellBalance.from_packs(pack_m, pack_p)
+    rows = balance(balance.heads(balance.free_unknowns(head.p), h.values))
+    return rows[balance.m_minus - 1]
 
 
 class TestRestStates:
@@ -155,12 +163,32 @@ class TestConservation:
         head = solve_head(*setup(64, 33, h_vals, f_vals, 1.0, 0.5))
         assert abs(head.top_flux_total) <= 1e-12
 
-    def test_interface_flux_continuity_exact(self):
+    @pytest.mark.parametrize("solver", ["direct", "krylov"])
+    def test_permeability_line_row_is_balanced(self, solver, monkeypatch):
+        # the line is one free row of the solve: the residual gate bounds
+        # its flux jump, the outputs copy its heads to both strips, and
+        # free_unknowns reads the solved rows back from them
         x = PeriodicField1D.zeros(64).x1
-        head = solve_head(*setup(64, 33, 0.05 * np.cos(x), 0.1 * np.sin(x), 1.0, 0.25))
-        mismatch = np.max(np.abs(head.perm_flux_above.values
-                                 - head.perm_flux_below.values))
-        assert mismatch <= 1e-11
+        pack_p, pack_m, h, profile = setup(64, 33, 0.05 * np.cos(x), 0.1 * np.sin(x),
+                                           1.0, 0.25)
+        solved = []
+        recover = pressure._recover
+
+        def capture(balance, p, *args):  # the solved head array of the shared grid
+            solved.append((balance, p))
+            return recover(balance, p, *args)
+
+        monkeypatch.setattr(pressure, "_recover", capture)
+        head = solve_head(pack_p, pack_m, h, profile, solver=solver)
+        ((balance, p),) = solved
+        m = balance.m_minus
+        b = -balance.free_rows(np.zeros_like(p[:-1]), p[-1])
+        assert np.max(np.abs(balance(p)[m - 1])) <= RESIDUAL_TOL * np.max(np.abs(b))
+        # the flux jump at the scale of h, within the bound the two
+        # recovered line fluxes were held to
+        assert np.max(np.abs(line_row(head, pack_p, pack_m, h))) <= 1e-11
+        assert np.array_equal(head.p[m - 1], head.p[m])
+        assert np.array_equal(balance.free_unknowns(head.p), np.max(np.abs(h.values)) * p[:-1])
 
     def test_one_sided_flux_jump_second_order(self):
         # pointwise flux continuity, recomputed with one-sided 3-point
@@ -343,8 +371,7 @@ class TestSolverOptions:
         # paths (CG's residual leaves about 1e-12 here, LU roundoff)
         for head in (direct, cold, warm):
             assert abs(head.top_flux_total) <= 1e-8
-            assert np.max(np.abs(head.perm_flux_above.values
-                                 - head.perm_flux_below.values)) <= 1e-10
+            assert np.max(np.abs(line_row(head, *args[:3]))) <= 1e-10
 
     def test_solution_as_guess_takes_no_iteration(self):
         x = PeriodicField1D.zeros(64).x1
@@ -361,12 +388,6 @@ class TestSolverOptions:
         # the direct path counts no iteration and ignores the guess
         assert solve_head(*args, guess=cold.p).cg_iterations == 0
 
-    def test_free_unknowns_inverts_heads(self):
-        balance = pressure._CellBalance.flat(16, 5, 7, 1.3, 0.4)
-        rng = np.random.default_rng(5)
-        x, top = rng.normal(size=balance.n_lev * 16), rng.normal(size=16)
-        assert np.array_equal(balance.free_unknowns(balance.heads(x, top)), x)
-
     # the ids keep the x1 stencil order (4) as their last field
     @pytest.mark.parametrize("n1, m_minus, m_plus",
                              [(4, 3, 3), (64, 3, 3), (4, 7, 4), (64, 9, 17)],
@@ -375,8 +396,8 @@ class TestSolverOptions:
         flat = pressure._CellBalance.flat(n1, m_minus, m_plus, 1.7, 0.3)
         lu = splu(pressure._probe(flat))
         inverse = pressure._flat_inverse(n1, m_minus, m_plus, 1.7, 0.3)
-        r = np.random.default_rng(n1 + m_minus + m_plus).normal(size=n1 * flat.n_lev)
-        expected = lu.solve(r)
+        r = np.random.default_rng(n1 + m_minus + m_plus).normal(size=(flat.n_lev, n1))
+        expected = lu.solve(r.ravel()).reshape(r.shape)
         assert np.max(np.abs(inverse.solve(r) - expected)) <= 1e-11 * np.max(np.abs(expected))
 
     # level counts n_lev = m_minus + m_plus - 2 run over odd, prime and
@@ -391,8 +412,8 @@ class TestSolverOptions:
         flat = pressure._CellBalance.flat(n1, m_minus, m_plus, *betas)
         lu = splu(pressure._probe(flat))
         inverse = pressure._flat_inverse(n1, m_minus, m_plus, *betas)
-        r = np.random.default_rng(seed).normal(size=n1 * flat.n_lev)
-        expected = lu.solve(r)
+        r = np.random.default_rng(seed).normal(size=(flat.n_lev, n1))
+        expected = lu.solve(r.ravel()).reshape(r.shape)
         assert np.max(np.abs(inverse.solve(r) - expected)) <= 1e-11 * np.max(np.abs(expected))
 
     # the Krylov preconditioner runs the reduction in float32: it stays within
@@ -410,7 +431,7 @@ class TestSolverOptions:
     def test_single_precision_flat_inverse_property(self, n1, levels, betas, seed):
         m_minus, m_plus = levels
         inverse = pressure._flat_inverse(n1, m_minus, m_plus, *betas)
-        r = np.random.default_rng(seed).normal(size=n1 * (m_minus + m_plus - 2))
+        r = np.random.default_rng(seed).normal(size=(m_minus + m_plus - 2, n1))
         z, z32 = inverse.solve(r), inverse.solve(r, np.float32)
         assert z32.dtype == np.float64 and z32.shape == z.shape
         assert np.max(np.abs(z32 - z)) <= 1e-6 * np.max(np.abs(z))
@@ -497,9 +518,9 @@ class TestSolverOptions:
         assert np.min(np.abs(pack_p.k12)) > 0.0  # sheared: every coupling present
         balance = pressure._CellBalance.from_packs(pack_m, pack_p)
         matrix = pressure._probe(balance)
-        v = np.random.default_rng(n1 * m_minus * m_plus).normal(size=matrix.shape[0])
-        expected = balance.free_rows(v)
-        assert np.max(np.abs(matrix @ v - expected)) <= 1e-13 * np.max(np.abs(expected))
+        v = np.random.default_rng(n1 * m_minus * m_plus).normal(size=(balance.n_lev, n1))
+        expected = balance.free_rows(v).ravel()
+        assert np.max(np.abs(matrix @ v.ravel() - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -540,11 +561,12 @@ class TestSolverOptions:
             solve_head(*args, solver="krylov")
         # an indefinite operator has p.Lp < 0 on the first direction
         with pytest.raises(NonSPDSystem):
-            pressure._cg(lambda v: -v, np.array([1.0, 0.0]), lambda r: r, 1e-12)
+            pressure._cg(lambda v: -v, np.array([[1.0, 0.0]]), lambda r: r, 1e-12)
 
     def test_cg_starts_from_x0(self):
+        # CG takes 2-D arrays, as the free unknowns are: here one column
         matrix = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
-        b = np.array([1.0, 2.0, 3.0])
+        b = np.array([[1.0], [2.0], [3.0]])
         exact = np.linalg.solve(matrix, b)
         x, iterations = pressure._cg(lambda v: matrix @ v, b, lambda r: r, 1e-14)
         assert 1 <= iterations <= 3
@@ -564,7 +586,7 @@ class TestSolverOptions:
         assert np.max(np.abs(x - exact)) <= 1e-13
         # so is a start that overflowed, as a guess scaled by 1 / max|h| does
         # for a subnormal h, and one whose residual overflows
-        for x0 in (np.array([np.inf, 1.0, -np.inf]), np.full(3, 1e308)):
+        for x0 in (np.array([[np.inf], [1.0], [-np.inf]]), np.full((3, 1), 1e308)):
             x, iterations = pressure._cg(lambda v: matrix @ v, b, lambda r: r, 1e-14, x0)
             assert 1 <= iterations <= 3
             assert np.max(np.abs(x - exact)) <= 1e-13
@@ -590,7 +612,7 @@ class TestWorkBuffers:
         pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, 16, 7)), profile)
         pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, 16, 5)), profile)
         balance = pressure._CellBalance.from_packs(pack_m, pack_p)
-        p = np.random.default_rng(3).normal(size=balance.k11.shape)
+        p = np.random.default_rng(3).normal(size=(balance.n_lev + 1, 16))
         p_before = p.copy()
         first, second = balance(p), balance(p)
         assert np.array_equal(first, second)
@@ -604,7 +626,7 @@ class TestWorkBuffers:
     def test_flat_inverse_returns_unaliased_arrays(self):
         # both precisions: the float32 solve returns float64 arrays too
         inverse = pressure._flat_inverse(16, 5, 7, 1.3, 0.4)
-        r = np.random.default_rng(4).normal(size=16 * 10)
+        r = np.random.default_rng(4).normal(size=(10, 16))
         r_before = r.copy()
         buffers = (r,) + tuple(buffer for _, _, below, above in inverse._work.values()
                                for buffer in (below, above))
@@ -621,7 +643,7 @@ class TestWorkBuffers:
     @pytest.mark.parametrize("n1, m_minus, m_plus", [(4, 3, 3), (16, 5, 7), (64, 9, 17)])
     def test_x1_difference_matches_the_stencil_bit_for_bit(self, n1, m_minus, m_plus):
         balance = pressure._CellBalance.flat(n1, m_minus, m_plus, 1.0, 1.0)
-        for v in np.random.default_rng(n1).normal(size=(3, m_minus + m_plus, n1)):
+        for v in np.random.default_rng(n1).normal(size=(3, balance.n_lev + 1, n1)):
             w = np.concatenate([v[:, -2:], v, v[:, :2]], axis=1)
             expected = ((w[:, :-4] - w[:, 4:]) + 8.0 * (w[:, 3:-1] - w[:, 1:-3])) \
                 / (12.0 * balance.dx1)
@@ -652,8 +674,7 @@ class TestDataScaling:
                           solver=solver)
         assert w_max(head) == 0.0
         assert not np.any(head.p)
-        for field in (head.gamma_trace_w2, head.perm_flux_above, head.perm_flux_below):
-            assert not np.any(field.values)
+        assert not np.any(head.gamma_trace_w2.values)
         assert head.top_flux_total == 0.0
         assert head.dissipation == 0.0
 
