@@ -466,10 +466,11 @@ def cmd_convergence(config_path: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    tail = _spectral_tail_fraction(h0) + _spectral_tail_fraction(f)
-    if tail > 1e-10:
-        print(f"warning: initial data has {tail:.2e} of its energy in the top "
-              "third of the spectrum; n1 may be under-resolved")
+    for name, field in (("h0", h0), ("f", f)):
+        tail = _spectral_tail_fraction(field)
+        if tail > 1e-10:
+            print(f"warning: {name} has {tail:.2e} of its energy in the top "
+                  "third of the spectrum; n1 may be under-resolved")
 
     def refine(n2, factor):
         return factor * (n2 - 1) + 1

@@ -285,7 +285,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
 
     h0_l2_sq = sobolev_norm(h0, 0.0) ** 2
 
-    dt = None
+    dt = config.dt
     guess = None  # the last stage head of the step before
     try:
         try:
@@ -313,11 +313,6 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
                 traj.reports.append(diagnostics.report(state, head, h0_l2_sq))
             if at_end:
                 break
-            if dt is None:
-                # taken after the first head solve has built the flat inverse
-                # that dt reads: built before any strip array, it left every
-                # later evaluation about 12% slower at 192x(96+96) (heap layout)
-                dt = config.dt
             state, solved = step(state, profile, config, min(dt, config.t_end - state.t),
                                  pack_minus, current_eval)
             traj.head_solves += len(solved)

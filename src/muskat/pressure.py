@@ -35,9 +35,10 @@ Solvers: "krylov" (used by every run) is conjugate gradient on the balance
 itself, no matrix formed, preconditioned by the exact inverse of the
 flat-metric balance (k12 = 0, constant k11 = k22 = beta per strip), which
 an rfft in x1 reduces to one tridiagonal level system per Fourier mode,
-solved for all modes at once by parallel cyclic reduction.  Inside CG that
-reduction runs in float32: a preconditioner need not be exact, and at
-192 x (96+96) its coefficients and work buffers take 4.8 MB in float64
+with bands read off the flat coefficient columns and the x1 stencil's
+symbol, solved for all modes at once by parallel cyclic reduction.  Inside
+CG that reduction runs in float32: a preconditioner need not be exact, and
+at 192 x (96+96) its coefficients and work buffers take 4.8 MB in float64
 (2.4 MB in float32), more than a core's L2 cache, so each call streams
 them.  The FFTs, the operator, CG's vectors and the residual gate stay
 float64, so the stopping test and the gate see the float64 system.  CG
@@ -156,11 +157,12 @@ class _CellBalance:
     its faces are those of each strip.
 
     The coefficients come stacked per strip, (m_minus + m_plus, n1), the
-    line once per strip, as from_packs and the outputs hold them; the
-    constructor builds the shared grid's once.  Free unknowns are the first
-    n_lev rows of a head array, level after level of the shared grid.  In
-    this order sparse LU of the probed matrix fills in about a quarter less
-    than with the levels of each x1 column contiguous.
+    line once per strip, as from_packs and the outputs hold them, or as
+    (m_minus + m_plus, 1) columns that broadcast along x1, as flat gives
+    them; the constructor builds the shared grid's once.  Free unknowns are
+    the first n_lev rows of a head array, level after level of the shared
+    grid.  In this order sparse LU of the probed matrix fills in about a
+    quarter less than with the levels of each x1 column contiguous.
     """
 
     def __init__(self, grid_minus: StripGrid, grid_plus: StripGrid,
@@ -205,9 +207,9 @@ class _CellBalance:
     @classmethod
     def flat(cls, n1: int, m_minus: int, m_plus: int, beta_plus: float,
              beta_minus: float) -> "_CellBalance":
-        """The flat-metric balance: k12 = 0, k11 = k22 = beta per strip."""
-        beta = np.repeat(np.r_[np.full(m_minus, beta_minus),
-                               np.full(m_plus, beta_plus)][:, None], n1, axis=1)
+        """The flat-metric balance: k12 = 0, k11 = k22 = beta per strip, as
+        (m_minus + m_plus, 1) columns that broadcast along x1."""
+        beta = np.r_[np.full(m_minus, beta_minus), np.full(m_plus, beta_plus)][:, None]
         return cls(StripGrid(LOWER, n1, m_minus), StripGrid(UPPER, n1, m_plus),
                    beta, np.zeros_like(beta), beta)
 
@@ -378,31 +380,36 @@ class _FlatInverse:
 
     That operator is circulant in x1 and tridiagonal across levels, so an
     rfft in x1 splits it into one tridiagonal level system per Fourier mode
-    (Concus & Golub 1973).  Its per-mode bands are the rfft of the responses
-    to unit heads in column 0 on every third level; with k12 = 0 the x1 part
-    is a symmetric circulant, so they are real.  The level systems of all
-    modes are solved at once by parallel cyclic reduction (Hockney &
+    (Concus & Golub 1973).  Its bands are read off the flat balance's
+    columns: row g couples to each adjacent free level by minus the face k22
+    between them, and its diagonal is the sum of its faces' k22 plus -height
+    k11 times s2(k), the real symbol of the x1 stencil applied twice (the
+    rfft of that response to a unit head in column 0).  The level systems of
+    all modes are solved at once by parallel cyclic reduction (Hockney &
     Jesshope 1981): the stage of stride h = 1, 2, 4, ... adds to each row
     alpha times the row h levels below and gamma times the row h levels
-    above, which removes its couplings at distance h and leaves couplings
-    at 2h, so after ceil(log2 n_lev) stages each row is one unknown times
-    its diagonal.  alpha, gamma and 1/diagonal depend on the bands only and
-    are computed once, each repeated to match the re/im pairs of the float
-    view of the modes; a solve is one rfft, two multiplies and two in-place
-    adds per stage into two work buffers, one scaling and one irfft.  Only
-    elementwise ufuncs run.  The stages, 1/diagonal and the work buffers are
-    kept in float64 and in float32, and a solve picks one (solve's dtype).
-    float64, in place on the spectrum, serves sigma_h, picard_head and the
-    tests against LU.  float32 serves the CG preconditioner: it halves the
-    bytes that each call streams, and its rounding, about 1e-7 of the
-    result, is far below the gap between the flat and the curved operator
-    that CG corrects anyway.  The FFTs stay float64: numpy's rfft of float32
-    rows measured slower, 0.40 ms against 0.15 ms at 190 x 192.  Fast
-    diagonalisation (an eigh of the level pencil, then two gemm per solve)
-    was measured and not taken: it is BLAS, which OpenBLAS threads, and on
-    a shared two-core host its build took up to 354 ms and its slowest
-    solves 16-32 ms at 192 x (96+96); single-threaded its solve was still
-    slower than the band solve.
+    above, which removes its couplings at distance h and leaves couplings at
+    2h, so after ceil(log2 n_lev) stages each row is one unknown times its
+    diagonal.  alpha, gamma and 1/diagonal depend on the bands only and are
+    computed once, in the float view of the modes, one re/im pair per mode:
+    s2 is repeated once for the pairs, and the rest follows in that layout.
+    A solve is one rfft, two multiplies and two in-place adds per stage
+    into two work buffers, one scaling and one irfft.  Only elementwise
+    ufuncs run.  The stages, 1/diagonal and the work buffers are kept in
+    float64 and in float32, and a solve picks one (solve's dtype).  float64,
+    in place on the spectrum, serves sigma_h, picard_head and the tests
+    against LU.  float32 serves the CG preconditioner: it halves the bytes
+    that each call streams, and its rounding, about 1e-7 of the result, is
+    far below the gap between the flat and the curved operator that CG
+    corrects anyway, up to a permeability contrast of about 1e4: at
+    beta_minus / beta_plus = 1e6 a solve at 16 x (5+4) took half again as
+    many CG iterations as with float64.  The FFTs stay float64: numpy's rfft
+    of float32 rows measured slower, 0.40 ms against 0.15 ms at 190 x 192.
+    Fast diagonalisation (an eigh of the level pencil, then two gemm per
+    solve) was measured and not taken: it is BLAS, which OpenBLAS threads,
+    and on a shared two-core host its build took up to 354 ms and its
+    slowest solves 16-32 ms at 192 x (96+96); single-threaded its solve was
+    still slower than the band solve.
 
     sigma_h is the top-line Dirichlet-to-Neumann symbol of the flat balance:
     mode k of h_t = w2 is sigma_h[k] times mode k of h, k = 0..n1/2.  The
@@ -413,30 +420,30 @@ class _FlatInverse:
 
     def __init__(self, flat: _CellBalance):
         self.n1, n_lev = flat.n1, flat.n_lev
-        response = []
-        for a in range(3):
-            seed = np.zeros((n_lev, self.n1))
-            seed[a::3, 0] = 1.0
-            response.append(np.fft.rfft(flat.free_rows(seed)))
-        response = np.stack(response)
-        # row g is reached by the seed level g + s of colour (g + s) mod 3
-        g = np.arange(n_lev)
-        lower, diag, upper = (response[(g + s) % 3, g].real for s in (-1, 0, 1))
+        unit = np.zeros((n_lev + 1, self.n1))
+        unit[:, 0] = 1.0
+        s2 = np.repeat(np.fft.rfft(flat._stencil(flat._stencil(unit))[0]).real, 2)
+        # no face below the floor, and the last free row's upper neighbour
+        # is the top line, which is not free
+        face = flat.face_k22[:, 0]
+        below = np.r_[0.0, face[:-1]]
+        lower = -below[:, None]
+        upper = -np.r_[face[:-1], 0.0][:, None]
+        diag = (below + face)[:, None] + flat._neg_height_k11[:-1] * s2
         # stage h: row g couples to g - h by lower[g] and to g + h by upper[g]
         stages = []
         h = 1
         while h < n_lev:
             alpha = -lower[h:] / diag[:-h]
             gamma = -upper[:-h] / diag[h:]
-            diag = diag.copy()
             diag[h:] += alpha * upper[:-h]
             diag[:-h] += gamma * lower[h:]
             zero = np.zeros_like(diag[:h])
             lower = np.concatenate([zero, alpha * lower[:-h]])
             upper = np.concatenate([gamma * upper[h:], zero])
-            stages.append((h, np.repeat(alpha, 2, axis=1), np.repeat(gamma, 2, axis=1)))
+            stages.append((h, alpha, gamma))
             h *= 2
-        inv_diag = np.repeat(1.0 / diag, 2, axis=1)
+        inv_diag = 1.0 / diag
         # per precision: the stages, 1/diagonal and two work buffers, shared
         # by every caller of the cached inverse, so solves must not overlap
         self._work = {

@@ -63,10 +63,6 @@ class PeriodicField1D:
             self._coeffs = np.fft.rfft(self.values) / self.n
         return self._coeffs
 
-    @property
-    def x1(self) -> np.ndarray:
-        return nodes(self.n)
-
     @classmethod
     def zeros(cls, n: int) -> "PeriodicField1D":
         return cls(np.zeros(n))

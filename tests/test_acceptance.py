@@ -25,14 +25,14 @@ from muskat.diffeo import (
 from muskat.diagnostics import decay_fit, dispersion_rate
 from muskat.evolution import SimConfig, TERMINATION_COMPLETED, _evaluate, lower_pack, run
 from muskat.pressure import picard_head, solve_head
-from muskat.spectral_core import PeriodicField1D, sobolev_norm
+from muskat.spectral_core import PeriodicField1D, nodes, sobolev_norm
 
 N1 = 128
 N2 = 64
 
 
 def x_nodes(n=N1):
-    return PeriodicField1D.zeros(n).x1
+    return nodes(n)
 
 
 def cos_field(k=1, amp=1.0, n=N1):

@@ -47,7 +47,7 @@ from muskat.diffeo import (
 )
 from muskat.errors import DiffeoDegenerate, SolverDivergence
 from muskat.pressure import HeadSolution, solve_head
-from muskat.spectral_core import PeriodicField1D
+from muskat.spectral_core import PeriodicField1D, nodes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 BENCHMARK_WORKLOADS = ("coarse_stiff", "reference", "fine_large_amp")
@@ -94,7 +94,7 @@ class TestConfig:
         assert config.n1 == 32
         assert config.beta_minus == 0.5
         assert config.output_dir == str(tmp_path / "out")
-        x = h0.x1
+        x = nodes(h0.n)
         assert np.allclose(h0.values, 0.05 * np.cos(x), atol=1e-14)
         assert np.allclose(f.values, 0.1 * np.cos(x), atol=1e-14)
 
@@ -150,7 +150,7 @@ class TestConfig:
         write_config(cfg_path, n1=16, h0_modes=[[8, 0.01, 0.0], [2, 1, 0]],
                      f_modes=[[0, 0.1, 0.0]])
         _, h0, f, _ = load_config(cfg_path)
-        x = h0.x1
+        x = nodes(h0.n)
         assert np.allclose(h0.values, 0.01 * np.cos(8 * x) + np.cos(2 * x), atol=1e-14)
         assert np.allclose(f.values, 0.1, atol=1e-14)
 
@@ -630,6 +630,24 @@ class TestCmdConvergence:
                      h0_modes=[[1, 0.01, 0.0], [14, 0.005, 0.0]])
         assert cmd_convergence(str(cfg_path)) == 0
         assert "under-resolved" in capsys.readouterr().out
+
+    # each field's own tail fraction: h0 all in mode 1 has none, whatever f
+    # has, and two fields all in the tail give two warnings of 1, not one of 2
+    @pytest.mark.parametrize("h0_modes, f_modes, expected", [
+        ([[6, 0.01, 0.0]], [[6, 0.01, 0.0]], ["h0 has 1.00e+00", "f has 1.00e+00"]),
+        ([[1, 0.01, 0.0]], [[6, 1e-6, 0.0]], ["f has 1.00e+00"]),
+    ], ids=["both-in-tail", "only-f-in-tail"])
+    def test_underresolved_warning_per_field(self, tmp_path, capsys, h0_modes, f_modes,
+                                             expected):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, n1=16, n2_plus=5, n2_minus=5, t_end=0.05,
+                     h0_modes=h0_modes, f_modes=f_modes)
+        assert cmd_convergence(str(cfg_path)) == 0
+        warnings = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("warning: ")]
+        assert [w.split(" of its energy")[0] for w in warnings] == \
+            [f"warning: {e}" for e in expected]
+        assert all(w.endswith("n1 may be under-resolved") for w in warnings)
 
 
 class TestFormatsInStep:

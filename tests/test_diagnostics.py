@@ -22,7 +22,7 @@ from muskat.diagnostics import (
 from muskat.errors import InsufficientData
 from muskat.evolution import SimConfig, SimState, run
 from muskat.pressure import solve_head
-from muskat.spectral_core import PeriodicField1D
+from muskat.spectral_core import PeriodicField1D, nodes
 
 
 def flat_profile(beta_plus=1.0, beta_minus=1.0, n=8):
@@ -79,7 +79,7 @@ class TestDispersionRate:
             dispersion_rate(0, flat_profile())
 
     def test_curved_permeability_line_rejected(self):
-        x = PeriodicField1D.zeros(16).x1
+        x = nodes(16)
         prof = PermeabilityProfile(PeriodicField1D(0.1 * np.cos(x)), 1.0, 1.0)
         with pytest.raises(ValueError):
             dispersion_rate(1, prof)
@@ -111,13 +111,13 @@ class TestStripIntegral:
             4 * np.pi, rel=1e-12)
 
     def test_cos_squared(self):
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         vals = np.ones((17 + 9, 1)) * np.cos(x) ** 2
         assert np.sum(self.weights(64, 9, 17) * vals) == pytest.approx(2 * np.pi, rel=1e-12)
 
 
 def small_solve(h_amp=0.05, f_amp=0.1, n1=32, n2=9, betas=(1.0, 0.5)):
-    x = PeriodicField1D.zeros(n1).x1
+    x = nodes(n1)
     h = PeriodicField1D(h_amp * np.cos(x))
     f = PeriodicField1D(f_amp * np.cos(x))
     profile = PermeabilityProfile(f, *betas)
@@ -160,7 +160,7 @@ class TestEnergyLaw:
     def test_l2_law_residual_small_run(self):
         config = SimConfig(n1=64, n2_plus=32, n2_minus=32, beta_plus=1.0,
                            beta_minus=0.5, t_end=0.5, report_every=4)
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         traj = run(config, PeriodicField1D(0.05 * np.cos(x)),
                    PeriodicField1D(0.1 * np.cos(x)))
         worst = max(abs(r.l2_law_residual) for r in traj.reports)

@@ -20,13 +20,13 @@ from muskat.evolution import (
     run,
     step,
 )
-from muskat.spectral_core import PeriodicField1D, mean
+from muskat.spectral_core import PeriodicField1D, mean, nodes
 
 COARSE = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.5)
 
 
 def cos_field(n, k=1, amp=1.0):
-    x = PeriodicField1D.zeros(n).x1
+    x = nodes(n)
     return PeriodicField1D(amp * np.cos(k * x))
 
 

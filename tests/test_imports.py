@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, every
 name its __all__ exports is defined there, every private function or class
-it defines at module level is read there, and every field of a record (a
-dataclass) is read as an attribute somewhere in the package.
+it defines at module level is read there, every field of a record (a
+dataclass) is read as an attribute somewhere in the package, and every
+method or property of a class is read in the package or the benchmark.
 
 An AST scan stands in for a linter: a binding counts as used when it is
 read as a name anywhere in the module (attribute chains included) or is
@@ -17,6 +18,8 @@ import pytest
 import muskat
 
 MODULES = sorted(Path(muskat.__file__).parent.glob("*.py"))
+# the benchmark reads the package too: HeadSolution.p_plus and p_minus
+BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
 
 
 def exported_names(tree: ast.Module) -> list[str]:
@@ -141,3 +144,40 @@ def test_scan_flags_an_unread_field():
 
 def test_every_record_field_is_read():
     assert unread_fields([m.read_text() for m in MODULES], WRITTEN_WHOLE) == []
+
+
+def unread_methods(sources: list[str], readers: list[str]) -> list[str]:
+    """Methods and properties of the classes defined in sources, as
+    Class.name, whose name no source or reader reads: as an attribute, a
+    name or a string constant (getattr).  Dunder methods are not scanned."""
+    trees = [ast.parse(source) for source in sources]
+    read = set()
+    for tree in trees + [ast.parse(source) for source in readers]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(f"{node.name}.{item.name}" for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) for item in node.body
+                  if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (item.name.startswith("__") and item.name.endswith("__"))
+                  and item.name not in read)
+
+
+def test_scan_flags_an_unread_method():
+    source = ("class C:\n    def __init__(self): self.kept()\n"
+              "    def kept(self): pass\n    def dropped(self): pass\n"
+              "    @property\n    def gone(self): pass\n"
+              "    @classmethod\n    def by_name(cls): pass\n"
+              "    def _private(self): return getattr(self, 'by_name')\n")
+    reader = "def use(c):\n    return c._private\n"
+    assert unread_methods([source], [reader]) == ["C.dropped", "C.gone"]
+    assert unread_methods([source], []) == ["C._private", "C.dropped", "C.gone"]
+
+
+def test_every_method_is_read():
+    assert unread_methods([m.read_text() for m in MODULES],
+                          [b.read_text() for b in BENCHMARK]) == []

@@ -26,7 +26,7 @@ from muskat.errors import (
     SolverDivergence,
 )
 from muskat.pressure import PICARD_TOL, RESIDUAL_TOL, picard_head, solve_head
-from muskat.spectral_core import PeriodicField1D, x1_derivative
+from muskat.spectral_core import PeriodicField1D, nodes, x1_derivative
 
 
 def setup(n1, n2, h_vals, f_vals, beta_plus, beta_minus):
@@ -42,7 +42,7 @@ def setup(n1, n2, h_vals, f_vals, beta_plus, beta_minus):
 
 def gate_problem():
     # an interface and a curve that both paths solve within the gate
-    x = PeriodicField1D.zeros(64).x1
+    x = nodes(64)
     return setup(64, 17, 0.07 * np.cos(x) + 0.02 * np.sin(3 * x), 0.1 * np.cos(2 * x),
                  1.3, 0.4)
 
@@ -91,7 +91,7 @@ class TestSingleModeOracle:
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_trace_matches_linearized_rate(self, beta, k):
         n1, n2 = 128, 64
-        x = PeriodicField1D.zeros(n1).x1
+        x = nodes(n1)
         eps = 1e-4
         pack_p, pack_m, h, profile = setup(
             n1, n2, eps * np.cos(k * x), np.zeros(n1), *beta)
@@ -105,7 +105,7 @@ class TestSingleModeOracle:
         # with beta+ = beta- the two-strip solve must reproduce the depth-2
         # single-layer rate -beta k tanh(2k)
         n1, n2 = 128, 64
-        x = PeriodicField1D.zeros(n1).x1
+        x = nodes(n1)
         eps = 1e-4
         beta = 0.7
         pack_p, pack_m, h, profile = setup(
@@ -145,7 +145,7 @@ class TestFlatTopRates:
         # the top trace of the full solve is sigma_h[k] times the mode
         n1, n2, beta = 32, 9, (1.0, 0.5)
         sigma = pressure.flat_top_rates(n1, n2, n2, *beta)
-        x = PeriodicField1D.zeros(n1).x1
+        x = nodes(n1)
         eps = 1e-8
         for k in range(1, n1 // 2 + 1):
             mode = np.cos(k * x)
@@ -157,7 +157,7 @@ class TestFlatTopRates:
 class TestConservation:
     def test_zero_total_top_flux(self):
         rng = np.random.default_rng(20)
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         h_vals = 0.05 * np.cos(x) + 0.02 * np.sin(2 * x)
         f_vals = 0.1 * np.cos(x) + 0.03 * np.sin(3 * x)
         head = solve_head(*setup(64, 33, h_vals, f_vals, 1.0, 0.5))
@@ -168,7 +168,7 @@ class TestConservation:
         # the line is one free row of the solve: the residual gate bounds
         # its flux jump, the outputs copy its heads to both strips, and
         # free_unknowns reads the solved rows back from them
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         pack_p, pack_m, h, profile = setup(64, 33, 0.05 * np.cos(x), 0.1 * np.sin(x),
                                            1.0, 0.25)
         solved = []
@@ -193,7 +193,7 @@ class TestConservation:
     def test_one_sided_flux_jump_second_order(self):
         # pointwise flux continuity, recomputed with one-sided 3-point
         # stencils from each strip, converges at the vertical truncation order
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         jumps = {}
         for n2 in (17, 33, 65):
             pack_p, pack_m, h, profile = setup(
@@ -211,7 +211,7 @@ class TestConservation:
         assert math.log2(jumps[33] / jumps[65]) >= 1.5
 
     def test_floor_flux_vanishes_with_refinement(self):
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         vals = {}
         for n2 in (17, 33):
             head = solve_head(*setup(64, n2, 0.05 * np.cos(x), 0.1 * np.cos(2 * x),
@@ -220,7 +220,7 @@ class TestConservation:
         assert math.log2(vals[17] / vals[33]) >= 1.5
 
     def test_interior_divergence_truncation_order(self):
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         res = {}
         for n2 in (17, 33):
             pack_p, pack_m, h, profile = setup(
@@ -237,7 +237,7 @@ class TestSymmetryAndPositivity:
     def test_reflection_equivariance(self):
         # even h, f: P even and w1 odd under x1 -> -x1
         n1 = 64
-        x = PeriodicField1D.zeros(n1).x1
+        x = nodes(n1)
         head = solve_head(*setup(n1, 17, 0.05 * np.cos(x), 0.1 * np.cos(2 * x),
                                  1.0, 0.5))
         refl = (-np.arange(n1)) % n1
@@ -248,7 +248,7 @@ class TestSymmetryAndPositivity:
 
     def test_dissipation_nonnegative(self):
         rng = np.random.default_rng(21)
-        x = PeriodicField1D.zeros(32).x1
+        x = nodes(32)
         for _ in range(3):
             h_vals = 0.1 * rng.normal() * np.cos(x) + 0.05 * rng.normal() * np.sin(2 * x)
             f_vals = 0.1 * rng.normal() * np.cos(x)
@@ -305,14 +305,14 @@ class TestPicard:
         assert w_max(head) <= 1e-12
 
     def test_agrees_with_direct_in_small_regime(self):
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         args = setup(64, 33, 0.005 * np.cos(x), 0.02 * np.cos(2 * x), 1.0, 0.5)
         direct = solve_head(*args)
         fixed = picard_head(*args)
         assert np.max(np.abs(direct.p - fixed.p)) <= 10 * PICARD_TOL
 
     def test_diverges_at_large_amplitude_while_direct_succeeds(self):
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         args = setup(64, 17, 0.55 * np.cos(x), np.zeros(64), 1.0, 1.0)
         assert np.min(args[0].J) < 0.45  # well outside the contraction regime
         solve_head(*args)  # direct path is fine
@@ -322,7 +322,7 @@ class TestPicard:
 
 class TestSolverOptions:
     def test_krylov_matches_direct(self):
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         args = setup(64, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
         direct = solve_head(*args, solver="direct")
         krylov = solve_head(*args, solver="krylov")
@@ -374,7 +374,7 @@ class TestSolverOptions:
             assert np.max(np.abs(line_row(head, *args[:3]))) <= 1e-10
 
     def test_solution_as_guess_takes_no_iteration(self):
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         args = setup(64, 17, 0.07 * np.cos(x) + 0.02 * np.sin(3 * x),
                      0.1 * np.cos(2 * x), 1.3, 0.4)
         cold = solve_head(*args, solver="krylov")
@@ -399,6 +399,21 @@ class TestSolverOptions:
         r = np.random.default_rng(n1 + m_minus + m_plus).normal(size=(flat.n_lev, n1))
         expected = lu.solve(r.ravel()).reshape(r.shape)
         assert np.max(np.abs(inverse.solve(r) - expected)) <= 1e-11 * np.max(np.abs(expected))
+
+    # the flat balance holds its coefficients as columns that broadcast
+    # along x1; it must apply bit for bit as the one built from full arrays
+    @pytest.mark.parametrize("n1, m_minus, m_plus", [(4, 3, 3), (4, 7, 4), (64, 9, 17)])
+    def test_flat_columns_match_full_arrays(self, n1, m_minus, m_plus):
+        flat = pressure._CellBalance.flat(n1, m_minus, m_plus, 1.7, 0.3)
+        assert flat.k11.shape == flat.k22.shape == (m_minus + m_plus, 1)
+        full = pressure._CellBalance(
+            flat.grid_minus, flat.grid_plus,
+            *(np.repeat(k, n1, axis=1) for k in (flat.k11, flat.k12, flat.k22)))
+        rng = np.random.default_rng(n1 * m_minus * m_plus)
+        for p in rng.normal(size=(3, flat.n_lev + 1, n1)):
+            assert np.array_equal(flat(p), full(p))
+            x, top = p[:-1], rng.normal(size=n1)
+            assert np.array_equal(flat.free_rows(x, top), full.free_rows(x, top))
 
     # level counts n_lev = m_minus + m_plus - 2 run over odd, prime and
     # non-power-of-two values, so cyclic reduction's last stage is partial
@@ -509,7 +524,7 @@ class TestSolverOptions:
                              [(4, 3, 17), (6, 17, 3), (8, 5, 9), (10, 9, 4), (14, 3, 3),
                               (18, 12, 7), (22, 4, 13), (64, 17, 9)])
     def test_probe_reproduces_balance(self, n1, m_minus, m_plus):
-        x = PeriodicField1D.zeros(n1).x1
+        x = nodes(n1)
         h = PeriodicField1D(0.08 * np.cos(x) + 0.03 * np.sin(x))
         f = PeriodicField1D(0.1 * np.sin(x) + 0.05 * np.cos(2 * x))
         profile = PermeabilityProfile(f, 1.3, 0.4)
@@ -554,7 +569,7 @@ class TestSolverOptions:
             assert v @ (matrix @ v) > 0.0
 
     def test_krylov_failure_raises_without_fallback(self, monkeypatch):
-        x = PeriodicField1D.zeros(64).x1
+        x = nodes(64)
         args = setup(64, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
         monkeypatch.setattr(pressure, "KRYLOV_MAXITER", 1)
         with pytest.raises(SolverDivergence, match="stalled"):
@@ -605,7 +620,7 @@ class TestWorkBuffers:
     and the callers of solve_head keep the heads it returns."""
 
     def test_balance_returns_unaliased_arrays(self):
-        x = PeriodicField1D.zeros(16).x1
+        x = nodes(16)
         h = PeriodicField1D(0.08 * np.cos(x) + 0.03 * np.sin(x))
         f = PeriodicField1D(0.1 * np.sin(x) + 0.05 * np.cos(2 * x))
         profile = PermeabilityProfile(f, 1.3, 0.4)
@@ -655,7 +670,7 @@ class TestDataScaling:
         # solve_head solves for h / max|h| and rescales; solved for h itself,
         # gradual underflow in the right side fails the direct residual gate
         n1 = 32
-        x = PeriodicField1D.zeros(n1).x1
+        x = nodes(n1)
         tiny = 2.2e-313
         pack_p, pack_m, h, profile = setup(n1, 9, tiny * np.sin(x), np.zeros(n1), 1.0, 1.0)
         unit = solve_head(pack_p, pack_m, PeriodicField1D(np.sin(x)), profile)
@@ -669,7 +684,7 @@ class TestDataScaling:
 
     @pytest.mark.parametrize("solver", ["direct", "krylov"])
     def test_zero_interface_gives_exact_zero(self, solver):
-        x = PeriodicField1D.zeros(32).x1
+        x = nodes(32)
         head = solve_head(*setup(32, 9, np.zeros(32), 0.2 * np.cos(x), 1.0, 0.3),
                           solver=solver)
         assert w_max(head) == 0.0
