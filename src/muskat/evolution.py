@@ -51,6 +51,14 @@ __all__ = ["SimConfig", "SimState", "Trajectory", "check_data", "lower_pack", "s
 # classical RK4 is stable for dt * lambda in [-RK4_REAL_LIMIT, 0], lambda real
 RK4_REAL_LIMIT = 2.78529356340529
 
+# largest beta_minus / beta_plus a run accepts.  The lower strip's balance
+# rows are that ratio times the upper ones, while the head solve's residual
+# gate is relative to the right side, which sits in the upper rows, so the
+# gate's roundoff floor grows like eps * beta_minus / beta_plus: both solvers
+# failed it from 2e6 on 64 x (32+32) and 192 x (96+96).  This is one decade
+# under that.  A more permeable upper strip has no such floor.
+MAX_PERMEABILITY_CONTRAST = 1e5
+
 TERMINATION_COMPLETED = "completed"
 TERMINATION_GAP = "gap_violation"
 TERMINATION_DEGENERATE = "diffeo_degenerate"
@@ -96,6 +104,12 @@ class SimConfig:
             raise ValueError("n2_plus and n2_minus must be >= 3")
         if not (self.beta_plus > 0 and self.beta_minus > 0):
             raise ValueError("permeabilities must be positive")
+        contrast = self.beta_minus / self.beta_plus
+        if contrast > MAX_PERMEABILITY_CONTRAST:
+            raise ValueError(
+                f"beta_minus / beta_plus = {contrast:.3g} exceeds "
+                f"{MAX_PERMEABILITY_CONTRAST:.0e}: beyond it the head solve's "
+                "residual gate cannot be certified")
         if not (0.0 < self.dt_safety <= 1.0):
             raise ValueError("dt_safety must lie in (0, 1]")
         if not (self.t_end > 0):

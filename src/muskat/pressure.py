@@ -36,26 +36,21 @@ itself, no matrix formed, preconditioned by the exact inverse of the
 flat-metric balance (k12 = 0, constant k11 = k22 = beta per strip), which
 an rfft in x1 reduces to one tridiagonal level system per Fourier mode,
 with bands read off the flat coefficient columns and the x1 stencil's
-symbol, solved for all modes at once by parallel cyclic reduction.  Inside
-CG that reduction runs in float32: a preconditioner need not be exact, and
-at 192 x (96+96) its coefficients and work buffers take 4.8 MB in float64
-(2.4 MB in float32), more than a core's L2 cache, so each call streams
-them.  The FFTs, the operator, CG's vectors and the residual gate stay
-float64, so the stopping test and the gate see the float64 system.  CG
-starts from a guess when the caller has a nearby head (evolution passes
-the head of a neighbouring RK stage) and from zero otherwise; its stopping
-test is relative to the right side either way.  One apply of the balance
-at the solved head serves both the residual gate (its free rows) and the
-recovery (its top-line row).  The apply runs the x1 stencil without its
-1/(12 dx1), which its coefficients carry.  The run path is numpy only.
+symbol, solved for all modes at once by parallel cyclic reduction in
+double precision, like the rest of the solve.  CG starts from a guess when
+the caller has a nearby head (evolution passes the head of a neighbouring
+RK stage) and from zero otherwise; its stopping test is relative to the
+right side either way.  One apply of the balance at the solved head
+serves both the residual gate (its free rows) and the recovery (its
+top-line row).  The apply runs the x1 stencil without its 1/(12 dx1),
+which its coefficients carry.  The run path is numpy only.
 "direct" is sparse LU of the matrix read off the balance by coloured unit
 probes (Curtis, Powell & Reid 1974); it is the oracle the Krylov path is
 tested against, and the only code that imports scipy, when it is first
 called.
 picard_head is a fixed-point cross-check built on the same flat inverse.
 flat_top_rates reads off the flat inverse the rate of each interface mode
-over the flat metric, which sets the RK4 step of evolution.  Both use the
-flat inverse in float64, so the step does not depend on the float32 path.
+over the flat metric, which sets the RK4 step of evolution.
 """
 
 from __future__ import annotations
@@ -395,16 +390,9 @@ class _FlatInverse:
     s2 is repeated once for the pairs, and the rest follows in that layout.
     A solve is one rfft, two multiplies and two in-place adds per stage
     into two work buffers, one scaling and one irfft.  Only elementwise
-    ufuncs run.  The stages, 1/diagonal and the work buffers are kept in
-    float64 and in float32, and a solve picks one (solve's dtype).  float64,
-    in place on the spectrum, serves sigma_h, picard_head and the tests
-    against LU.  float32 serves the CG preconditioner: it halves the bytes
-    that each call streams, and its rounding, about 1e-7 of the result, is
-    far below the gap between the flat and the curved operator that CG
-    corrects anyway, up to a permeability contrast of about 1e4: at
-    beta_minus / beta_plus = 1e6 a solve at 16 x (5+4) took half again as
-    many CG iterations as with float64.  The FFTs stay float64: numpy's rfft
-    of float32 rows measured slower, 0.40 ms against 0.15 ms at 190 x 192.
+    ufuncs run, in double precision: a single-precision reduction saved
+    about 5-10% of run time but stalled CG from a permeability contrast of
+    1e5 at 128 x (64+64), where double precision takes 9 iterations.
     Fast diagonalisation (an eigh of the level pencil, then two gemm per
     solve) was measured and not taken: it is BLAS, which OpenBLAS threads,
     and on a shared two-core host its build took up to 354 ms and its
@@ -443,38 +431,28 @@ class _FlatInverse:
             upper = np.concatenate([gamma * upper[h:], zero])
             stages.append((h, alpha, gamma))
             h *= 2
-        inv_diag = 1.0 / diag
-        # per precision: the stages, 1/diagonal and two work buffers, shared
-        # by every caller of the cached inverse, so solves must not overlap
-        self._work = {
-            dtype: ([(h, alpha.astype(dtype, copy=False), gamma.astype(dtype, copy=False))
-                     for h, alpha, gamma in stages],
-                    inv_diag.astype(dtype, copy=False),
-                    np.empty(inv_diag.shape, dtype), np.empty(inv_diag.shape, dtype))
-            for dtype in (np.float64, np.float32)}
+        self._stages, self._inv_diag = stages, 1.0 / diag
+        # two work buffers, shared by every caller of the cached inverse, so
+        # solves must not overlap
+        self._below, self._above = np.empty_like(diag), np.empty_like(diag)
         impulse = np.zeros(self.n1)
         impulse[0] = 1.0
         x = self.solve(-flat.free_rows(np.zeros((n_lev, self.n1)), impulse))
         self.sigma_h = np.fft.rfft(-flat(flat.heads(x, impulse))[-1])
         self.sigma_h.setflags(write=False)  # every caller shares the cached array
 
-    def solve(self, r: np.ndarray, dtype=np.float64) -> np.ndarray:
-        """The flat inverse applied to the free rows r; float64 like r.
-
-        dtype np.float32 runs the reduction on the spectrum rounded to
-        single precision and writes its last scaling into the float64
-        spectrum, which the irfft reads.  np.float64 reduces the spectrum
-        in place."""
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """The flat inverse applied to the free rows r, reduced in place on
+        the float view of their spectrum."""
         spectrum = np.fft.rfft(r)
-        out = spectrum.view(np.float64)
-        stages, inv_diag, below, above = self._work[dtype]
-        d = out.astype(dtype, copy=False)
-        for h, alpha, gamma in stages:
+        d = spectrum.view(np.float64)
+        below, above = self._below, self._above
+        for h, alpha, gamma in self._stages:
             np.multiply(alpha, d[:-h], out=below[h:])
             np.multiply(gamma, d[h:], out=above[:-h])
             d[h:] += below[h:]
             d[:-h] += above[:-h]
-        np.multiply(d, inv_diag, out=out)
+        d *= self._inv_diag
         return np.fft.irfft(spectrum, n=self.n1)
 
 
@@ -572,8 +550,7 @@ def _solve_krylov(balance: _CellBalance, b: np.ndarray, profile: PermeabilityPro
                          profile.beta_plus, profile.beta_minus)
     # |r|_inf <= |r|_2 <= rtol |b|_2 <= rtol sqrt(n_free) |b|_inf, so this
     # rtol meets the max-norm residual gate of solve_head
-    return _cg(balance.free_rows, b, lambda r: flat.solve(r, np.float32),
-               RESIDUAL_TOL / np.sqrt(b.size), x0)
+    return _cg(balance.free_rows, b, flat.solve, RESIDUAL_TOL / np.sqrt(b.size), x0)
 
 
 def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
@@ -583,8 +560,7 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
 
     solver: "direct" (sparse LU of the probed matrix, the default here and
     the test oracle) or "krylov" (CG on the matrix-free balance,
-    preconditioned by the flat-metric inverse reduced in float32, used by
-    every run).
+    preconditioned by the flat-metric inverse, used by every run).
     The system is solved for h / max|h| and every output rescaled, since it
     is linear in h; h = 0 gives the exact zero solution.
 

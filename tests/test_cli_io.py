@@ -401,6 +401,17 @@ class TestCmdRun:
         assert err == "error: permeability curve within gap_tol of the floor\n"
         assert not (tmp_path / "out").exists()
 
+    def test_unresolvable_contrast_writes_nothing(self, tmp_path, capsys):
+        # beyond evolution.MAX_PERMEABILITY_CONTRAST no solver passes the
+        # residual gate: the config is rejected before out/ is created
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, beta_plus=1.0, beta_minus=2e5)
+        assert cmd_run(str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config: beta_minus / beta_plus = 2e+05 ")
+        assert "residual gate cannot be certified" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("change", ["delete", "rewrite"])
     def test_manifest_echoes_the_config_that_ran(self, tmp_path, monkeypatch, change):
         # the config file changes while the run is under way: the manifest
