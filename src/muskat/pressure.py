@@ -50,7 +50,8 @@ tested against, and the only code that imports scipy, when it is first
 called.
 picard_head is a fixed-point cross-check built on the same flat inverse.
 flat_top_rates reads off the flat inverse the rate of each interface mode
-over the flat metric, which sets the RK4 step of evolution.
+over the flat metric: the linear part that evolution's exponential step
+integrates exactly, and the slowest of them sets its step.
 """
 
 from __future__ import annotations

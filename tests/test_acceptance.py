@@ -71,7 +71,7 @@ def decay_run():
     h0 = cos_field(amp=0.014)
     assert sobolev_norm(h0, 2.0) <= 0.05
     config = SimConfig(n1=N1, n2_plus=N2, n2_minus=N2, beta_plus=1.0,
-                       beta_minus=1.0, t_end=5.0, report_every=5)
+                       beta_minus=1.0, t_end=5.0, report_every=2)
     traj = run(config, h0, PeriodicField1D.zeros(N1))
     assert traj.termination == TERMINATION_COMPLETED
     return traj

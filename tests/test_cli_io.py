@@ -552,10 +552,17 @@ class TestCmdCheck:
         assert out.count("PASS") == 5
         assert "FAIL" not in out
 
-    def test_cfl_probe_fails_beyond_the_limit(self, tmp_path, capsys, monkeypatch):
+    def test_cfl_probe_fails_without_the_exponential(self, tmp_path, capsys, monkeypatch):
+        # zero linear rates turn the step into classical RK4, which the
+        # probe's stiffest rates put past its stability limit
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text(json.dumps({"dt_safety": 1.0}))
-        monkeypatch.setattr(evolution, "RK4_REAL_LIMIT", 1.5 * evolution.RK4_REAL_LIMIT)
+        cfg_path.write_text("{}")
+        assert cmd_check(str(cfg_path)) == 0
+        assert "PASS cfl: exponential step stable at dt_safety = 0.5, dt max|sigma_h| = 8.07 " \
+            in capsys.readouterr().out
+        monkeypatch.setattr(evolution, "_etd_coefficients",
+                            lambda n1, *key: evolution._etd_weights(np.zeros(n1 // 2 + 1),
+                                                                     key[-1]))
         assert cmd_check(str(cfg_path)) == 4
         assert "FAIL cfl" in capsys.readouterr().out
 
@@ -589,7 +596,9 @@ class TestCmdConvergence:
         # one step of the rule already covers t_end: the refinements must
         # still take 1, 2 and 4 steps, not the same single step
         cfg_path = tmp_path / "run.json"
-        write_config(cfg_path, t_end=0.04)
+        dt = evolution.SimConfig(n1=32, n2_plus=9, n2_minus=9, beta_plus=1.0,
+                                 beta_minus=0.5).dt
+        write_config(cfg_path, t_end=dt)
         assert cmd_convergence(str(cfg_path)) == 0
         out = capsys.readouterr().out
         assert "(1 -> 2 -> 4 steps)" in out

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muskat import diagnostics, evolution, pressure
@@ -294,22 +296,113 @@ class TestRun:
             run(config, PeriodicField1D.zeros(32), f)
 
 
-class TestConfig:
-    def test_rk4_real_limit(self):
-        # |R(z)| = 1 at z = -RK4_REAL_LIMIT, R the RK4 amplification factor
-        z = -evolution.RK4_REAL_LIMIT
-        assert 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24 == pytest.approx(1.0, abs=1e-13)
+def series_over_cube(poly, exp_poly, terms=16):
+    """Taylor coefficients of (poly(c) + exp(c) exp_poly(c)) / c^3 at c = 0,
+    exact; poly and exp_poly list polynomial coefficients from c^0 up."""
+    def numerator(n):
+        head = Fraction(poly[n]) if n < len(poly) else Fraction(0)
+        return head + sum(Fraction(r, math.factorial(n - j))
+                          for j, r in enumerate(exp_poly) if j <= n)
+    assert all(numerator(n) == 0 for n in range(3))
+    return [numerator(n) for n in range(3, 3 + terms)]
 
+
+# Taylor coefficients at c = 0 of Q / dt = (exp(c/2) - 1) / c and of f1, f2,
+# f3 over dt
+WEIGHT_SERIES = [
+    [Fraction(1, 2 ** n * math.factorial(n)) for n in range(1, 17)],
+    series_over_cube([-4, -1], [4, -3, 1]),
+    series_over_cube([2, 1], [-2, 1]),
+    series_over_cube([-4, -3, -1], [4, -1]),
+]
+
+
+def closed_weights(c):
+    """Q, f1, f2, f3 over dt in closed form, for c away from 0."""
+    e = math.exp(c)
+    return [math.expm1(c / 2) / c,
+            (-4 - c + e * (4 - 3 * c + c ** 2)) / c ** 3,
+            (2 + c + e * (c - 2)) / c ** 3,
+            (-4 - 3 * c - c ** 2 + e * (4 - c)) / c ** 3]
+
+
+class TestEtdWeights:
+    """The ETDRK4 coefficients as contour means (Kassam & Trefethen 2005)
+    against their closed forms away from c = dt L = 0 and their Taylor
+    series near it."""
+
+    @staticmethod
+    def weights_over_dt(c, dt):
+        _, e, e2, *weights = evolution._etd_weights(np.array([c / dt]), dt)
+        # c / dt times dt is c to a few ulp of c
+        assert e[0] == pytest.approx(math.exp(c), rel=1e-13)
+        assert e2[0] == pytest.approx(math.exp(c / 2), rel=1e-13)
+        return [w[0] / dt for w in weights]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c=st.one_of(st.floats(-300.0, -0.1), st.floats(0.1, 3.0)),
+           dt=st.floats(1e-3, 10.0))
+    def test_weights_match_closed_forms(self, c, dt):
+        # f1 changes sign near c = -4.4: the absolute bound covers its root
+        assert self.weights_over_dt(c, dt) == pytest.approx(closed_weights(c), rel=1e-9,
+                                                              abs=1e-14)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c=st.floats(-0.1, 0.1), dt=st.floats(1e-3, 10.0))
+    @example(c=0.0, dt=1.0)
+    def test_weights_match_taylor_series_near_zero(self, c, dt):
+        # c = 0 is the rate of the mean and of the Nyquist mode: there the
+        # weights are classical RK4's, 1/2, 1/6, 1/6 and 1/6
+        series = [sum(float(a) * c ** n for n, a in enumerate(coeffs))
+                  for coeffs in WEIGHT_SERIES]
+        assert self.weights_over_dt(c, dt) == pytest.approx(series, rel=1e-12)
+
+    def test_coefficients_cached_per_step_size(self):
+        key = (32, 9, 9, 1.0, 0.5)
+        full = evolution._etd_coefficients(*key, 0.1)
+        assert evolution._etd_coefficients(*key, 0.1) is full
+        clipped = evolution._etd_coefficients(*key, 0.05)
+        assert clipped is not full
+        assert clipped[1] == pytest.approx(np.sqrt(full[1]), rel=1e-14)
+        assert not any(array.flags.writeable for array in full)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+           n2=st.tuples(st.integers(5, 12), st.integers(5, 12)),
+           k=st.integers(1, 15), factor=st.floats(1.0, 20.0))
+    def test_step_is_exact_on_a_small_mode(self, betas, n2, k, factor):
+        # a 1e-8 single mode over a flat curve evolves by the flat rate: one
+        # step of up to 20 times classical RK4's stable step on this grid
+        # multiplies it by exp(sigma_h(k) dt).  A mode that falls below 1e-6
+        # of itself is held to the roundoff of a unit amplitude instead.
+        config = SimConfig(n1=32, n2_plus=n2[0], n2_minus=n2[1], beta_plus=betas[0],
+                           beta_minus=betas[1])
+        sigma = pressure.flat_top_rates(32, n2[0], n2[1], *betas).real
+        dt = factor * 2.78529356340529 / np.max(np.abs(sigma))
+        h = PeriodicField1D.from_modes(32, [(k, 1e-8, 0.0)])
+        prof = profile_for(config)
+        pack_minus = lower_pack(prof, config)
+        new, _ = step(SimState(h=h), prof, config, dt, pack_minus,
+                      evolution._evaluate(h.values, prof, config, pack_minus))
+        ratio = new.h.coeffs / h.coeffs[k]
+        assert ratio[k].real == pytest.approx(math.exp(sigma[k] * dt), rel=1e-9, abs=1e-15)
+        assert abs(ratio[k].imag) <= 1e-15
+
+
+class TestConfig:
     def test_dt_formula(self):
         config = SimConfig(n1=128, beta_plus=2.0, beta_minus=0.5, dt_safety=0.5)
         sigma = pressure.flat_top_rates(128, 64, 64, 2.0, 0.5)
-        assert config.dt == pytest.approx(0.5 * 2.78529356340529 / np.max(np.abs(sigma)),
-                                          rel=1e-14)
-        # the stiffest rate, k = 37, decays inside the upper strip: 2 x 28.63
-        assert config.dt == pytest.approx(0.5 * 2.78529356340529 / 57.2566, rel=1e-5)
+        assert config.dt == pytest.approx(0.5 / (4.0 * abs(sigma[1])), rel=1e-14)
+        # the slowest flat rate, k = 1, is the two-layer rate to 3e-5
+        assert config.dt == pytest.approx(0.5 / (4.0 * 1.66290), rel=1e-5)
+        # not the stiffest rate, k = 37, which decays inside the upper strip
+        assert config.dt * np.max(np.abs(sigma)) == pytest.approx(4.30396, rel=1e-5)
         # rates scale with a common factor of both betas, the step inversely
         halved = SimConfig(n1=128, beta_plus=1.0, beta_minus=0.25, dt_safety=0.5)
         assert halved.dt == pytest.approx(2.0 * config.dt, rel=1e-12)
+        # and with dt_safety
+        assert replace(config, dt_safety=0.25).dt == pytest.approx(0.5 * config.dt, rel=1e-14)
 
     @pytest.mark.parametrize("bad", [
         dict(n1=13), dict(n2_plus=2), dict(beta_plus=0.0), dict(dt_safety=0.0),

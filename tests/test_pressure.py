@@ -118,8 +118,8 @@ class TestSingleModeOracle:
 
 
 class TestFlatTopRates:
-    """sigma_h, the top-line rate of each mode of h over the flat metric,
-    which sets the RK4 step."""
+    """sigma_h, the top-line rate of each mode of h over the flat metric:
+    the linear part that the exponential step integrates exactly."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n1=st.integers(2, 16).map(lambda k: 2 * k),
