@@ -15,7 +15,7 @@ import os
 import struct
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .diffeo import (
     UPPER,
     PermeabilityProfile,
     StripGrid,
+    assemble_metric,
     harmonic_extension,
     metric_terms,
     piola_divergence,
@@ -41,7 +42,6 @@ __all__ = [
     "Snapshot",
     "write_snapshot",
     "read_snapshot",
-    "RunManifest",
     "cmd_run",
     "cmd_dispersion",
     "cmd_check",
@@ -242,31 +242,8 @@ def read_snapshot(path: str | Path) -> Snapshot:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RunManifest:
-    """The run's record.  error_time is the t of the state the run ended at
-    when it terminated early, None when it completed.  head_solves and
-    cg_iterations total the run's head solves and their CG iterations;
-    max_abs_mean_h and max_abs_top_flux are the largest |mean h| and
-    |top-line flux total| over the evaluated states (the mass ledger).  All
-    five are evolution.Trajectory's."""
-
-    config: dict
-    version: str
-    start_time: str
-    end_time: str
-    termination: str
-    error: str | None
-    error_time: float | None
-    head_solves: int
-    cg_iterations: int
-    max_abs_mean_h: float
-    max_abs_top_flux: float
-    files: list
-
-
-def write_manifest(path: str | Path, manifest: RunManifest) -> None:
-    _write_atomic(path, [(json.dumps(asdict(manifest), indent=2) + "\n").encode()])
+def write_manifest(path: str | Path, manifest: dict) -> None:
+    _write_atomic(path, [(json.dumps(manifest, indent=2) + "\n").encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +284,23 @@ def cmd_run(config_path: str) -> int:
                                                head.n2_minus, head.p, head.w1, head.w2))
             files.append(snap_path.name)
 
-    manifest = RunManifest(
-        config=echo,
-        version=__version__,
-        start_time=start,
-        end_time=_now(),
-        termination=traj.termination,
-        error=traj.error,
-        error_time=traj.error_time,
-        head_solves=traj.head_solves,
-        cg_iterations=traj.cg_iterations,
-        max_abs_mean_h=traj.max_abs_mean_h,
-        max_abs_top_flux=traj.max_abs_top_flux,
-        files=files + ["manifest.json"],
-    )
+    # the run's record: error_time is the t of the state the run ended at
+    # when it terminated early, None when it completed; the ledgers after it
+    # are evolution.Trajectory's
+    manifest = {
+        "config": echo,
+        "version": __version__,
+        "start_time": start,
+        "end_time": _now(),
+        "termination": traj.termination,
+        "error": traj.error,
+        "error_time": traj.error_time,
+        "head_solves": traj.head_solves,
+        "cg_iterations": traj.cg_iterations,
+        "max_abs_mean_h": traj.max_abs_mean_h,
+        "max_abs_top_flux": traj.max_abs_top_flux,
+        "files": files + ["manifest.json"],
+    }
     write_manifest(out_dir / "manifest.json", manifest)
 
     return _EXIT_CODES[traj.termination]
@@ -350,8 +330,8 @@ def _check_rest_state(config) -> tuple[bool, str]:
     for f_modes in ([], [(1, 0.2, 0.0)]):
         f = PeriodicField1D.from_modes(small.n1, f_modes)
         profile = PermeabilityProfile(f, small.beta_plus, small.beta_minus)
-        _, head = evolution._evaluate(h0.values, profile, small,
-                                      evolution.lower_pack(profile, small))
+        head = evolution._evaluate(h0.values, profile, small,
+                                   evolution.lower_pack(profile, small))
         w_max = max(float(np.max(np.abs(w))) for w in (head.w1, head.w2))
         if w_max > 1e-9:
             return False, f"rest-state velocity {w_max:.3e} exceeds 1e-9"
@@ -371,8 +351,8 @@ def _check_piola(config) -> tuple[bool, str]:
         same = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
         if same > 1e-10:
             return False, f"same-stencil divergence {same:.3e} not at roundoff"
-        pack_an = metric_terms(
-            shift, profile, d2_values=vertical_derivative_exact(h, f, grid).values)
+        pack_an = assemble_metric(grid, pack.beta, pack.d1,
+                                  vertical_derivative_exact(h, f, grid).values)
         r1a, _ = piola_divergence(pack_an)
         residuals[n2] = float(np.max(np.abs(r1a)))
     order = math.log2(residuals[17] / residuals[33])

@@ -19,7 +19,7 @@ import numpy as np
 from .diffeo import PermeabilityProfile
 from .errors import InsufficientData
 from .pressure import HeadSolution
-from .spectral_core import deriv, sobolev_norm, x1_derivative
+from .spectral_core import PeriodicField1D, sobolev_norm, x1_derivative
 
 __all__ = [
     "dispersion_rate",
@@ -41,12 +41,16 @@ def dispersion_rate(k: int, profile: PermeabilityProfile) -> float:
     """Decay rate sigma(k) of a small single-mode interface perturbation over
     the flat two-layer rest state.
 
-    Solves the per-mode system for the head profile a+ cosh(k x2) +
-    b+ sinh(k x2) on (-1, 0) and a- cosh(k (x2 + 2)) on (-2, -1) (floor
-    Neumann built in), with unit interface data, continuity and beta-weighted
-    flux continuity at x2 = -1; sigma(k) = -beta_plus * dP/dx2 at the top.
-    Requires a flat permeability curve.  For beta_plus == beta_minus the
-    closed form is sigma(k) = -beta * k * tanh(2k).
+    The head is a+ cosh(k x2) + b+ sinh(k x2) on (-1, 0) and
+    a- cosh(k (x2 + 2)) on (-2, -1) (floor Neumann built in), with unit
+    interface data, continuity and beta-weighted flux continuity at
+    x2 = -1; sigma(k) = -beta_plus * dP/dx2 at the top.  Eliminating the
+    coefficients gives, with T = tanh k,
+
+        sigma(k) = -beta_plus k T (beta_plus + beta_minus) / (beta_plus + beta_minus T^2),
+
+    which is -beta k tanh(2k) for beta_plus == beta_minus.  Requires a flat
+    permeability curve.
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError("mode number k must be a positive integer (k = 0 is conserved)")
@@ -54,27 +58,16 @@ def dispersion_rate(k: int, profile: PermeabilityProfile) -> float:
         raise ValueError("dispersion_rate requires a flat permeability curve (f = 0)")
     bp, bm = profile.beta_plus, profile.beta_minus
     t = math.tanh(k)
-    # unknowns (a+, b+, a-, sigma); interface rows scaled by 1/cosh(k)
-    mat = np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [1.0, -t, -1.0, 0.0],
-        [-bp * t, bp, -bm * t, 0.0],
-        [0.0, bp * k, 0.0, 1.0],
-    ])
-    rhs = np.array([1.0, 0.0, 0.0, 0.0])
-    sigma = float(np.linalg.solve(mat, rhs)[3])
-    return sigma
+    return -bp * k * t * (bp + bm) / (bp + bm * t * t)
 
 
 def dispersion_table(k_max: int, profile: PermeabilityProfile) -> np.ndarray:
     """Linearized decay rates sigma(k) of the modes k = 1..k_max, in order;
-    every one is negative in the stable regime."""
+    every one is negative, since PermeabilityProfile admits positive betas
+    only."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    sigma = np.array([dispersion_rate(k, profile) for k in range(1, k_max + 1)])
-    if np.any(sigma >= 0.0):
-        raise ValueError("linearized rates must be negative for positive permeabilities")
-    return sigma
+    return np.array([dispersion_rate(k, profile) for k in range(1, k_max + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +111,12 @@ def report(state, head: HeadSolution, h0_l2_sq: float) -> EnergyReport:
     l2_h = sobolev_norm(h, 0.0)
     h2_h = sobolev_norm(h, 2.0)
     h2p5_h = sobolev_norm(h, 2.5)
-    hpp = deriv(h, 2)
+    hpp = PeriodicField1D(x1_derivative(h.values, order=2))
     script_e = sobolev_norm(hpp, 0.0) ** 2
 
     d11w = [x1_derivative(w, order=2) for w in (head.w1, head.w2)]
     script_d = sum(float(np.sum(head.weights * (d * d))) for d in d11w)
-    rt_margin = float(np.min(head.gamma_trace_w2.values)) + 1.0
+    rt_margin = float(np.min(head.gamma_trace_w2)) + 1.0
 
     if h0_l2_sq > 0.0:
         defect = l2_h ** 2 + 2.0 * state.diss_l2_integral - h0_l2_sq

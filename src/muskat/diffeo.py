@@ -233,19 +233,17 @@ def assemble_metric(grid: StripGrid, beta: float, d1: np.ndarray, d2: np.ndarray
 
 
 def metric_terms(delta_psi: StripField, profile: PermeabilityProfile,
-                 j_min: float = DEFAULT_J_MIN,
-                 d2_values: np.ndarray | None = None) -> MetricPack:
+                 j_min: float = DEFAULT_J_MIN) -> MetricPack:
     """Gradient of the shift and the metric coefficients of one strip.
 
     d1 is the spectral x1-derivative per level; d2 uses finite differences of
     the grid values (not the analytic mode derivative) so the downstream
-    discrete identities hold in the same calculus as the head solver.  Pass
-    d2_values to override with the analytic derivative where wanted.
+    discrete identities hold in the same calculus as the head solver.  A
+    pack with the analytic d2 is assemble_metric's, from the same d1.
     """
     grid = delta_psi.grid
     d1 = x1_derivative(delta_psi.values)
-    d2 = vertical_derivative(delta_psi.values, grid.dx2) if d2_values is None \
-        else np.asarray(d2_values, dtype=float)
+    d2 = vertical_derivative(delta_psi.values, grid.dx2)
     return assemble_metric(grid, profile.beta(grid.strip), d1, d2, j_min)
 
 

@@ -8,8 +8,8 @@ integrates exactly, and the rest N(h) = rfft(trace(h)) - L rfft(h), which
 it takes in four stages.  So no rate limits the step's stability, and the
 step is set by the slow dynamics: dt_safety / (4 |sigma_h(1)|), an eighth
 of the e-folding time of the slowest flat mode at the default dt_safety.
-sigma_h is zero at the mean and at the Nyquist mode, which the run removes
-from h at t = 0 and after every step.
+sigma_h is zero at the mean and at the Nyquist mode, which the run zeroes
+in the rfft of h at t = 0 and after every step.
 
 Each head solve is for an interface that differs by O(dt) from one solved
 just before, so every solve of a run but the first starts CG from the
@@ -50,7 +50,7 @@ from .errors import (
     SolverDivergence,
 )
 from .pressure import HeadSolution, flat_top_rates, solve_head
-from .spectral_core import PeriodicField1D, mean, project_zero_mean, sobolev_norm
+from .spectral_core import PeriodicField1D, sobolev_norm
 
 __all__ = ["SimConfig", "SimState", "Trajectory", "check_data", "lower_pack", "step",
            "run"]
@@ -211,31 +211,29 @@ def lower_pack(profile: PermeabilityProfile, config: SimConfig) -> MetricPack:
     return _strip_pack(PeriodicField1D.zeros(config.n1), profile, config, config.grids()[1])
 
 
-def _project_rest_modes(h: PeriodicField1D) -> PeriodicField1D:
-    """h without the two modes whose flat rate sigma_h is zero: the mean,
-    which the dynamics conserve, and the Nyquist mode k = n1/2, which the
-    antisymmetric x1-difference does not see, so that it would never
-    decay.  At the nodes that mode is a multiple of (-1)^j."""
-    h = project_zero_mean(h)
-    nyquist = (-1.0) ** np.arange(h.n)
-    return PeriodicField1D(h.values - nyquist * np.mean(nyquist * h.values))
+def _project_rest_modes(v: np.ndarray) -> np.ndarray:
+    """Zero, in place, the two modes of the rfft v of h whose flat rate
+    sigma_h is zero, and return v: the mean (mode 0), which the dynamics
+    conserve, and the Nyquist mode k = n1/2, which the antisymmetric
+    x1-difference does not see, so that it would never decay."""
+    v[0] = v[-1] = 0.0
+    return v
 
 
 def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
-              config: SimConfig, pack_minus: MetricPack, guess=None):
+              config: SimConfig, pack_minus: MetricPack, guess=None) -> HeadSolution:
     """One full right-side evaluation: upper strip map, metric, head solve.
 
     pack_minus is lower_pack(profile, config).  guess is solve_head's start,
-    the head p of a nearby solution or None.  Returns (trace values, head);
-    the head carries the weighted dissipation.  The returned trace is
-    mean-projected; its analytic mean is zero and the conservative recovery
-    keeps the discrete mean at roundoff.
+    the head p of a nearby solution or None.  Returns the head: its top-line
+    trace gamma_trace_w2 is the right side h_t, and it carries the weighted
+    dissipation.  The trace's analytic mean is zero and the conservative
+    recovery keeps its discrete mean at roundoff; step zeroes that mode of
+    its update anyway.
     """
     h = PeriodicField1D(h_values)
     pack_plus = _strip_pack(h, profile, config, config.grids()[0])
-    head = solve_head(pack_plus, pack_minus, h, profile, solver="krylov", guess=guess)
-    trace = head.gamma_trace_w2.values
-    return trace - np.mean(trace), head
+    return solve_head(pack_plus, pack_minus, h, profile, solver="krylov", guess=guess)
 
 
 def _etd_weights(rates: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
@@ -280,19 +278,21 @@ def _etd_coefficients(n1: int, n2_plus: int, n2_minus: int, beta_plus: float,
 
 def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
          dt: float, pack_minus: MetricPack,
-         evaluation: tuple[np.ndarray, HeadSolution]) -> tuple[SimState, list[HeadSolution]]:
+         head1: HeadSolution) -> tuple[SimState, list[HeadSolution]]:
     """One ETDRK4 step of h_t = w2 on the top line (_evaluate), with the
     lower strip's metric pack_minus = lower_pack(profile, config) and the
-    state's own evaluation (trace, head1), which the caller has made.
+    head of the state, head1 = _evaluate(state.h.values, ...), which the
+    caller has solved.
 
     In the rfft modes v of h, L is diag(sigma_h) and N(v) the trace's modes
     minus L v; the stages a and b sit at t + dt/2, c at t + dt (Cox &
-    Matthews 2002).  Removes the mean and the Nyquist mode
-    (_project_rest_modes), accumulates the weighted-dissipation integral
-    with the quadrature dt/6 (d1 + 2 da + 2 db + dc), and re-checks the
-    interface gap.  Returns the new state and the heads of stages a, b and
-    c, in stage order; each starts its solve from the heads of the stages
-    before it.
+    Matthews 2002).  Zeroes the mean and the Nyquist mode of the new v
+    (_project_rest_modes), which also drops the roundoff mean of the
+    traces, accumulates the weighted-dissipation integral with the
+    quadrature dt/6 (d1 + 2 da + 2 db + dc), and re-checks the interface
+    gap.  Returns the new state and the heads of stages a, b and c, in
+    stage order; each starts its solve from the heads of the stages before
+    it.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -300,16 +300,15 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
         config.n1, config.n2_plus, config.n2_minus, config.beta_plus, config.beta_minus, dt)
     n1 = config.n1
 
-    def nonlinear(trace, v):
-        return np.fft.rfft(trace) - rates * v
+    def nonlinear(head, v):
+        return np.fft.rfft(head.gamma_trace_w2) - rates * v
 
     def stage(v, guess):
-        trace, head = _evaluate(np.fft.irfft(v, n=n1), profile, config, pack_minus, guess)
-        return nonlinear(trace, v), head
+        head = _evaluate(np.fft.irfft(v, n=n1), profile, config, pack_minus, guess)
+        return nonlinear(head, v), head
 
     v = np.fft.rfft(state.h.values)
-    trace1, head1 = evaluation
-    n_v = nonlinear(trace1, v)
+    n_v = nonlinear(head1, v)
     a = e2 * v + q * n_v
     n_a, head_a = stage(a, head1.p)
     n_b, head_b = stage(e2 * v + q * n_a, head_a.p)
@@ -317,8 +316,8 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     # linearly
     n_c, head_c = stage(e2 * a + q * (2.0 * n_b - n_v), 2.0 * head_b.p - head1.p)
 
-    h_new = _project_rest_modes(PeriodicField1D(np.fft.irfft(
-        e * v + f1 * n_v + 2.0 * f2 * (n_a + n_b) + f3 * n_c, n=n1)))
+    h_new = PeriodicField1D(np.fft.irfft(_project_rest_modes(
+        e * v + f1 * n_v + 2.0 * f2 * (n_a + n_b) + f3 * n_c), n=n1))
     d1, da, db, dc = (head.dissipation for head in (head1, head_a, head_b, head_c))
     diss_inc = (dt / 6.0) * (d1 + 2.0 * da + 2.0 * db + dc)
 
@@ -355,7 +354,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
     check_data(config, h0, f)
     profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
 
-    h0 = _project_rest_modes(h0)
+    h0 = PeriodicField1D(np.fft.irfft(_project_rest_modes(np.fft.rfft(h0.values)), n=h0.n))
     traj = Trajectory()
     state = SimState(h=h0)
 
@@ -380,11 +379,10 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
         # each pass visits one evaluated state: ledger, report, then stop at
         # t_end or step
         while True:
-            current_eval = _evaluate(state.h.values, profile, config, pack_minus, guess)
-            head = current_eval[1]
+            head = _evaluate(state.h.values, profile, config, pack_minus, guess)
             traj.head_solves += 1
             traj.cg_iterations += head.cg_iterations
-            traj.max_abs_mean_h = max(traj.max_abs_mean_h, abs(mean(state.h)))
+            traj.max_abs_mean_h = max(traj.max_abs_mean_h, abs(float(np.mean(state.h.values))))
             traj.max_abs_top_flux = max(traj.max_abs_top_flux, abs(head.top_flux_total))
             at_end = state.t >= config.t_end - 1e-12
             if state.step_count % config.report_every == 0 or at_end:
@@ -396,7 +394,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
             if at_end:
                 break
             state, solved = step(state, profile, config, min(dt, config.t_end - state.t),
-                                 pack_minus, current_eval)
+                                 pack_minus, head)
             traj.head_solves += len(solved)
             traj.cg_iterations += sum(stage.cg_iterations for stage in solved)
             guess = solved[-1].p

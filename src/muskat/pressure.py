@@ -100,9 +100,9 @@ class HeadSolution:
     sum(weights * g) integrates a nodal g over both strips; dissipation is
     that integral of grad P . K grad P = -w . grad P.
 
-    gamma_trace_w2 is the conservative flux trace of w2 on the top line (the
-    value balancing the top half cells); its circle integral vanishes to
-    solver precision.  cg_iterations counts the CG iterations of a Krylov
+    gamma_trace_w2 holds the n1 samples of the conservative flux trace of w2
+    on the top line (the value balancing the top half cells); its circle
+    integral vanishes to solver precision.  cg_iterations counts the CG iterations of a Krylov
     solve (0 for the other solvers).
     """
 
@@ -112,7 +112,7 @@ class HeadSolution:
     weights: np.ndarray
     n2_minus: int
     dissipation: float
-    gamma_trace_w2: PeriodicField1D
+    gamma_trace_w2: np.ndarray
     top_flux_total: float
     cg_iterations: int = 0
 
@@ -359,7 +359,7 @@ def _recover(balance: _CellBalance, p: np.ndarray, rows: np.ndarray, scale: floa
     return HeadSolution(
         p=scale * p, w1=scale * w1, w2=scale * w2, weights=weights, n2_minus=m,
         dissipation=dissipation,
-        gamma_trace_w2=PeriodicField1D(-top),
+        gamma_trace_w2=-top,
         top_flux_total=float(balance.dx1 * np.sum(top)),
         cg_iterations=cg_iterations,
     )

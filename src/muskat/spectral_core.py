@@ -9,21 +9,16 @@ never matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PeriodicField1D",
-    "deriv",
     "sobolev_norm",
-    "mean",
-    "project_zero_mean",
     "nodes",
     "x1_derivative",
 ]
-
-MAX_DERIV_ORDER = 4
 
 
 def nodes(n: int) -> np.ndarray:
@@ -33,15 +28,13 @@ def nodes(n: int) -> np.ndarray:
 
 @dataclass
 class PeriodicField1D:
-    """Real scalar field on the circle with dual nodal/Fourier views.
-
-    `values` holds the N nodal samples (N even).  `coeffs` is the lazily
-    cached half spectrum rfft(values)/N, indexed k = 0..N/2; the negative
-    modes are the conjugates.  Treat instances as immutable.
+    """Real scalar field on the circle: its N nodal samples `values` (N even,
+    finite).  `coeffs` is the half spectrum rfft(values)/N, indexed
+    k = 0..N/2, computed on each read; the negative modes are the
+    conjugates.
     """
 
     values: np.ndarray
-    _coeffs: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -59,18 +52,11 @@ class PeriodicField1D:
 
     @property
     def coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            self._coeffs = np.fft.rfft(self.values) / self.n
-        return self._coeffs
+        return np.fft.rfft(self.values) / self.n
 
     @classmethod
     def zeros(cls, n: int) -> "PeriodicField1D":
         return cls(np.zeros(n))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: np.ndarray, n: int) -> "PeriodicField1D":
-        vals = np.fft.irfft(np.asarray(coeffs) * n, n=n)
-        return cls(vals, _coeffs=np.asarray(coeffs, dtype=complex))
 
     @classmethod
     def from_modes(cls, n: int, modes) -> "PeriodicField1D":
@@ -96,18 +82,6 @@ def _deriv_multiplier(n: int, order: int) -> np.ndarray:
     return mult
 
 
-def deriv(h: PeriodicField1D, order: int) -> PeriodicField1D:
-    """Spectral x1-derivative: multiply mode k by (ik)^order.
-
-    The Nyquist mode is annihilated for odd orders (real-FFT convention).
-    """
-    if not isinstance(order, (int, np.integer)) or order < 1:
-        raise ValueError("order must be a positive integer")
-    if order > MAX_DERIV_ORDER:
-        raise ValueError(f"order must be <= {MAX_DERIV_ORDER}")
-    return PeriodicField1D.from_coeffs(h.coeffs * _deriv_multiplier(h.n, order), h.n)
-
-
 def sobolev_norm(h: PeriodicField1D, s: float) -> float:
     """H^s norm with the (1 + k^2)^s symbol.
 
@@ -126,16 +100,9 @@ def sobolev_norm(h: PeriodicField1D, s: float) -> float:
     return float(np.sqrt(total))
 
 
-def mean(h: PeriodicField1D) -> float:
-    """Circle average (2*pi)^{-1} * integral of h."""
-    return float(np.mean(h.values))
-
-
-def project_zero_mean(h: PeriodicField1D) -> PeriodicField1D:
-    return PeriodicField1D(h.values - mean(h))
-
-
 def x1_derivative(values2d: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral x1-derivative along the last axis, x1 of a (levels, n1) array."""
+    """Spectral x1-derivative along the last axis, x1 of n1 samples or of a
+    (levels, n1) array: mode k times (ik)^order, the Nyquist mode annihilated
+    for odd orders."""
     n = values2d.shape[-1]
     return np.fft.irfft(np.fft.rfft(values2d) * _deriv_multiplier(n, order), n=n)

@@ -21,7 +21,6 @@ import muskat
 from muskat import cli_io
 from muskat.cli_io import (
     ConfigError,
-    RunManifest,
     Snapshot,
     TIMESERIES_HEADER,
     cmd_check,
@@ -198,10 +197,10 @@ class TestOutputFiles:
                             **{name: np.full((2 * n2, 4), 2.0) for name in ARRAYS})
 
         def manifest(files):
-            return RunManifest(config={}, version="0", start_time="", end_time="",
-                               termination="completed", error=None, error_time=None,
-                               head_solves=0, cg_iterations=0, max_abs_mean_h=0.0,
-                               max_abs_top_flux=0.0, files=files)
+            return {"config": {}, "version": "0", "start_time": "", "end_time": "",
+                    "termination": "completed", "error": None, "error_time": None,
+                    "head_solves": 0, "cg_iterations": 0, "max_abs_mean_h": 0.0,
+                    "max_abs_top_flux": 0.0, "files": files}
 
         # (writer, file name, output under 1 KiB, output that the limit cuts)
         cases = [(write_timeseries_csv, "timeseries.csv", [rep], [rep] * 40),
@@ -345,8 +344,8 @@ class TestCmdRun:
             written = tmp_path / "out" / f"snapshot_{tag}.mskt"
             assert (tmp_path / f"own_{tag}.mskt").read_bytes() == written.read_bytes()
             snap = read_snapshot(written)
-            _, cold = evolution._evaluate(snap.h, profile, config,
-                                         evolution.lower_pack(profile, config))
+            cold = evolution._evaluate(snap.h, profile, config,
+                                       evolution.lower_pack(profile, config))
             assert snap.n2_minus == cold.n2_minus
             for name in ARRAYS:
                 diff = np.max(np.abs(getattr(cold, name) - getattr(snap, name)))

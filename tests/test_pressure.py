@@ -84,7 +84,7 @@ class TestRestStates:
             64, [(k, f_amp * c / max(k, 1), f_amp * s / max(k, 1)) for k, c, s in f_modes])
         head = solve_head(*setup(64, 17, np.zeros(64), f.values, *betas))
         assert w_max(head) <= 1e-12
-        assert np.max(np.abs(head.gamma_trace_w2.values)) <= 1e-13
+        assert np.max(np.abs(head.gamma_trace_w2)) <= 1e-13
 
 
 class TestSingleModeOracle:
@@ -99,7 +99,7 @@ class TestSingleModeOracle:
         head = solve_head(pack_p, pack_m, h, profile)
         sigma = dispersion_rate(k, profile)
         mode = np.cos(k * x)
-        measured = np.dot(head.gamma_trace_w2.values, mode) / np.dot(eps * mode, mode)
+        measured = np.dot(head.gamma_trace_w2, mode) / np.dot(eps * mode, mode)
         assert measured == pytest.approx(sigma, rel=1e-2)
 
     def test_equal_betas_match_merged_single_layer(self):
@@ -113,7 +113,7 @@ class TestSingleModeOracle:
             n1, n2, eps * np.cos(2 * x), np.zeros(n1), beta, beta)
         head = solve_head(pack_p, pack_m, h, profile)
         mode = np.cos(2 * x)
-        measured = np.dot(head.gamma_trace_w2.values, mode) / np.dot(eps * mode, mode)
+        measured = np.dot(head.gamma_trace_w2, mode) / np.dot(eps * mode, mode)
         assert measured == pytest.approx(-beta * 2 * math.tanh(4.0), rel=1e-2)
 
 
@@ -151,7 +151,7 @@ class TestFlatTopRates:
         for k in range(1, n1 // 2 + 1):
             mode = np.cos(k * x)
             head = solve_head(*setup(n1, n2, eps * mode, np.zeros(n1), *beta))
-            measured = np.dot(head.gamma_trace_w2.values, mode) / np.dot(eps * mode, mode)
+            measured = np.dot(head.gamma_trace_w2, mode) / np.dot(eps * mode, mode)
             assert abs(measured - sigma[k].real) <= 1e-6 * np.max(np.abs(sigma)), k
 
 
@@ -328,8 +328,8 @@ class TestSolverOptions:
         direct = solve_head(*args, solver="direct")
         krylov = solve_head(*args, solver="krylov")
         assert np.max(np.abs(direct.p - krylov.p)) < 1e-8
-        assert np.max(np.abs(direct.gamma_trace_w2.values
-                             - krylov.gamma_trace_w2.values)) < 1e-8
+        assert np.max(np.abs(direct.gamma_trace_w2
+                             - krylov.gamma_trace_w2)) < 1e-8
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -365,8 +365,8 @@ class TestSolverOptions:
         warm = solve_head(*args, solver="krylov", guess=nearby.p)
         for krylov in (cold, warm):
             assert np.max(np.abs(direct.p - krylov.p)) <= 1e-8
-            assert np.max(np.abs(direct.gamma_trace_w2.values
-                                 - krylov.gamma_trace_w2.values)) <= 1e-8
+            assert np.max(np.abs(direct.gamma_trace_w2
+                                 - krylov.gamma_trace_w2)) <= 1e-8
             assert abs(direct.top_flux_total - krylov.top_flux_total) <= 1e-8
         # mass ledger and flux continuity hold to solver precision on both
         # paths (CG's residual leaves about 1e-12 here, LU roundoff)
@@ -430,7 +430,7 @@ class TestSolverOptions:
         for name in ("p", "w1", "w2"):
             diff = np.max(np.abs(getattr(warm, name) - getattr(cold, name)))
             assert diff <= 1e-12, name
-        assert np.max(np.abs(warm.gamma_trace_w2.values - cold.gamma_trace_w2.values)) <= 1e-12
+        assert np.max(np.abs(warm.gamma_trace_w2 - cold.gamma_trace_w2)) <= 1e-12
         # the direct path counts no iteration and ignores the guess
         assert solve_head(*args, guess=cold.p).cg_iterations == 0
 
@@ -522,8 +522,8 @@ class TestSolverOptions:
         direct = solve_head(pack_p, pack_m, h, profile, solver="direct")
         krylov = solve_head(pack_p, pack_m, h, profile, solver="krylov")  # the gate passes
         assert np.max(np.abs(direct.p - krylov.p)) <= 1e-8
-        assert np.max(np.abs(direct.gamma_trace_w2.values
-                             - krylov.gamma_trace_w2.values)) <= 1e-8
+        assert np.max(np.abs(direct.gamma_trace_w2
+                             - krylov.gamma_trace_w2)) <= 1e-8
 
     # the gate reads the free rows of the balance that the recovery reads;
     # a solution off by 1e-6 of its size must fail it on either path
@@ -701,8 +701,8 @@ class TestDataScaling:
             for name in ("p", "w2"):
                 scaled = getattr(head, name) / tiny
                 assert np.max(np.abs(scaled - getattr(unit, name))) <= 1e-8, name
-            scaled = head.gamma_trace_w2.values / tiny
-            assert np.max(np.abs(scaled - unit.gamma_trace_w2.values)) <= 1e-8
+            scaled = head.gamma_trace_w2 / tiny
+            assert np.max(np.abs(scaled - unit.gamma_trace_w2)) <= 1e-8
 
     @pytest.mark.parametrize("solver", ["direct", "krylov"])
     def test_zero_interface_gives_exact_zero(self, solver):
@@ -711,7 +711,7 @@ class TestDataScaling:
                           solver=solver)
         assert w_max(head) == 0.0
         assert not np.any(head.p)
-        assert not np.any(head.gamma_trace_w2.values)
+        assert not np.any(head.gamma_trace_w2)
         assert head.top_flux_total == 0.0
         assert head.dissipation == 0.0
 
