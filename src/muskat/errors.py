@@ -35,8 +35,9 @@ class SolverDivergence(MuskatError):
 
 
 class NoContraction(MuskatError):
-    """The fixed-point head iteration diverged (amplitude outside the
-    contraction regime); the direct solve is still available."""
+    """The fixed-point head iteration, solve_head(..., solver="picard"),
+    diverged or ran out of steps (amplitude outside the contraction
+    regime); the direct and Krylov solvers are still available."""
 
 
 class InsufficientData(MuskatError):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -169,6 +168,8 @@ class SimState:
     t: float = 0.0
     step_count: int = 0
     diss_l2_integral: float = 0.0
+    # the sum of the means that step's projection removed: zero but for roundoff
+    mean_drift: float = 0.0
 
 
 @dataclass
@@ -180,7 +181,8 @@ class Trajectory:
     final_head are the head solutions of the first and the last reported
     state, kept so that snapshots need no second solve.  head_solves and
     cg_iterations total the head solves of the evaluated states and of the
-    steps that completed, and their CG iterations.
+    steps that completed, and their CG iterations.  max_abs_mean_h is the
+    largest |mean_drift| of the evaluated states.
     """
 
     states: list[SimState] = field(default_factory=list)
@@ -263,19 +265,6 @@ def _etd_weights(rates: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
             *(dt * np.mean(w, axis=1).real for w in weights))
 
 
-@lru_cache(maxsize=8)
-def _etd_coefficients(n1: int, n2_plus: int, n2_minus: int, beta_plus: float,
-                      beta_minus: float, dt: float) -> tuple[np.ndarray, ...]:
-    """_etd_weights of the flat top-line rates sigma_h of a grid and its
-    betas; one entry per step size, so a run's clipped last step has its
-    own."""
-    rates = flat_top_rates(n1, n2_plus, n2_minus, beta_plus, beta_minus).real
-    coefficients = _etd_weights(rates, dt)
-    for array in coefficients:
-        array.setflags(write=False)  # every caller shares the cached arrays
-    return coefficients
-
-
 def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
          dt: float, pack_minus: MetricPack,
          head1: HeadSolution) -> tuple[SimState, list[HeadSolution]]:
@@ -287,8 +276,8 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     In the rfft modes v of h, L is diag(sigma_h) and N(v) the trace's modes
     minus L v; the stages a and b sit at t + dt/2, c at t + dt (Cox &
     Matthews 2002).  Zeroes the mean and the Nyquist mode of the new v
-    (_project_rest_modes), which also drops the roundoff mean of the
-    traces, accumulates the weighted-dissipation integral with the
+    (_project_rest_modes) and adds the mean it drops, the traces' roundoff,
+    to mean_drift, accumulates the weighted-dissipation integral with the
     quadrature dt/6 (d1 + 2 da + 2 db + dc), and re-checks the interface
     gap.  Returns the new state and the heads of stages a, b and c, in
     stage order; each starts its solve from the heads of the stages before
@@ -296,8 +285,8 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    rates, e, e2, q, f1, f2, f3 = _etd_coefficients(
-        config.n1, config.n2_plus, config.n2_minus, config.beta_plus, config.beta_minus, dt)
+    rates, e, e2, q, f1, f2, f3 = _etd_weights(flat_top_rates(
+        config.n1, config.n2_plus, config.n2_minus, config.beta_plus, config.beta_minus).real, dt)
     n1 = config.n1
 
     def nonlinear(head, v):
@@ -316,8 +305,9 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     # linearly
     n_c, head_c = stage(e2 * a + q * (2.0 * n_b - n_v), 2.0 * head_b.p - head1.p)
 
-    h_new = PeriodicField1D(np.fft.irfft(_project_rest_modes(
-        e * v + f1 * n_v + 2.0 * f2 * (n_a + n_b) + f3 * n_c), n=n1))
+    update = e * v + f1 * n_v + 2.0 * f2 * (n_a + n_b) + f3 * n_c
+    mean_drift = update[0].real / n1  # the mean the projection drops
+    h_new = PeriodicField1D(np.fft.irfft(_project_rest_modes(update), n=n1))
     d1, da, db, dc = (head.dissipation for head in (head1, head_a, head_b, head_c))
     diss_inc = (dt / 6.0) * (d1 + 2.0 * da + 2.0 * db + dc)
 
@@ -332,6 +322,7 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
         t=state.t + dt,
         step_count=state.step_count + 1,
         diss_l2_integral=state.diss_l2_integral + diss_inc,
+        mean_drift=state.mean_drift + mean_drift,
     )
     return new_state, [head_a, head_b, head_c]
 
@@ -357,18 +348,12 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
     h0 = PeriodicField1D(np.fft.irfft(_project_rest_modes(np.fft.rfft(h0.values)), n=h0.n))
     traj = Trajectory()
     state = SimState(h=h0)
-
-    if _gap_margin(h0.values, f.values) <= config.gap_tol:
-        traj.termination = TERMINATION_GAP
-        traj.error = "initial interface within gap_tol of the permeability curve"
-        traj.error_time = 0.0
-        return traj
-
     h0_l2_sq = sobolev_norm(h0, 0.0) ** 2
-
-    dt = config.dt
     guess = None  # the last stage head of the step before
     try:
+        if _gap_margin(h0.values, f.values) <= config.gap_tol:
+            raise GapViolation("initial interface within gap_tol of the permeability curve")
+        dt = config.dt
         try:
             pack_minus = lower_pack(profile, config)
         except DiffeoDegenerate:
@@ -382,7 +367,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
             head = _evaluate(state.h.values, profile, config, pack_minus, guess)
             traj.head_solves += 1
             traj.cg_iterations += head.cg_iterations
-            traj.max_abs_mean_h = max(traj.max_abs_mean_h, abs(float(np.mean(state.h.values))))
+            traj.max_abs_mean_h = max(traj.max_abs_mean_h, abs(state.mean_drift))
             traj.max_abs_top_flux = max(traj.max_abs_top_flux, abs(head.top_flux_total))
             at_end = state.t >= config.t_end - 1e-12
             if state.step_count % config.report_every == 0 or at_end:

@@ -48,7 +48,8 @@ which its coefficients carry.  The run path is numpy only.
 probes (Curtis, Powell & Reid 1974); it is the oracle the Krylov path is
 tested against, and the only code that imports scipy, when it is first
 called.
-picard_head is a fixed-point cross-check built on the same flat inverse.
+"picard" is a fixed-point cross-check built on the same flat inverse; all
+three solvers share solve_head's scaling, residual gate and recovery.
 flat_top_rates reads off the flat inverse the rate of each interface mode
 over the flat metric: the linear part that evolution's exponential step
 integrates exactly, and the slowest of them sets its step.
@@ -78,12 +79,12 @@ from .errors import (
 )
 from .spectral_core import PeriodicField1D
 
-__all__ = ["HeadSolution", "solve_head", "picard_head", "flat_top_rates"]
+__all__ = ["HeadSolution", "solve_head", "flat_top_rates"]
 
 RESIDUAL_TOL = 1e-10
 KRYLOV_MAXITER = 500
-# picard_head converges once a step changes no head value by more than
-# PICARD_TOL * max(1, max|head|), and gives up after PICARD_MAX_ITER steps
+# _picard converges once a step changes no value of the scaled head by more
+# than PICARD_TOL * max(1, max|head|), and gives up after PICARD_MAX_ITER steps
 PICARD_TOL = 1e-10
 PICARD_MAX_ITER = 100
 
@@ -460,7 +461,7 @@ class _FlatInverse:
 @lru_cache(maxsize=8)
 def _flat_inverse(n1: int, m_minus: int, m_plus: int,
                   beta_plus: float, beta_minus: float) -> _FlatInverse:
-    """Flat-metric inverse: the Krylov preconditioner and the Picard splitting."""
+    """Flat-metric inverse: CG's preconditioner and _picard's splitting."""
     return _FlatInverse(_CellBalance.flat(n1, m_minus, m_plus, beta_plus, beta_minus))
 
 
@@ -532,6 +533,30 @@ def _cg(apply, b: np.ndarray, precond, rtol: float,
     return x, iterations
 
 
+def _picard(apply, b: np.ndarray, precond) -> np.ndarray:
+    """Fixed-point iteration x <- x + precond(b - apply(x)) from zero: with
+    precond = L0^-1, x <- L0^-1 (b - (L - L0) x).  Contraction needs the
+    small-shift regime; raises NoContraction when the step change grows
+    three times in a row or is not finite, or after PICARD_MAX_ITER steps."""
+    x = np.zeros_like(b)
+    prev_diff = np.inf
+    growth_streak = 0
+    for _ in range(PICARD_MAX_ITER):
+        x_new = x + precond(b - apply(x))
+        diff = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        if diff <= PICARD_TOL * max(1.0, float(np.max(np.abs(x)))):
+            return x
+        growth_streak = growth_streak + 1 if diff > prev_diff else 0
+        if growth_streak >= 3 or not np.isfinite(diff):
+            raise NoContraction(
+                f"fixed-point head iteration diverging (step change {diff:.3e})"
+            )
+        prev_diff = diff
+    raise NoContraction(
+        f"fixed-point head iteration not converged in {PICARD_MAX_ITER} steps")
+
+
 def _solve_direct(balance: _CellBalance, b: np.ndarray) -> np.ndarray:
     import scipy.sparse.linalg as spla  # the oracle only: runs never load scipy
 
@@ -545,38 +570,32 @@ def _solve_direct(balance: _CellBalance, b: np.ndarray) -> np.ndarray:
     return lu.solve(b.ravel()).reshape(b.shape)
 
 
-def _solve_krylov(balance: _CellBalance, b: np.ndarray, profile: PermeabilityProfile,
-                  x0: np.ndarray | None):
-    flat = _flat_inverse(balance.n1, balance.m_minus, balance.m_plus,
-                         profile.beta_plus, profile.beta_minus)
-    # |r|_inf <= |r|_2 <= rtol |b|_2 <= rtol sqrt(n_free) |b|_inf, so this
-    # rtol meets the max-norm residual gate of solve_head
-    return _cg(balance.free_rows, b, flat.solve, RESIDUAL_TOL / np.sqrt(b.size), x0)
-
-
 def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
                profile: PermeabilityProfile, solver: str = "direct",
                guess: np.ndarray | None = None) -> HeadSolution:
     """Solve the head system; recover the velocity and traces.
 
     solver: "direct" (sparse LU of the probed matrix, the default here and
-    the test oracle) or "krylov" (CG on the matrix-free balance,
-    preconditioned by the flat-metric inverse, used by every run).
+    the test oracle), "krylov" (CG on the matrix-free balance,
+    preconditioned by the flat-metric inverse, used by every run) or
+    "picard" (the fixed-point cross-check on the same flat inverse, _picard;
+    NoContraction outside its small-shift regime).
     The system is solved for h / max|h| and every output rescaled, since it
     is linear in h; h = 0 gives the exact zero solution.
 
     guess: None, or the head p of a nearby solution, stacked as
     HeadSolution's.  The Krylov path scales it by the same 1 / max|h| and
     starts CG there instead of at zero; its top line and the upper copy of
-    the permeability line are not read, and the direct path ignores it.
-    The stopping test does not depend on the start.
+    the permeability line are not read.  The direct and Picard paths ignore
+    it and report cg_iterations = 0.  The stopping test does not depend on
+    the start.
 
-    Either way the max-norm residual relative to the right side must come
-    out below RESIDUAL_TOL, else SolverDivergence is raised; a CG stall or
-    non-finite value raises it too.  NonSPDSystem is raised for J <= 0, by
-    CG's curvature test and by the direct path's diagonal check.
+    Whatever the solver, the max-norm residual relative to the right side
+    must come out below RESIDUAL_TOL, else SolverDivergence is raised; a CG
+    stall or non-finite value raises it too.  NonSPDSystem is raised for
+    J <= 0, by CG's curvature test and by the direct path's diagonal check.
     """
-    if solver not in ("direct", "krylov"):
+    if solver not in ("direct", "krylov", "picard"):
         raise ValueError(f"unknown solver {solver!r}")
     _check_inputs(pack_plus, pack_minus, h, profile)
     balance = _CellBalance.from_packs(pack_minus, pack_plus)
@@ -587,12 +606,21 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
         return _recover(balance, p, balance(p), 1.0)
     top = h.values / scale
     b = -balance.free_rows(zero, top)
+    iterations = 0
     if solver == "direct":
-        x, iterations = _solve_direct(balance, b), 0
+        x = _solve_direct(balance, b)
     else:
-        with np.errstate(over="ignore"):  # inf for a subnormal h: _cg drops it
-            x0 = None if guess is None else balance.free_unknowns(guess) / scale
-        x, iterations = _solve_krylov(balance, b, profile, x0)
+        flat = _flat_inverse(balance.n1, balance.m_minus, balance.m_plus,
+                             profile.beta_plus, profile.beta_minus)
+        if solver == "picard":
+            x = _picard(balance.free_rows, b, flat.solve)
+        else:
+            with np.errstate(over="ignore"):  # inf for a subnormal h: _cg drops it
+                x0 = None if guess is None else balance.free_unknowns(guess) / scale
+            # |r|_inf <= |r|_2 <= rtol |b|_2 <= rtol sqrt(n_free) |b|_inf, so
+            # this rtol meets the max-norm residual gate below
+            x, iterations = _cg(balance.free_rows, b, flat.solve,
+                                RESIDUAL_TOL / np.sqrt(b.size), x0)
     # one apply serves the gate and the recovery: the free rows of the
     # balance at (x, top) are L x - b
     p = balance.heads(x, top)
@@ -602,40 +630,3 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
         raise SolverDivergence(f"head solve residual {res:.3e} exceeds {RESIDUAL_TOL}")
     return _recover(balance, p, rows, scale, iterations)
 
-
-def picard_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
-                profile: PermeabilityProfile) -> HeadSolution:
-    """Fixed-point cross-check of solve_head.
-
-    Splits the discrete operator into its flat-metric part (constant-
-    coefficient Laplacian per strip, inverted exactly by the cached FFT flat
-    inverse) plus the metric perturbation, and iterates constant-coefficient
-    solves with the previous iterate's right side, x <- x + L0^-1 (b - L x),
-    which is x <- L0^-1 (b - (L - L0) x) in residual form.  Contraction needs
-    the small-shift regime; raises NoContraction when the iterates diverge or
-    the budget runs out.
-    """
-    _check_inputs(pack_plus, pack_minus, h, profile)
-    balance = _CellBalance.from_packs(pack_minus, pack_plus)
-    flat = _flat_inverse(balance.n1, balance.m_minus, balance.m_plus,
-                         profile.beta_plus, profile.beta_minus)
-    x = np.zeros((balance.n_lev, balance.n1))
-    b = -balance.free_rows(x, h.values)
-
-    prev_diff = np.inf
-    growth_streak = 0
-    for _ in range(PICARD_MAX_ITER):
-        x_new = x + flat.solve(b - balance.free_rows(x))
-        diff = float(np.max(np.abs(x_new - x))) if x.size else 0.0
-        x = x_new
-        if diff <= PICARD_TOL * max(1.0, float(np.max(np.abs(x), initial=0.0))):
-            p = balance.heads(x, h.values)
-            return _recover(balance, p, balance(p), 1.0)
-        growth_streak = growth_streak + 1 if diff > prev_diff else 0
-        if growth_streak >= 3 or not np.isfinite(diff):
-            raise NoContraction(
-                f"fixed-point head iteration diverging (step change {diff:.3e})"
-            )
-        prev_diff = diff
-    raise NoContraction(
-        f"fixed-point head iteration not converged in {PICARD_MAX_ITER} steps")

@@ -25,7 +25,7 @@ from muskat.diffeo import (
 )
 from muskat.diagnostics import decay_fit, dispersion_rate
 from muskat.evolution import SimConfig, TERMINATION_COMPLETED, _evaluate, lower_pack, run
-from muskat.pressure import picard_head, solve_head
+from muskat.pressure import solve_head
 from muskat.spectral_core import PeriodicField1D, nodes, sobolev_norm
 
 N1 = 128
@@ -208,7 +208,7 @@ def test_criterion_8_picard_cross_check():
     pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, N1, N2)), profile)
     pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, N1, N2)), profile)
     direct = solve_head(pack_p, pack_m, h, profile)
-    fixed = picard_head(pack_p, pack_m, h, profile)
+    fixed = solve_head(pack_p, pack_m, h, profile, solver="picard")
     diff = float(np.max(np.abs(direct.p - fixed.p)))
     assert diff <= 1e-8
     ok(8, f"fixed-point vs direct head: max difference {diff:.2e} (tol 1e-8)")

@@ -559,9 +559,9 @@ class TestCmdCheck:
         assert cmd_check(str(cfg_path)) == 0
         assert "PASS cfl: exponential step stable at dt_safety = 0.5, dt max|sigma_h| = 8.07 " \
             in capsys.readouterr().out
-        monkeypatch.setattr(evolution, "_etd_coefficients",
-                            lambda n1, *key: evolution._etd_weights(np.zeros(n1 // 2 + 1),
-                                                                     key[-1]))
+        etd_weights = evolution._etd_weights
+        monkeypatch.setattr(evolution, "_etd_weights",
+                            lambda rates, dt: etd_weights(np.zeros_like(rates), dt))
         assert cmd_check(str(cfg_path)) == 4
         assert "FAIL cfl" in capsys.readouterr().out
 

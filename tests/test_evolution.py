@@ -108,6 +108,7 @@ class TestStep:
             s, _ = step(s, prof, config, config.dt, pack_minus,
                         evolution._evaluate(s.h.values, prof, config, pack_minus))
         assert abs(np.mean(s.h.values)) <= 1e-10
+        assert abs(s.mean_drift) <= 1e-10
 
     def test_gap_violation_raised(self):
         # a high flat permeability curve leaves the (steady) interface inside
@@ -260,6 +261,29 @@ class TestRun:
         assert traj.max_abs_mean_h <= 1e-10
         assert traj.max_abs_top_flux <= 1e-8
 
+    def test_mean_ledger_sees_a_drift(self, monkeypatch):
+        # a trace offset by 1e-6 moves the mean at 1e-6 per unit time; the
+        # projection removes it from h, and the ledger must still see it
+        solve = evolution.solve_head
+
+        def offset(*args, **kwargs):
+            head = solve(*args, **kwargs)
+            return replace(head, gamma_trace_w2=head.gamma_trace_w2 + 1e-6)
+
+        monkeypatch.setattr(evolution, "solve_head", offset)
+        config = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.3)
+        traj = run(config, cos_field(32, amp=0.05), cos_field(32, amp=0.1))
+        assert traj.termination == TERMINATION_COMPLETED
+        assert traj.max_abs_mean_h == pytest.approx(1e-6 * 0.3, rel=1e-3)
+
+    def test_initial_gap_builds_no_flat_inverse(self):
+        pressure._flat_inverse.cache_clear()
+        config = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.3)
+        traj = run(config, cos_field(32, amp=0.01), PeriodicField1D(np.full(32, 0.98)))
+        assert traj.termination == TERMINATION_GAP
+        assert traj.head_solves == 0
+        assert pressure._flat_inverse.cache_info().currsize == 0
+
     def test_temporal_self_convergence(self):
         base = dict(n1=32, n2_plus=9, n2_minus=9, t_end=0.4, report_every=10 ** 6)
         h0 = cos_field(32, amp=0.05)
@@ -358,14 +382,11 @@ class TestEtdWeights:
                   for coeffs in WEIGHT_SERIES]
         assert self.weights_over_dt(c, dt) == pytest.approx(series, rel=1e-12)
 
-    def test_coefficients_cached_per_step_size(self):
-        key = (32, 9, 9, 1.0, 0.5)
-        full = evolution._etd_coefficients(*key, 0.1)
-        assert evolution._etd_coefficients(*key, 0.1) is full
-        clipped = evolution._etd_coefficients(*key, 0.05)
-        assert clipped is not full
-        assert clipped[1] == pytest.approx(np.sqrt(full[1]), rel=1e-14)
-        assert not any(array.flags.writeable for array in full)
+    def test_half_step_propagator_is_root_of_full_step(self):
+        rates = pressure.flat_top_rates(32, 9, 9, 1.0, 0.5).real
+        full = evolution._etd_weights(rates, 0.1)
+        half = evolution._etd_weights(rates, 0.05)
+        assert half[1] == pytest.approx(np.sqrt(full[1]), rel=1e-14)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(betas=st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),

@@ -26,7 +26,7 @@ from muskat.errors import (
     SolverDivergence,
 )
 from muskat.evolution import MAX_PERMEABILITY_CONTRAST
-from muskat.pressure import PICARD_TOL, RESIDUAL_TOL, picard_head, solve_head
+from muskat.pressure import PICARD_TOL, RESIDUAL_TOL, solve_head
 from muskat.spectral_core import PeriodicField1D, nodes, x1_derivative
 
 
@@ -302,15 +302,17 @@ class TestSymmetryAndPositivity:
 
 class TestPicard:
     def test_rest_state_converges_immediately(self):
-        head = picard_head(*setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0))
+        head = solve_head(*setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0),
+                          solver="picard")
         assert w_max(head) <= 1e-12
 
     def test_agrees_with_direct_in_small_regime(self):
         x = nodes(64)
         args = setup(64, 33, 0.005 * np.cos(x), 0.02 * np.cos(2 * x), 1.0, 0.5)
         direct = solve_head(*args)
-        fixed = picard_head(*args)
+        fixed = solve_head(*args, solver="picard")
         assert np.max(np.abs(direct.p - fixed.p)) <= 10 * PICARD_TOL
+        assert fixed.cg_iterations == 0
 
     def test_diverges_at_large_amplitude_while_direct_succeeds(self):
         x = nodes(64)
@@ -318,7 +320,7 @@ class TestPicard:
         assert np.min(args[0].J) < 0.45  # well outside the contraction regime
         solve_head(*args)  # direct path is fine
         with pytest.raises(NoContraction):
-            picard_head(*args)
+            solve_head(*args, solver="picard")
 
 
 class TestSolverOptions:
@@ -545,6 +547,12 @@ class TestSolverOptions:
         with pytest.raises(SolverDivergence, match="exceeds"):
             solve_head(*gate_problem(), solver="direct")
 
+    def test_residual_gate_rejects_a_corrupted_picard_solve(self, monkeypatch):
+        picard = pressure._picard
+        monkeypatch.setattr(pressure, "_picard", lambda *args: perturbed(picard(*args)))
+        with pytest.raises(SolverDivergence, match="exceeds"):
+            solve_head(*gate_problem(), solver="picard")
+
     # column colours q: n1 itself for 4, 6, 8, 10, 14; 11 for 22, 9 for 18, 16 for 64
     @pytest.mark.parametrize("n1, m_minus, m_plus",
                              [(4, 3, 17), (6, 17, 3), (8, 5, 9), (10, 9, 4), (14, 3, 3),
@@ -704,7 +712,7 @@ class TestDataScaling:
             scaled = head.gamma_trace_w2 / tiny
             assert np.max(np.abs(scaled - unit.gamma_trace_w2)) <= 1e-8
 
-    @pytest.mark.parametrize("solver", ["direct", "krylov"])
+    @pytest.mark.parametrize("solver", ["direct", "krylov", "picard"])
     def test_zero_interface_gives_exact_zero(self, solver):
         x = nodes(32)
         head = solve_head(*setup(32, 9, np.zeros(32), 0.2 * np.cos(x), 1.0, 0.3),
