@@ -396,7 +396,7 @@ def _check_l2_law(config) -> tuple[bool, str]:
 
 def _check_cfl(config) -> tuple[bool, str]:
     # on 128 x (8+8) with equal betas the stiffest flat rate is 65 times the
-    # slowest, so at the default step dt max|sigma_h| is about 8, past
+    # slowest, so at the default step dt max|sigma_h| is 12.1, past
     # classical RK4's stability limit of 2.785: only the exponential step
     # stays stable
     probe = evolution.SimConfig(n1=128, n2_plus=8, n2_minus=8,

@@ -468,7 +468,8 @@ class TestCmdRun:
 
         monkeypatch.setattr(evolution, "solve_head", failing_solve)
         cfg_path = tmp_path / "run.json"
-        write_config(cfg_path)
+        # two steps of the rule on this grid, so that step 2 exists
+        write_config(cfg_path, t_end=0.4)
         assert cmd_run(str(cfg_path)) == 3
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["termination"] == "solver_failure"
@@ -557,7 +558,7 @@ class TestCmdCheck:
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text("{}")
         assert cmd_check(str(cfg_path)) == 0
-        assert "PASS cfl: exponential step stable at dt_safety = 0.5, dt max|sigma_h| = 8.07 " \
+        assert "PASS cfl: exponential step stable at dt_safety = 0.5, dt max|sigma_h| = 12.1 " \
             in capsys.readouterr().out
         etd_weights = evolution._etd_weights
         monkeypatch.setattr(evolution, "_etd_weights",

@@ -1,3 +1,4 @@
+import decimal
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -98,6 +99,23 @@ class TestStep:
         c = advance(4, dt / 4)
         ratio = np.max(np.abs(a - b)) / np.max(np.abs(b - c))
         assert 10.0 <= ratio <= 24.0
+
+    @pytest.mark.parametrize("k", range(1, 16))
+    def test_dissipation_exact_on_a_small_mode(self, k):
+        # a 1e-6 single mode over a flat curve dissipates D0 exp(2 sigma_h(k) s):
+        # the step integrates each mode's share at the mode's own rate, which
+        # is exact in a step short enough that the exponent stays above the
+        # floor
+        config = SimConfig(n1=32, n2_plus=9, n2_minus=9, beta_plus=1.0, beta_minus=0.5)
+        rate = 2.0 * pressure.flat_top_rates(32, 9, 9, 1.0, 0.5).real[k]
+        dt = min(config.dt, evolution.DISSIPATION_EXPONENT_FLOOR / rate)
+        prof = profile_for(config)
+        pack_minus = lower_pack(prof, config)
+        h = PeriodicField1D.from_modes(32, [(k, 1e-6, 0.0)])
+        head = evolution._evaluate(h.values, prof, config, pack_minus)
+        new, _ = step(SimState(h=h), prof, config, dt, pack_minus, head)
+        assert new.diss_l2_integral == pytest.approx(
+            head.dissipation * math.expm1(rate * dt) / rate, rel=1e-9, abs=0.0)
 
     def test_mean_conserved_over_many_steps(self):
         config = SimConfig(n1=16, n2_plus=5, n2_minus=5)
@@ -411,15 +429,64 @@ class TestEtdWeights:
         assert abs(ratio[k].imag) <= 1e-15
 
 
+def moments_closed(c):
+    """m_j = int_0^1 exp(c u) u^j du, j = 0, 1, 2, in closed form, evaluated
+    in 50-digit decimal arithmetic so that no digit is lost near c = 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        c = decimal.Decimal(c)
+        e = c.exp()
+        return [float(m) for m in ((e - 1) / c,
+                                   (e * (c - 1) + 1) / c ** 2,
+                                   (e * (c * c - 2 * c + 2) - 2) / c ** 3)]
+
+
+# Taylor coefficients at c = 0 of the product-rule weights over dt: m_j has
+# the coefficients 1 / (n! (n + j + 1))
+DISSIPATION_WEIGHT_SERIES = [
+    [(Fraction(2, n + 3) - Fraction(3, n + 2) + Fraction(1, n + 1)) / math.factorial(n)
+     for n in range(16)],
+    [(Fraction(4, n + 2) - Fraction(4, n + 3)) / math.factorial(n) for n in range(16)],
+    [(Fraction(2, n + 3) - Fraction(1, n + 2)) / math.factorial(n) for n in range(16)],
+]
+
+
+class TestDissipationWeights:
+    """The product rule of the dissipation integral, exact for exp(c u)
+    times a quadratic in u on [0, 1], against closed forms away from c = 0
+    and its Taylor series near it."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c=st.floats(-300.0, -1e-3), dt=st.floats(1e-3, 10.0),
+           coeffs=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
+    def test_exact_for_exponential_times_quadratic(self, c, dt, coeffs):
+        weights = evolution._dissipation_weights(c / dt, dt) / dt
+        quadratic = np.polynomial.Polynomial(coeffs)
+        rule = float(weights @ quadratic(np.array([0.0, 0.5, 1.0])))
+        assert rule == pytest.approx(float(np.dot(coeffs, moments_closed(c))), rel=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(c=st.floats(-0.1, 0.1), dt=st.floats(1e-3, 10.0))
+    @example(c=0.0, dt=1.0)
+    def test_weights_match_taylor_series_near_zero(self, c, dt):
+        series = [sum(float(a) * c ** n for n, a in enumerate(coeffs))
+                  for coeffs in DISSIPATION_WEIGHT_SERIES]
+        weights = list(evolution._dissipation_weights(c / dt, dt) / dt)
+        assert weights == pytest.approx(series, rel=1e-12)
+        if c == 0.0:
+            # the rate of the mean and of the Nyquist mode: Simpson's rule
+            assert weights == pytest.approx([1 / 6, 2 / 3, 1 / 6], rel=1e-12)
+
+
 class TestConfig:
     def test_dt_formula(self):
         config = SimConfig(n1=128, beta_plus=2.0, beta_minus=0.5, dt_safety=0.5)
         sigma = pressure.flat_top_rates(128, 64, 64, 2.0, 0.5)
-        assert config.dt == pytest.approx(0.5 / (4.0 * abs(sigma[1])), rel=1e-14)
+        assert config.dt == pytest.approx(0.5 * 3.0 / (8.0 * abs(sigma[1])), rel=1e-14)
         # the slowest flat rate, k = 1, is the two-layer rate to 3e-5
-        assert config.dt == pytest.approx(0.5 / (4.0 * 1.66290), rel=1e-5)
+        assert config.dt == pytest.approx(0.5 * 3.0 / (8.0 * 1.66290), rel=1e-5)
         # not the stiffest rate, k = 37, which decays inside the upper strip
-        assert config.dt * np.max(np.abs(sigma)) == pytest.approx(4.30396, rel=1e-5)
+        assert config.dt * np.max(np.abs(sigma)) == pytest.approx(6.45594, rel=1e-5)
         # rates scale with a common factor of both betas, the step inversely
         halved = SimConfig(n1=128, beta_plus=1.0, beta_minus=0.25, dt_safety=0.5)
         assert halved.dt == pytest.approx(2.0 * config.dt, rel=1e-12)
