@@ -247,12 +247,10 @@ def metric_terms(delta_psi: StripField, profile: PermeabilityProfile,
     return assemble_metric(grid, profile.beta(grid.strip), d1, d2, j_min)
 
 
-def piola_divergence(pack: MetricPack) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete divergence (J A^k_i),_k for i = 1, 2, using the pack's own
-    stencils (spectral in x1, one-sided/centered differences in x2)."""
-    res1 = x1_derivative(pack.J) + vertical_derivative(-pack.d1, pack.grid.dx2)
-    ja12 = np.zeros_like(pack.J)
-    ja22 = np.ones_like(pack.J)
-    res2 = x1_derivative(ja12) + vertical_derivative(ja22, pack.grid.dx2)
-    return res1, res2
+def piola_divergence(pack: MetricPack) -> np.ndarray:
+    """Discrete divergence (J A^k_1),_k, using the pack's own stencils
+    (spectral in x1, one-sided/centered differences in x2).  The i = 2
+    component differentiates the constants J A^1_2 = 0 and J A^2_2 = 1,
+    which both stencils annihilate, so it is exactly zero."""
+    return x1_derivative(pack.J) + vertical_derivative(-pack.d1, pack.grid.dx2)
 

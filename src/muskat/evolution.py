@@ -13,10 +13,10 @@ run zeroes in the rfft of h at t = 0 and after every step.
 
 What limits the step is the L2 energy law's dissipation integral, not
 the interface.  Over a flat metric the dissipation of mode k decays like
-exp(2 sigma_h(k) t), and the step integrates each mode's share of it by
-product integration, exact for that exponential times a quadratic in t
-(_dissipation_weights).  Simpson's rule at this step lowers criterion 3's
-doubling order to 1.88, under its bound of 1.9.
+exp(2 sigma_h(k) t), and the step integrates each mode's share of it with
+ETDRK4's own weights at that rate, time reversed: they are exact for that
+exponential times a quadratic in t.  Simpson's rule at this step lowers
+criterion 3's doubling order to 1.88, under its bound of 1.9.
 
 Each head solve is for an interface that differs by O(dt) from one solved
 just before, so every solve of a run but the first starts CG from the
@@ -62,7 +62,7 @@ __all__ = ["SimConfig", "SimState", "Trajectory", "check_data", "lower_pack", "s
            "run"]
 
 # the ETDRK4 weights are means over CONTOUR_POINTS points on the upper half
-# of a radius-1 circle about each dt sigma_h(k); the rates are real, so the
+# of a radius-1 circle about each c = dt rate; the rates are real, so the
 # real part of that mean is the mean over the whole circle of twice as many
 CONTOUR_POINTS = 32
 
@@ -253,14 +253,6 @@ def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
     return solve_head(pack_plus, pack_minus, h, profile, solver="krylov", guess=guess)
 
 
-def _contour(c: np.ndarray) -> np.ndarray:
-    """CONTOUR_POINTS points on the upper half of a radius-1 circle about
-    each c, along a new last axis: the real part of the mean over them of a
-    function real on the real axis and analytic about c is its value at c."""
-    return np.asarray(c)[..., None] + np.exp(
-        1j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
-
-
 def _etd_weights(rates: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
     """ETDRK4's coefficients for the diagonal linear part L = rates over a
     step dt: (L, E, E2, Q, f1, f2, f3) with E = exp(dt L), E2 = exp(dt L / 2)
@@ -275,9 +267,13 @@ def _etd_weights(rates: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
     (Kassam & Trefethen 2005).  On that circle the closed forms lose no
     digits to cancellation, as they do near c = 0, where the weights tend
     to dt/2, dt/6, dt/6 and dt/6 and the step is classical RK4.
+
+    f1, 4 f2 and f3 integrate exp(L (dt - s)) times a quadratic in s on
+    [0, dt] exactly from its values at 0, dt/2 and dt; in reverse order,
+    (f3, 4 f2, f1) integrate exp(L s) times a quadratic.
     """
     c = dt * rates
-    lc = _contour(c)
+    lc = c[:, None] + np.exp(1j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
     e = np.exp(lc)
     weights = [(np.exp(lc / 2) - 1) / lc,
                (-4 - lc + e * (4 - 3 * lc + lc ** 2)) / lc ** 3,
@@ -285,36 +281,6 @@ def _etd_weights(rates: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
                (-4 - 3 * lc - lc ** 2 + e * (4 - lc)) / lc ** 3]
     return (rates, np.exp(c), np.exp(c / 2),
             *(dt * np.mean(w, axis=1).real for w in weights))
-
-
-def _dissipation_weights(rates: np.ndarray, dt: float) -> np.ndarray:
-    """Product-integration weights over a step dt for a dissipation D(s)
-    that decays like exp(rate s), for each of the rates: with c = dt rate
-    and g(s) = D(s) exp(-rate s), the integral of D over [0, dt] is, for g
-    quadratic,
-
-        dt (w0 g(0) + w1 g(dt/2) + w2 g(dt))
-        w0 = 2 m2 - 3 m1 + m0,  w1 = 4 m1 - 4 m2,  w2 = 2 m2 - m1,
-
-    the weights of g's quadratic interpolant through 0, dt/2 and dt
-    against exp(c u) on [0, 1], whose moments m_j = int_0^1 exp(c u) u^j du
-    are
-
-        m0 = (exp(c) - 1) / c
-        m1 = (exp(c) (c - 1) + 1) / c^2
-        m2 = (exp(c) (c^2 - 2c + 2) - 2) / c^3
-
-    each the mean of its closed form over the radius-1 circle about c, as
-    in _etd_weights.  At c = 0 they are Simpson's dt (1/6, 2/3, 1/6).
-    Returns dt (w0, w1, w2), stacked along a new first axis.
-    """
-    z = _contour(dt * np.asarray(rates))
-    e = np.exp(z)
-    m0, m1, m2 = (np.mean(m, axis=-1).real
-                  for m in ((e - 1) / z,
-                            (e * (z - 1) + 1) / z ** 2,
-                            (e * (z ** 2 - 2 * z + 2) - 2) / z ** 3))
-    return dt * np.array([2 * m2 - 3 * m1 + m0, 4 * (m1 - m2), 2 * m2 - m1])
 
 
 def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
@@ -337,11 +303,11 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     The integral takes the dissipation D of the state and of each stage,
     d1 at 0, da and db at dt/2 and dc at dt, and shares each out over the
     modes k in proportion to the flat dissipation -sigma_h(k) |v_k|^2 of
-    that state or stage.  Mode k's shares are integrated by
-    _dissipation_weights at the rate 2 sigma_h(k), no faster than
-    DISSIPATION_EXPONENT_FLOOR / dt, with the mean of the a and b shares
-    at dt/2.  A single mode k is so integrated exactly when its D is
-    exp(2 sigma_h(k) s) times a quadratic in s; at rate 0 the rule is
+    that state or stage.  Mode k's shares are integrated with ETDRK4's own
+    weights (_etd_weights) at the rate r = 2 sigma_h(k), no faster than
+    DISSIPATION_EXPONENT_FLOOR / dt, time reversed, with the mean of the a
+    and b shares at dt/2.  A single mode k is so integrated exactly when
+    its D is exp(r s) times a quadratic in s; at rate 0 the rule is
     Simpson's, dt/6 (d1 + 2 da + 2 db + dc).
     """
     if not dt > 0:
@@ -371,10 +337,12 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     update = e * v + f1 * n_v + 2.0 * f2 * (n_a + n_b) + f3 * n_c
     mean_drift = update[0].real / n1  # the mean the projection drops
     h_new = PeriodicField1D(np.fft.irfft(_project_rest_modes(update), n=n1))
-    exponents = np.maximum(2.0 * dt * rates, DISSIPATION_EXPONENT_FLOOR)
-    # the weights on D itself at 0, dt/2 and dt, one column per mode
-    weights = (_dissipation_weights(exponents / dt, dt)
-               * np.exp(-np.outer((0.0, 0.5, 1.0), exponents)))
+    # at the dissipation rates r, (f3, 4 f2, f1) weigh D exp(-r s) at 0, dt/2
+    # and dt; the weights on D itself, one column per mode, are theirs over
+    # exp(r s) there
+    _, e_d, e2_d, _, f1_d, f2_d, f3_d = _etd_weights(
+        np.maximum(2.0 * rates, DISSIPATION_EXPONENT_FLOOR / dt), dt)
+    weights = (f3_d, 4.0 * f2_d / e2_d, f1_d / e_d)
 
     def shares(u):
         """each mode's share of the flat dissipation of u; none for a flat

@@ -441,41 +441,20 @@ def moments_closed(c):
                                    (e * (c * c - 2 * c + 2) - 2) / c ** 3)]
 
 
-# Taylor coefficients at c = 0 of the product-rule weights over dt: m_j has
-# the coefficients 1 / (n! (n + j + 1))
-DISSIPATION_WEIGHT_SERIES = [
-    [(Fraction(2, n + 3) - Fraction(3, n + 2) + Fraction(1, n + 1)) / math.factorial(n)
-     for n in range(16)],
-    [(Fraction(4, n + 2) - Fraction(4, n + 3)) / math.factorial(n) for n in range(16)],
-    [(Fraction(2, n + 3) - Fraction(1, n + 2)) / math.factorial(n) for n in range(16)],
-]
-
-
 class TestDissipationWeights:
-    """The product rule of the dissipation integral, exact for exp(c u)
-    times a quadratic in u on [0, 1], against closed forms away from c = 0
-    and its Taylor series near it."""
+    """ETDRK4's final combination, time reversed, is the product rule of
+    the dissipation integral: (f3, 4 f2, f1) integrate exp(c u) times a
+    quadratic in u on [0, 1] exactly from its values at 0, 1/2 and 1."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(c=st.floats(-300.0, -1e-3), dt=st.floats(1e-3, 10.0),
            coeffs=st.lists(st.floats(0.1, 1.0), min_size=3, max_size=3))
     def test_exact_for_exponential_times_quadratic(self, c, dt, coeffs):
-        weights = evolution._dissipation_weights(c / dt, dt) / dt
+        *_, f1, f2, f3 = evolution._etd_weights(np.array([c / dt]), dt)
+        weights = np.concatenate([f3, 4.0 * f2, f1]) / dt
         quadratic = np.polynomial.Polynomial(coeffs)
         rule = float(weights @ quadratic(np.array([0.0, 0.5, 1.0])))
         assert rule == pytest.approx(float(np.dot(coeffs, moments_closed(c))), rel=1e-9)
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(c=st.floats(-0.1, 0.1), dt=st.floats(1e-3, 10.0))
-    @example(c=0.0, dt=1.0)
-    def test_weights_match_taylor_series_near_zero(self, c, dt):
-        series = [sum(float(a) * c ** n for n, a in enumerate(coeffs))
-                  for coeffs in DISSIPATION_WEIGHT_SERIES]
-        weights = list(evolution._dissipation_weights(c / dt, dt) / dt)
-        assert weights == pytest.approx(series, rel=1e-12)
-        if c == 0.0:
-            # the rate of the mean and of the Nyquist mode: Simpson's rule
-            assert weights == pytest.approx([1 / 6, 2 / 3, 1 / 6], rel=1e-12)
 
 
 class TestConfig:

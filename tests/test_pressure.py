@@ -117,6 +117,72 @@ class TestSingleModeOracle:
         assert measured == pytest.approx(-beta * 2 * math.tanh(4.0), rel=1e-2)
 
 
+def two_layer_heads(k, contrast):
+    """cos(k x1) times A cosh(k (x2 + 2)) below the flat line x2 = -1 and
+    A (cosh k cosh(k (x2 + 1)) + contrast sinh k sinh(k (x2 + 1))) above it,
+    A = 1: harmonic in each layer, no flux through the floor, and head and
+    beta times the normal flux continuous across the line for
+    beta_minus / beta_plus = contrast."""
+    def lower(x1, x2):
+        return np.cosh(k * (x2 + 2.0)) * np.cos(k * x1)
+
+    def upper(x1, x2):
+        return (np.cosh(k) * np.cosh(k * (x2 + 1.0))
+                + contrast * np.sinh(k) * np.sinh(k * (x2 + 1.0))) * np.cos(k * x1)
+
+    return lower, upper
+
+
+class TestManufacturedHead:
+    """The curved head solve against physical heads that are harmonic in
+    each layer, pulled back through the strip maps to x2_ref + delta_psi:
+    an oracle that shares no discretization with the balance.  Both strips
+    are sheared (k12 != 0), so the orders check how the balance uses K.
+    The interface is h = 0.15 cos x1 + 0.05 sin 3 x1; n1 keeps the x1
+    stencil's error floor out of the measured orders in n2."""
+
+    @staticmethod
+    def head_error(n1, n2, f_values, betas, heads):
+        """max|error| of the solved free heads over max|head|; heads are the
+        (lower, upper) physical heads of (x1, x2), and the top data is the
+        upper one at x2 = h."""
+        x1 = nodes(n1)
+        h = PeriodicField1D(0.15 * np.cos(x1) + 0.05 * np.sin(3 * x1))
+        f = PeriodicField1D(f_values)
+        profile = PermeabilityProfile(f, *betas)
+        packs, exact = [], []
+        for grid, head in zip((StripGrid(LOWER, n1, n2), StripGrid(UPPER, n1, n2)), heads):
+            shift = harmonic_extension(h, f, grid)
+            packs.append(metric_terms(shift, profile))
+            exact.append(head(x1, grid.x2[:, None] + shift.values))
+        # the shared grid holds the permeability line once
+        exact = np.vstack([exact[0], exact[1][1:]])
+        balance = pressure._CellBalance.from_packs(*packs)
+        b = -balance.free_rows(np.zeros_like(exact[:-1]), heads[1](x1, h.values))
+        x, _ = pressure._cg(balance.free_rows, b,
+                            pressure._flat_inverse(n1, n2, n2, *betas).solve, 1e-12)
+        return np.max(np.abs(x - exact[:-1])) / np.max(np.abs(exact))
+
+    @staticmethod
+    def assert_second_order(errors):
+        assert math.log2(errors[0] / errors[1]) >= 1.9
+        assert math.log2(errors[1] / errors[2]) >= 1.9
+
+    def test_equal_betas_sheared_line(self):
+        # cosh(k (x2 + 2)) cos(k x1) is harmonic across any line when the
+        # betas are equal, so f may shear the lower strip too
+        x1 = nodes(256)
+        head, _ = two_layer_heads(1.0, 1.0)
+        self.assert_second_order([
+            self.head_error(256, n2, 0.2 * np.cos(2 * x1 + 0.3), (1.0, 1.0), (head, head))
+            for n2 in (17, 33, 65)])
+
+    def test_contrast_across_a_flat_line(self):
+        self.assert_second_order([
+            self.head_error(128, n2, np.zeros(128), (1.0, 1e4), two_layer_heads(1.0, 1e4))
+            for n2 in (17, 33, 65)])
+
+
 class TestFlatTopRates:
     """sigma_h, the top-line rate of each mode of h over the flat metric:
     the linear part that the exponential step integrates exactly."""
