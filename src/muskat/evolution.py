@@ -162,7 +162,7 @@ class SimConfig:
         """
         sigma_h = flat_top_rates(self.n1, self.n2_plus, self.n2_minus,
                                  self.beta_plus, self.beta_minus)
-        return self.dt_safety * 3.0 / (8.0 * abs(float(sigma_h[1].real)))
+        return self.dt_safety * 3.0 / (8.0 * abs(float(sigma_h[1])))
 
     def grids(self) -> tuple[StripGrid, StripGrid]:
         return (StripGrid(UPPER, self.n1, self.n2_plus),
@@ -313,7 +313,7 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     if not dt > 0:
         raise ValueError("dt must be positive")
     rates, e, e2, q, f1, f2, f3 = _etd_weights(flat_top_rates(
-        config.n1, config.n2_plus, config.n2_minus, config.beta_plus, config.beta_minus).real, dt)
+        config.n1, config.n2_plus, config.n2_minus, config.beta_plus, config.beta_minus), dt)
     n1 = config.n1
 
     def nonlinear(head, v):

@@ -36,7 +36,8 @@ itself, no matrix formed, preconditioned by the exact inverse of the
 flat-metric balance (k12 = 0, constant k11 = k22 = beta per strip), which
 an rfft in x1 reduces to one tridiagonal level system per Fourier mode,
 with bands read off the flat coefficient columns and the x1 stencil's
-symbol, solved for all modes at once by parallel cyclic reduction in
+symbol.  Each is factored once from the floor up (Thomas), and a solve runs
+both sweeps for all modes at once as two prefix sums along the levels, in
 double precision, like the rest of the solve.  CG starts from a guess when
 the caller has a nearby head (evolution passes the head of a neighbouring
 RK stage) and from zero otherwise; its stopping test is relative to the
@@ -50,9 +51,9 @@ tested against, and the only code that imports scipy, when it is first
 called.
 "picard" is a fixed-point cross-check built on the same flat inverse; all
 three solvers share solve_head's scaling, residual gate and recovery.
-flat_top_rates reads off the flat inverse the rate of each interface mode
-over the flat metric: the linear part that evolution's exponential step
-integrates exactly, and the slowest of them sets its step.
+flat_top_rates reads off the last pivot of that factorization the rate of
+each interface mode over the flat metric: the linear part that evolution's
+exponential step integrates exactly, and the slowest of them sets its step.
 """
 
 from __future__ import annotations
@@ -381,20 +382,27 @@ class _FlatInverse:
     columns: row g couples to each adjacent free level by minus the face k22
     between them, and its diagonal is the sum of its faces' k22 plus -height
     k11 times s2(k), the real symbol of the x1 stencil applied twice (the
-    rfft of that response to a unit head in column 0).  The level systems of
-    all modes are solved at once by parallel cyclic reduction (Hockney &
-    Jesshope 1981): the stage of stride h = 1, 2, 4, ... adds to each row
-    alpha times the row h levels below and gamma times the row h levels
-    above, which removes its couplings at distance h and leaves couplings at
-    2h, so after ceil(log2 n_lev) stages each row is one unknown times its
-    diagonal.  alpha, gamma and 1/diagonal depend on the bands only and are
-    computed once, in the float view of the modes, one re/im pair per mode:
-    s2 is repeated once for the pairs, and the rest follows in that layout.
-    A solve is one rfft, two multiplies and two in-place adds per stage
-    into two work buffers, one scaling and one irfft.  Only elementwise
-    ufuncs run, in double precision: a single-precision reduction saved
-    about 5-10% of run time but stalled CG from a permeability contrast of
-    1e5 at 128 x (64+64), where double precision takes 9 iterations.
+    rfft of that response to a unit head in column 0).  Each mode's system
+    is a symmetric M-matrix, factored once from the floor up (Thomas): the
+    pivots u, and the multipliers m[g] = face[g-1] / u[g-1] in (0, 1], which
+    serve both sweeps:
+
+        forward  y[g] = d[g] + m[g] y[g-1]
+        back     x[g] = y[g] / u[g] + m[g+1] x[g+1]
+
+    With R the running product of m, both are prefix sums,
+    y = R cumsum(d / R) and x = revcumsum(R y / u) / R, so a solve is one
+    rfft, three multiplies by kept factors (1/R, R^2/u, 1/R) in the float
+    view of the modes, repeated for the re/im pairs, two cumsums along the
+    levels in its complex view (about twice as fast as in the float view)
+    and one irfft, all modes at once.  The products restart, carrying one
+    row into the next block, wherever R^2 would fall below the smallest
+    normal float times max(1, u), so that no factor overflows or goes
+    subnormal; the benchmark and acceptance grids need one block, and
+    1024 x (129+129) needs two.  It all runs in double precision: a
+    single-precision flat solve saved about 5-10% of run time but stalled
+    CG from a permeability contrast of 1e5 at 128 x (64+64), where double
+    precision takes 9 iterations.
     Fast diagonalisation (an eigh of the level pencil, then two gemm per
     solve) was measured and not taken: it is BLAS, which OpenBLAS threads,
     and on a shared two-core host its build took up to 354 ms and its
@@ -402,59 +410,62 @@ class _FlatInverse:
     still slower than the band solve.
 
     sigma_h is the top-line Dirichlet-to-Neumann symbol of the flat balance:
-    mode k of h_t = w2 is sigma_h[k] times mode k of h, k = 0..n1/2.  The
-    flat operator is circulant in x1, so the trace response to a unit head
-    at top-line column 0 is its kernel, and the rfft of that one response
-    gives every mode.
+    mode k of h_t = w2 is sigma_h[k] times mode k of h, k = 0..n1/2.  It is
+    minus the Schur complement of the free levels in the top line's row,
+    -(face_top + (-height k11)_top s2 - face_top^2 / u_last), with u_last
+    the last pivot, real.
     """
 
     def __init__(self, flat: _CellBalance):
         self.n1, n_lev = flat.n1, flat.n_lev
         unit = np.zeros((n_lev + 1, self.n1))
         unit[:, 0] = 1.0
-        s2 = np.repeat(np.fft.rfft(flat._stencil(flat._stencil(unit))[0]).real, 2)
-        # no face below the floor, and the last free row's upper neighbour
-        # is the top line, which is not free
+        s2 = np.fft.rfft(flat._stencil(flat._stencil(unit))[0]).real
         face = flat.face_k22[:, 0]
-        below = np.r_[0.0, face[:-1]]
-        lower = -below[:, None]
-        upper = -np.r_[face[:-1], 0.0][:, None]
-        diag = (below + face)[:, None] + flat._neg_height_k11[:-1] * s2
-        # stage h: row g couples to g - h by lower[g] and to g + h by upper[g]
-        stages = []
-        h = 1
-        while h < n_lev:
-            alpha = -lower[h:] / diag[:-h]
-            gamma = -upper[:-h] / diag[h:]
-            diag[h:] += alpha * upper[:-h]
-            diag[:-h] += gamma * lower[h:]
-            zero = np.zeros_like(diag[:h])
-            lower = np.concatenate([zero, alpha * lower[:-h]])
-            upper = np.concatenate([gamma * upper[h:], zero])
-            stages.append((h, alpha, gamma))
-            h *= 2
-        self._stages, self._inv_diag = stages, 1.0 / diag
-        # two work buffers, shared by every caller of the cached inverse, so
-        # solves must not overlap
-        self._below, self._above = np.empty_like(diag), np.empty_like(diag)
-        impulse = np.zeros(self.n1)
-        impulse[0] = 1.0
-        x = self.solve(-flat.free_rows(np.zeros((n_lev, self.n1)), impulse))
-        self.sigma_h = np.fft.rfft(-flat(flat.heads(x, impulse))[-1])
+        neg_height_k11 = flat._neg_height_k11[:, 0]
+        # no face below the floor; the last free row's upper neighbour is
+        # the top line, which is not free
+        diag = (np.r_[0.0, face[:-1]] + face)[:, None] + neg_height_k11[:-1, None] * s2
+        u, m = np.empty_like(diag), np.zeros_like(diag)
+        u[0] = diag[0]
+        for g in range(1, n_lev):
+            m[g] = face[g - 1] / u[g - 1]
+            u[g] = diag[g] - m[g] * face[g - 1]
+        # running products of m, restarted at each block's first row
+        smallest = np.finfo(float).tiny * np.maximum(u, 1.0)
+        r = np.ones_like(u)
+        starts = [0]
+        while True:
+            r[starts[-1] + 1:] = np.cumprod(m[starts[-1] + 1:], axis=0)
+            low = np.flatnonzero(np.any(r * r < smallest, axis=1))
+            if low.size == 0:
+                break
+            starts.append(int(low[0]))
+            r[low[0]] = 1.0
+        self._blocks = list(zip(starts, starts[1:] + [n_lev]))
+        self._m, self._r = np.repeat(m, 2, axis=1), np.repeat(r, 2, axis=1)
+        self._inv_r = 1.0 / self._r
+        self._r2_over_u = self._r * self._r / np.repeat(u, 2, axis=1)
+        self.sigma_h = -(face[-1] + neg_height_k11[-1] * s2 - face[-1] ** 2 / u[-1])
         self.sigma_h.setflags(write=False)  # every caller shares the cached array
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        """The flat inverse applied to the free rows r, reduced in place on
-        the float view of their spectrum."""
+        """The flat inverse applied to the free rows r: both sweeps as
+        prefix sums, block by block, on the rfft spectrum of r."""
         spectrum = np.fft.rfft(r)
         d = spectrum.view(np.float64)
-        below, above = self._below, self._above
-        for h, alpha, gamma in self._stages:
-            np.multiply(alpha, d[:-h], out=below[h:])
-            np.multiply(gamma, d[h:], out=above[:-h])
-            d[h:] += below[h:]
-            d[:-h] += above[:-h]
-        d *= self._inv_diag
+        d *= self._inv_r
+        for b, e in self._blocks:  # forward: d becomes y / R
+            if b:
+                d[b] += self._m[b] * (self._r[b - 1] * d[b - 1])
+            np.cumsum(spectrum[b:e], axis=0, out=spectrum[b:e])
+        d *= self._r2_over_u
+        for b, e in reversed(self._blocks):  # back: d becomes x R
+            if e < len(d):
+                d[e - 1] += self._r[e - 1] * (self._m[e] * d[e])
+            tail = spectrum[b:e][::-1]
+            np.cumsum(tail, axis=0, out=tail)
+        d *= self._inv_r
         return np.fft.irfft(spectrum, n=self.n1)
 
 
@@ -467,9 +478,9 @@ def _flat_inverse(n1: int, m_minus: int, m_plus: int,
 
 def flat_top_rates(n1: int, n2_plus: int, n2_minus: int,
                    beta_plus: float, beta_minus: float) -> np.ndarray:
-    """sigma_h(k), k = 0..n1/2, of the flat-metric balance (complex, real
-    to roundoff), read from the cached flat inverse that also preconditions
-    the Krylov head solve."""
+    """sigma_h(k), k = 0..n1/2, of the flat-metric balance (real), read
+    from the cached flat inverse that also preconditions the Krylov head
+    solve."""
     return _flat_inverse(n1, n2_minus, n2_plus, beta_plus, beta_minus).sigma_h
 
 
