@@ -15,7 +15,7 @@ import os
 import struct
 import sys
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .diffeo import (
     piola_divergence,
     vertical_derivative_exact,
 )
-from .pressure import flat_top_rates
+from .pressure import HeadSolution, flat_top_rates
 from .spectral_core import PeriodicField1D
 
 __all__ = [
@@ -39,9 +39,7 @@ __all__ = [
     "load_config",
     "write_timeseries_csv",
     "TIMESERIES_HEADER",
-    "Snapshot",
     "write_snapshot",
-    "read_snapshot",
     "cmd_run",
     "cmd_dispersion",
     "cmd_check",
@@ -178,63 +176,21 @@ def write_timeseries_csv(path: str | Path, reports) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Snapshot:
-    """One full field snapshot.  Its fields after f are HeadSolution's, by
-    name: p, w1 and w2 are (n2_minus + n2_plus, n1), lower strip first."""
-
-    t: float
-    h: np.ndarray
-    f: np.ndarray
-    n2_minus: int
-    p: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-
-
-def _file_arrays(snap: Snapshot) -> tuple[np.ndarray, ...]:
-    """The strip arrays of a snapshot file in order, P+, P-, w1+, w2+, w1-,
-    w2-: row slices of the stacked arrays, bottom level first."""
-    m = snap.n2_minus
-    return snap.p[m:], snap.p[:m], snap.w1[m:], snap.w2[m:], snap.w1[:m], snap.w2[:m]
-
-
-def write_snapshot(path: str | Path, snap: Snapshot) -> None:
-    n1 = snap.h.size
-    n2m = snap.n2_minus
+def write_snapshot(path: str | Path, t: float, h: np.ndarray, f: np.ndarray,
+                   head: HeadSolution) -> None:
+    """README's snapshot, version 1: header, h, f, then P+, P-, w1+, w2+, w1-,
+    w2-, the rows of head.p, head.w1 and head.w2 above and below
+    head.n2_minus as they are, bottom level first."""
+    m = head.n2_minus
     blob = [SNAPSHOT_MAGIC,
-            struct.pack("<IIII", SNAPSHOT_VERSION, n1, snap.p.shape[0] - n2m, n2m),
-            struct.pack("<d", snap.t),
-            snap.h.astype("<f8").tobytes(),
-            snap.f.astype("<f8").tobytes()]
-    blob += [rows.astype("<f8").tobytes() for rows in _file_arrays(snap)]
+            struct.pack("<IIII", SNAPSHOT_VERSION, h.size, head.p.shape[0] - m, m),
+            struct.pack("<d", t),
+            h.astype("<f8").tobytes(),
+            f.astype("<f8").tobytes()]
+    blob += [rows.astype("<f8").tobytes()
+             for rows in (head.p[m:], head.p[:m], head.w1[m:], head.w2[m:],
+                          head.w1[:m], head.w2[:m])]
     _write_atomic(path, blob)
-
-
-def read_snapshot(path: str | Path) -> Snapshot:
-    """Parse a snapshot; ValueError unless the file is exactly the size its
-    header declares."""
-    data = Path(path).read_bytes()
-    if data[:4] != SNAPSHOT_MAGIC:
-        raise ValueError("not a snapshot file (bad magic)")
-    off = 28
-    if len(data) < off:
-        raise ValueError(f"snapshot header needs {off} bytes, file has {len(data)}")
-    version, n1, n2p, n2m = struct.unpack_from("<IIII", data, 4)
-    if version != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {version}")
-    expected = off + 8 * n1 * (2 + 3 * (n2p + n2m))
-    if len(data) != expected:
-        raise ValueError(f"snapshot header declares {expected} bytes, file has {len(data)}")
-    (t,) = struct.unpack_from("<d", data, 20)
-    values = np.frombuffer(data, dtype="<f8", offset=off)
-    snap = Snapshot(t, values[:n1].copy(), values[n1:2 * n1].copy(), n2m,
-                    *np.empty((3, n2m + n2p, n1)))
-    end = 2 * n1
-    for rows in _file_arrays(snap):
-        start, end = end, end + rows.size
-        rows[...] = values[start:end].reshape(rows.shape)
-    return snap
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +212,8 @@ def _now() -> str:
 
 
 def cmd_run(config_path: str) -> int:
+    """Run a config and write timeseries.csv, the initial and final snapshots
+    (the run's own head solutions: nothing is solved after the run) and manifest.json."""
     try:
         config, h0, f, echo = load_config(config_path)
     except ConfigError as exc:
@@ -280,8 +238,7 @@ def cmd_run(config_path: str) -> int:
         for tag, state, head in (("initial", traj.states[0], traj.initial_head),
                                  ("final", traj.states[-1], traj.final_head)):
             snap_path = out_dir / f"snapshot_{tag}.mskt"
-            write_snapshot(snap_path, Snapshot(state.t, state.h.values, f.values,
-                                               head.n2_minus, head.p, head.w1, head.w2))
+            write_snapshot(snap_path, state.t, state.h.values, f.values, head)
             files.append(snap_path.name)
 
     # the run's record: error_time is the t of the state the run ended at

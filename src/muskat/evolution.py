@@ -399,7 +399,6 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
     try:
         if _gap_margin(h0.values, f.values) <= config.gap_tol:
             raise GapViolation("initial interface within gap_tol of the permeability curve")
-        dt = config.dt
         try:
             pack_minus = lower_pack(profile, config)
         except DiffeoDegenerate:
@@ -424,8 +423,8 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
                 traj.reports.append(diagnostics.report(state, head, h0_l2_sq))
             if at_end:
                 break
-            state, solved = step(state, profile, config, min(dt, config.t_end - state.t),
-                                 pack_minus, head)
+            state, solved = step(state, profile, config,
+                                 min(config.dt, config.t_end - state.t), pack_minus, head)
             traj.head_solves += len(solved)
             traj.cg_iterations += sum(stage.cg_iterations for stage in solved)
             guess = solved[-1].p

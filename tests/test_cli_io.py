@@ -10,6 +10,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ import muskat
 from muskat import cli_io
 from muskat.cli_io import (
     ConfigError,
-    Snapshot,
     TIMESERIES_HEADER,
     cmd_check,
     cmd_convergence,
@@ -29,7 +29,6 @@ from muskat.cli_io import (
     cmd_run,
     load_config,
     main,
-    read_snapshot,
     write_manifest,
     write_snapshot,
     write_timeseries_csv,
@@ -45,7 +44,7 @@ from muskat.diffeo import (
     metric_terms,
 )
 from muskat.errors import DiffeoDegenerate, SolverDivergence
-from muskat.pressure import HeadSolution, solve_head
+from muskat.pressure import solve_head
 from muskat.spectral_core import PeriodicField1D, nodes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -168,8 +167,18 @@ class TestTimeseries:
         assert "\r" not in text
 
 
-# a snapshot's stacked arrays, each (n2_minus + n2_plus, n1)
-ARRAYS = ("p", "w1", "w2")
+def head_of(n2_minus, p, w1, w2):
+    """What write_snapshot reads of a head solution: the stacked arrays, each
+    (n2_minus + n2_plus, n1), and the split between their strips."""
+    return SimpleNamespace(n2_minus=n2_minus, p=p, w1=w1, w2=w2)
+
+
+def strip_rows(head):
+    """perfbench/check.py::read_snapshot's strip arrays, each (n1, n2), as the
+    row slices of the head solution whose transposes they are."""
+    m = head.n2_minus
+    return {"p_plus": head.p[m:], "p_minus": head.p[:m], "w1_plus": head.w1[m:],
+            "w2_plus": head.w2[m:], "w1_minus": head.w1[:m], "w2_minus": head.w2[:m]}
 
 
 @contextmanager
@@ -193,8 +202,7 @@ class TestOutputFiles:
                            coupling_ratio=0.5)
 
         def snap(n2):
-            return Snapshot(t=0.5, h=np.zeros(4), f=np.ones(4), n2_minus=n2,
-                            **{name: np.full((2 * n2, 4), 2.0) for name in ARRAYS})
+            return 0.5, np.zeros(4), np.ones(4), head_of(n2, *np.full((3, 2 * n2, 4), 2.0))
 
         def manifest(files):
             return {"config": {}, "version": "0", "start_time": "", "end_time": "",
@@ -202,21 +210,28 @@ class TestOutputFiles:
                     "head_solves": 0, "cg_iterations": 0, "max_abs_mean_h": 0.0,
                     "max_abs_top_flux": 0.0, "files": files}
 
-        # (writer, file name, output under 1 KiB, output that the limit cuts)
-        cases = [(write_timeseries_csv, "timeseries.csv", [rep], [rep] * 40),
+        # (writer, file name, arguments of an output under 1 KiB and of one
+        # that the limit cuts)
+        cases = [(write_timeseries_csv, "timeseries.csv", ([rep],), ([rep] * 40,)),
                  (write_snapshot, "snapshot.mskt", snap(3), snap(30)),
-                 (write_manifest, "manifest.json", manifest(["a"]), manifest(["a" * 50] * 40))]
+                 (write_manifest, "manifest.json", (manifest(["a"]),),
+                  (manifest(["a" * 50] * 40),))]
         for write, name, small, large in cases:
             path = tmp_path / name
-            write(path, small)
+            write(path, *small)
             before = path.read_bytes()
             with file_size_limit(1024), pytest.raises(OSError):
-                write(path, large)
+                write(path, *large)
             assert path.read_bytes() == before, name
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(c[1] for c in cases)
+        kept = perfbench_module("check").read_snapshot(tmp_path / "snapshot.mskt")
+        assert kept["p_plus"].shape == kept["p_minus"].shape == (4, 3)
 
 
 class TestSnapshot:
+    """write_snapshot against perfbench/check.py::read_snapshot, which parses
+    README's layout independently of the package."""
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data(), n1=st.integers(1, 8).map(lambda k: 2 * k),
            n2_plus=st.integers(3, 9), n2_minus=st.integers(3, 9), t=st.floats())
@@ -225,54 +240,33 @@ class TestSnapshot:
         def array(shape):
             return data.draw(hnp.arrays(np.float64, shape, elements=st.floats()))
 
-        snap = Snapshot(t=t, h=array(n1), f=array(n1), n2_minus=n2_minus,
-                        **{name: array((n2_minus + n2_plus, n1)) for name in ARRAYS})
-        out = tmp_path_factory.mktemp("snap")
-        write_snapshot(out / "a.mskt", snap)
-        back = read_snapshot(out / "a.mskt")
-        assert np.float64(back.t).tobytes() == np.float64(snap.t).tobytes()
-        assert back.n2_minus == n2_minus
-        for name in ("h", "f") + ARRAYS:
-            a, b = getattr(back, name), getattr(snap, name)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-        write_snapshot(out / "b.mskt", back)
-        assert (out / "a.mskt").read_bytes() == (out / "b.mskt").read_bytes()
+        check = perfbench_module("check")
+        h, f = array(n1), array(n1)
+        head = head_of(n2_minus, *(array((n2_minus + n2_plus, n1)) for _ in range(3)))
+        path = tmp_path_factory.mktemp("snap") / "a.mskt"
+        write_snapshot(path, t, h, f, head)
+        snap = check.read_snapshot(path)
+        assert np.float64(snap["t"]).tobytes() == np.float64(t).tobytes()
+        want = {"h": h, "f": f, **strip_rows(head)}
+        assert set(snap) == {"t", *want}
+        for name, rows in want.items():
+            got = snap[name].T  # (n1, n2) per strip; a no-op on h and f
+            assert got.shape == rows.shape and got.tobytes() == rows.tobytes(), name
 
     def test_magic_and_layout(self, tmp_path):
-        # distinct values, 4 x (3 + 3) levels: the file holds P+, P-, w1+,
+        # distinct values, 4 x (5 + 3) levels: the file holds P+, P-, w1+,
         # w2+, w1-, w2-, each level after level from its strip's bottom up
-        p, w1, w2 = np.arange(3 * 6 * 4, dtype=float).reshape(3, 6, 4)
-        snap = Snapshot(t=1.0, h=np.zeros(4), f=np.zeros(4), n2_minus=3, p=p, w1=w1, w2=w2)
+        p, w1, w2 = np.arange(3 * 8 * 4, dtype=float).reshape(3, 8, 4)
         path = tmp_path / "s.mskt"
-        write_snapshot(path, snap)
+        write_snapshot(path, 1.0, np.zeros(4), np.zeros(4), head_of(3, p, w1, w2))
         blob = path.read_bytes()
         assert blob[:4] == b"MSKT"
-        # header 28 bytes + (2*4 + 6*12) doubles
-        assert len(blob) == 28 + 8 * (8 + 72)
-        strips = np.frombuffer(blob, dtype="<f8", offset=28 + 8 * 8).reshape(6, 3, 4)
-        for got, want in zip(strips, (p[3:], p[:3], w1[3:], w2[3:], w1[:3], w2[:3])):
-            assert np.array_equal(got, want)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.mskt"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            read_snapshot(path)
-
-    # 4 x (3 + 5) levels: 28 header bytes + 8 * (2 * 4 + 3 * 4 * (3 + 5)) = 860
-    @pytest.mark.parametrize("length, message", [
-        (8, "header needs 28 bytes, file has 8"),
-        (852, "header declares 860 bytes, file has 852"),
-        (868, "header declares 860 bytes, file has 868"),
-    ], ids=["short_header", "truncated", "padded"])
-    def test_rejects_wrong_length(self, tmp_path, length, message):
-        snap = Snapshot(t=0.5, h=np.zeros(4), f=np.zeros(4), n2_minus=5,
-                        **{name: np.zeros((5 + 3, 4)) for name in ARRAYS})
-        path = tmp_path / "s.mskt"
-        write_snapshot(path, snap)
-        path.write_bytes((path.read_bytes() + bytes(8))[:length])
-        with pytest.raises(ValueError, match=message):
-            read_snapshot(path)
+        # header 28 bytes + (2*4 + 3*32) doubles
+        assert len(blob) == 28 + 8 * (8 + 96)
+        snap = perfbench_module("check").read_snapshot(path)
+        names = ("p_plus", "p_minus", "w1_plus", "w2_plus", "w1_minus", "w2_minus")
+        for name, want in zip(names, (p[3:], p[:3], w1[3:], w2[3:], w1[:3], w2[:3])):
+            assert np.array_equal(snap[name].T, want), name
 
 
 class TestCmdRun:
@@ -292,8 +286,8 @@ class TestCmdRun:
         csv_lines = (out / "timeseries.csv").read_text().strip().split("\n")
         assert csv_lines[0] == TIMESERIES_HEADER
         assert len(csv_lines) > 2
-        snap = read_snapshot(out / "snapshot_final.mskt")
-        assert snap.n2_minus == 9 and snap.p.shape == (9 + 9, 32)
+        snap = perfbench_module("check").read_snapshot(out / "snapshot_final.mskt")
+        assert snap["p_plus"].shape == snap["p_minus"].shape == (32, 9)
 
     def test_deterministic_replay(self, tmp_path):
         outputs = []
@@ -334,29 +328,29 @@ class TestCmdRun:
         # the snapshots are the run's own heads, byte for byte; a cold solve
         # of the same state (CG from zero, not from a neighbouring stage's
         # head) agrees with them to the oracle's 1e-8
+        check = perfbench_module("check")
         config, _, f, _ = load_config(cfg_path)
         profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
         for tag, state, head in (("initial", traj.states[0], traj.initial_head),
                                  ("final", traj.states[-1], traj.final_head)):
-            own = Snapshot(state.t, state.h.values, f.values, head.n2_minus,
-                           head.p, head.w1, head.w2)
-            write_snapshot(tmp_path / f"own_{tag}.mskt", own)
+            own = tmp_path / f"own_{tag}.mskt"
+            write_snapshot(own, state.t, state.h.values, f.values, head)
             written = tmp_path / "out" / f"snapshot_{tag}.mskt"
-            assert (tmp_path / f"own_{tag}.mskt").read_bytes() == written.read_bytes()
-            snap = read_snapshot(written)
-            cold = evolution._evaluate(snap.h, profile, config,
+            assert own.read_bytes() == written.read_bytes()
+            snap = check.read_snapshot(written)
+            cold = evolution._evaluate(snap["h"], profile, config,
                                        evolution.lower_pack(profile, config))
-            assert snap.n2_minus == cold.n2_minus
-            for name in ARRAYS:
-                diff = np.max(np.abs(getattr(cold, name) - getattr(snap, name)))
-                assert diff <= 1e-8, (tag, name)
+            for name, rows in strip_rows(cold).items():
+                got = snap[name].T
+                assert got.shape == rows.shape, (tag, name)
+                assert np.max(np.abs(got - rows)) <= 1e-8, (tag, name)
 
     def test_direct_oracle_reads_as_the_snapshot(self, tmp_path):
         # perfbench/check.py::oracle_heads reads solve_head(...,
         # solver="direct").p_plus and p_minus, (n1, n2) per strip, and
         # compares them with a run's final snapshot as its own read_snapshot
-        # parses it.  Stacking that oracle (ROADMAP item 3) retires these
-        # per-strip views and this test.
+        # parses it.  Stacking that oracle (ROADMAP: retire the per-strip
+        # entry points) retires these per-strip views and this test.
         check = perfbench_module("check")
         cfg_path = tmp_path / "run.json"
         cfg = write_config(cfg_path, n2_minus=7)
@@ -688,17 +682,6 @@ class TestFormatsInStep:
         # script_E is the column scriptE
         assert ([f.name.replace("_", "") for f in fields(EnergyReport)]
                 == [c.replace("_", "") for c in TIMESERIES_HEADER.split(",")])
-
-    def test_snapshot_arrays_are_head_fields(self):
-        # a snapshot is t, h, f and fields of the head solution, by name:
-        # the stacked arrays and the split between their strips
-        snapshot = [f.name for f in fields(Snapshot)]
-        head = {f.name for f in fields(HeadSolution)}
-        assert snapshot == ["t", "h", "f", "n2_minus", *ARRAYS]
-        assert set(snapshot[3:]) <= head
-        # the file's six strip arrays are the two strips of each
-        snap = Snapshot(0.0, np.zeros(4), np.zeros(4), 3, *np.zeros((3, 3 + 5, 4)))
-        assert len(cli_io._file_arrays(snap)) == 6
 
 
 class TestMain:

@@ -1,8 +1,10 @@
 """Every name a module of the package imports is used in that module, every
 name its __all__ exports is defined there, every private function or class
 it defines at module level is read there, every field of a record (a
-dataclass) is read as an attribute somewhere in the package, and every
-method or property of a class is read in the package or the benchmark.
+dataclass) is read as an attribute somewhere in the package, every
+method or property of a class is read in the package or the benchmark, and
+every name in an __all__ is read in the package or taken from it by the
+benchmark, so that no public name exists for tests alone.
 
 An AST scan stands in for a linter: a binding counts as used when it is
 read as a name anywhere in the module (attribute chains included) or is
@@ -179,4 +181,57 @@ def test_scan_flags_an_unread_method():
 
 def test_every_method_is_read():
     assert unread_methods([m.read_text() for m in MODULES],
+                          [b.read_text() for b in BENCHMARK]) == []
+
+
+def unread_exports(sources: dict[str, str], readers: list[str],
+                   package: str = "muskat") -> list[str]:
+    """Names in the __all__ of the package's modules (sources, by module
+    name), as module.name, that no module of the package reads as a name or
+    an attribute, and that no reader imports from the package or reads off
+    one of its modules: exports that only tests use.  A name that a reader
+    defines itself does not count, even where it reads it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    for tree in map(ast.parse, readers):
+        modules = set()  # the reader's names for the package and its modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
+                read.update(alias.name for alias in node.names)
+                modules.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                               if alias.name.split(".")[0] == package)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in exported_names(tree) if name not in read)
+
+
+def test_scan_flags_an_export_only_tests_read():
+    module = ("__all__ = ['called', 'imported', 'read_off', 'deep', 'redefined', 'unread']\n"
+              "def called(): pass\ndef imported(): pass\ndef read_off(): pass\n"
+              "def deep(): pass\ndef redefined(): pass\ndef unread(): pass\n")
+    package = {"a": module, "b": "from .a import called\ncalled()\n"}
+    reader = ("from pkg.a import imported\nimport pkg.a\nfrom pkg import a as mod\n"
+              "def redefined(): pass\n"
+              "imported(), mod.read_off(), pkg.a.deep(), redefined(), other.unread()\n")
+    assert unread_exports(package, [reader], "pkg") == ["a.redefined", "a.unread"]
+    assert unread_exports(package, [], "pkg") == [
+        "a.deep", "a.imported", "a.read_off", "a.redefined", "a.unread"]
+
+
+def test_every_export_is_read_outside_tests():
+    assert unread_exports({m.stem: m.read_text() for m in MODULES},
                           [b.read_text() for b in BENCHMARK]) == []

@@ -133,24 +133,40 @@ def two_layer_heads(k, contrast):
     return lower, upper
 
 
+def random_interface(count, amplitudes, decay):
+    """sum over m = 1..count of a_m m^-decay cos(m x1 + phi_m) on 256 nodes,
+    each a_m uniform in amplitudes and each phase phi_m random."""
+    x1 = nodes(256)
+    return st.lists(st.tuples(st.floats(*amplitudes), st.floats(0.0, 2 * math.pi)),
+                    min_size=count, max_size=count).map(
+        lambda terms: sum(a * m ** -decay * np.cos(m * x1 + phi)
+                          for m, (a, phi) in enumerate(terms, start=1)))
+
+
+# random cases of each manufactured head; each draw takes three solves up to
+# 256 x (65+65)
+MANUFACTURED_DRAWS = 20
+
+
 class TestManufacturedHead:
     """The curved head solve against physical heads that are harmonic in
     each layer, pulled back through the strip maps to x2_ref + delta_psi:
     an oracle that shares no discretization with the balance.  Both strips
     are sheared (k12 != 0), so the orders check how the balance uses K.
-    The interface is h = 0.15 cos x1 + 0.05 sin 3 x1; n1 keeps the x1
-    stencil's error floor out of the measured orders in n2.  The top trace
-    is the flux of -beta_plus grad P through the interface per unit x1,
-    w2 = -beta_plus (d2P - h' d1P) at (x1, h), with the physical
-    derivatives of P taken by complex step (Squire & Trapp 1998)."""
+    The interface is h = 0.15 cos x1 + 0.05 sin 3 x1 or a random one; n1
+    keeps the x1 stencil's error floor out of the measured orders in n2.
+    The top trace is the flux of -beta_plus grad P through the interface
+    per unit x1, w2 = -beta_plus (d2P - h' d1P) at (x1, h), with the
+    physical derivatives of P taken by complex step (Squire & Trapp 1998)."""
 
     @staticmethod
-    def errors(n1, n2, f_values, betas, heads):
+    def errors(n2, h_values, f_values, betas, heads):
         """max|error| over max|exact| of the solved free heads and of the top
         trace w2; heads are the (lower, upper) physical heads of (x1, x2),
         and the top data is the upper one at x2 = h."""
+        n1 = h_values.size
         x1 = nodes(n1)
-        h = PeriodicField1D(0.15 * np.cos(x1) + 0.05 * np.sin(3 * x1))
+        h = PeriodicField1D(h_values)
         f = PeriodicField1D(f_values)
         profile = PermeabilityProfile(f, *betas)
         packs, exact = [], []
@@ -174,21 +190,43 @@ class TestManufacturedHead:
                 np.max(np.abs(trace - exact_trace)) / np.max(np.abs(exact_trace)))
 
     @classmethod
-    def assert_second_order(cls, n1, f_values, betas, heads):
-        errors = [cls.errors(n1, n2, f_values, betas, heads) for n2 in (17, 33, 65)]
+    def assert_second_order(cls, h_values, f_values, betas, heads):
+        errors = [cls.errors(n2, h_values, f_values, betas, heads) for n2 in (17, 33, 65)]
         for coarse, fine in zip(errors, errors[1:]):
             for e_coarse, e_fine in zip(coarse, fine):  # head, then trace
                 assert math.log2(e_coarse / e_fine) >= 1.9
+
+    @staticmethod
+    def fixed_h(n1):
+        x1 = nodes(n1)
+        return 0.15 * np.cos(x1) + 0.05 * np.sin(3 * x1)
 
     def test_equal_betas_sheared_line(self):
         # cosh(k (x2 + 2)) cos(k x1) is harmonic across any line when the
         # betas are equal, so f may shear the lower strip too
         x1 = nodes(256)
         head, _ = two_layer_heads(1.0, 1.0)
-        self.assert_second_order(256, 0.2 * np.cos(2 * x1 + 0.3), (1.0, 1.0), (head, head))
+        self.assert_second_order(self.fixed_h(256), 0.2 * np.cos(2 * x1 + 0.3), (1.0, 1.0),
+                                 (head, head))
 
     def test_contrast_across_a_flat_line(self):
-        self.assert_second_order(128, np.zeros(128), (1.0, 1e4), two_layer_heads(1.0, 1e4))
+        self.assert_second_order(self.fixed_h(128), np.zeros(128), (1.0, 1e4),
+                                 two_layer_heads(1.0, 1e4))
+
+    @settings(max_examples=MANUFACTURED_DRAWS, deadline=None, derandomize=True)
+    @given(h=random_interface(4, (0.05, 0.15), 2.5), f=random_interface(3, (0.1, 0.2), 3.0),
+           beta=st.floats(0.1, 10.0), k=st.integers(1, 2))
+    def test_random_equal_betas(self, h, f, beta, k):
+        head, _ = two_layer_heads(k, 1.0)
+        self.assert_second_order(h, f, (beta, beta), (head, head))
+
+    @settings(max_examples=MANUFACTURED_DRAWS, deadline=None, derandomize=True)
+    @given(h=random_interface(4, (0.05, 0.15), 2.5), log_contrast=st.floats(-4.0, 4.0),
+           k=st.integers(1, 2))
+    def test_random_contrast_across_a_flat_line(self, h, log_contrast, k):
+        contrast = 10.0 ** log_contrast
+        self.assert_second_order(h, np.zeros(256), (1.0, contrast),
+                                 two_layer_heads(k, contrast))
 
 
 class TestFlatTopRates:
