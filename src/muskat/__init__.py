@@ -10,23 +10,4 @@ S^1 x (-2, -1) after pulling the moving domain back with a harmonic strip map.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DiffeoDegenerate,
-    GapViolation,
-    InsufficientData,
-    NoContraction,
-    NonSPDSystem,
-    ResolutionMismatch,
-    SolverDivergence,
-)
-
-__all__ = [
-    "__version__",
-    "DiffeoDegenerate",
-    "GapViolation",
-    "InsufficientData",
-    "NoContraction",
-    "NonSPDSystem",
-    "ResolutionMismatch",
-    "SolverDivergence",
-]
+__all__ = ["__version__"]

@@ -31,7 +31,7 @@ from .diffeo import (
     piola_divergence,
     vertical_derivative_exact,
 )
-from .pressure import HeadSolution, flat_top_rates
+from .pressure import HeadSolution, flat_inverse
 from .spectral_core import PeriodicField1D
 
 __all__ = [
@@ -370,8 +370,9 @@ def _check_cfl(config) -> tuple[bool, str]:
     worst = max(r.script_E for r in traj.reports)
     if worst > 2.0 * e0:
         return False, f"curvature energy grew by x{worst / e0:.3g} over the probe"
-    stiff = probe.dt * float(np.max(np.abs(flat_top_rates(
-        probe.n1, probe.n2_plus, probe.n2_minus, probe.beta_plus, probe.beta_minus))))
+    stiff = probe.dt * float(np.max(np.abs(flat_inverse(
+        probe.n1, probe.n2_plus, probe.n2_minus, probe.beta_plus,
+        probe.beta_minus).sigma_h)))
     return True, (f"exponential step stable at dt_safety = {config.dt_safety}, "
                   f"dt max|sigma_h| = {stiff:.3g} (classical RK4: 2.785)")
 

@@ -55,7 +55,7 @@ from .errors import (
     NonSPDSystem,
     SolverDivergence,
 )
-from .pressure import HeadSolution, flat_top_rates, solve_head
+from .pressure import HeadSolution, flat_inverse, solve_head
 from .spectral_core import PeriodicField1D, sobolev_norm
 
 __all__ = ["SimConfig", "SimState", "Trajectory", "check_data", "lower_pack", "step",
@@ -147,21 +147,21 @@ class SimConfig:
     def dt(self) -> float:
         """Step: 3 dt_safety / (8 |sigma_h(1)|).
 
-        sigma_h is the discrete top-line rate of the flat-metric balance
-        (pressure.flat_top_rates), and |sigma_h(1)| the smallest nonzero
-        one, so at the default dt_safety = 0.5 a step is three sixteenths
-        of the e-folding time of the slowest flat mode.  The exponential
-        step integrates every flat rate exactly, so the stiff rates set no
-        limit: at 128 x (8+8) with equal betas, dt max|sigma_h| is 12.1,
-        past classical RK4's 2.785, and muskat check's cfl probe finds the
-        step stable there.  The step resolves the slow dynamics that the
-        energy law and the decay fits measure, and the energy law's
-        dissipation integral is what limits it (see the module
-        docstring).  It reads the cached flat inverse that the Krylov head
-        solve uses.
+        sigma_h, the discrete top-line rate of the flat-metric balance, is
+        pressure.flat_inverse(...).sigma_h, the cached flat inverse that
+        the Krylov head solve uses: 0.0 at the rest modes k = 0 and n1/2,
+        and |sigma_h(1)| the smallest nonzero one, so at the default
+        dt_safety = 0.5 a step is three sixteenths of the e-folding time of
+        the slowest flat mode.  The exponential step integrates every flat
+        rate exactly, so the stiff rates set no limit: at 128 x (8+8) with
+        equal betas, dt max|sigma_h| is 12.1, past classical RK4's 2.785,
+        and muskat check's cfl probe finds the step stable there.  The step
+        resolves the slow dynamics that the energy law and the decay fits
+        measure, and the energy law's dissipation integral is what limits
+        it (see the module docstring).
         """
-        sigma_h = flat_top_rates(self.n1, self.n2_plus, self.n2_minus,
-                                 self.beta_plus, self.beta_minus)
+        sigma_h = flat_inverse(self.n1, self.n2_plus, self.n2_minus,
+                               self.beta_plus, self.beta_minus).sigma_h
         return self.dt_safety * 3.0 / (8.0 * abs(float(sigma_h[1])))
 
     def grids(self) -> tuple[StripGrid, StripGrid]:
@@ -312,8 +312,9 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    rates, e, e2, q, f1, f2, f3 = _etd_weights(flat_top_rates(
-        config.n1, config.n2_plus, config.n2_minus, config.beta_plus, config.beta_minus), dt)
+    rates, e, e2, q, f1, f2, f3 = _etd_weights(flat_inverse(
+        config.n1, config.n2_plus, config.n2_minus, config.beta_plus,
+        config.beta_minus).sigma_h, dt)
     n1 = config.n1
 
     def nonlinear(head, v):

@@ -51,9 +51,9 @@ tested against, and the only code that imports scipy, when it is first
 called.
 "picard" is a fixed-point cross-check built on the same flat inverse; all
 three solvers share solve_head's scaling, residual gate and recovery.
-flat_top_rates reads off the last pivot of that factorization the rate of
-each interface mode over the flat metric: the linear part that evolution's
-exponential step integrates exactly, and the slowest of them sets its step.
+flat_inverse(...).sigma_h, off the last pivot of that factorization, is the
+rate of each interface mode over the flat metric: the linear part that
+evolution's exponential step integrates exactly; the slowest sets its step.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from .errors import (
 )
 from .spectral_core import PeriodicField1D
 
-__all__ = ["HeadSolution", "solve_head", "flat_top_rates"]
+__all__ = ["HeadSolution", "solve_head", "flat_inverse"]
 
 RESIDUAL_TOL = 1e-10
 KRYLOV_MAXITER = 500
@@ -157,15 +157,16 @@ class _CellBalance:
     The coefficients come stacked per strip, (m_minus + m_plus, n1), the
     line once per strip, as from_packs and the outputs hold them, or as
     (m_minus + m_plus, 1) columns that broadcast along x1, as flat gives
-    them; the constructor builds the shared grid's once.  Free unknowns are
-    the first n_lev rows of a head array, level after level of the shared
-    grid.  In this order sparse LU of the probed matrix fills in about a
-    quarter less than with the levels of each x1 column contiguous.
+    them; the constructor builds the shared grid's once.  Arguments name the
+    upper strip first, as solve_head's do.  Free unknowns are the first
+    n_lev rows of a head array, level after level of the shared grid.  In
+    this order sparse LU of the probed matrix fills in about a quarter less
+    than with the levels of each x1 column contiguous.
     """
 
-    def __init__(self, grid_minus: StripGrid, grid_plus: StripGrid,
+    def __init__(self, grid_plus: StripGrid, grid_minus: StripGrid,
                  k11: np.ndarray, k12: np.ndarray, k22: np.ndarray):
-        self.grid_minus, self.grid_plus = grid_minus, grid_plus
+        self.grid_plus, self.grid_minus = grid_plus, grid_minus
         self.n1, self.dx1 = grid_minus.n1, grid_minus.dx1
         self.m_minus = m_minus = grid_minus.n2
         self.m_plus = m_plus = grid_plus.n2
@@ -197,18 +198,18 @@ class _CellBalance:
         self._face = np.empty((3, n_lev, self.n1))
 
     @classmethod
-    def from_packs(cls, pack_minus: MetricPack, pack_plus: MetricPack) -> "_CellBalance":
-        return cls(pack_minus.grid, pack_plus.grid,
+    def from_packs(cls, pack_plus: MetricPack, pack_minus: MetricPack) -> "_CellBalance":
+        return cls(pack_plus.grid, pack_minus.grid,
                    *(np.vstack([getattr(pack_minus, k), getattr(pack_plus, k)])
                      for k in ("k11", "k12", "k22")))
 
     @classmethod
-    def flat(cls, n1: int, m_minus: int, m_plus: int, beta_plus: float,
+    def flat(cls, n1: int, n2_plus: int, n2_minus: int, beta_plus: float,
              beta_minus: float) -> "_CellBalance":
         """The flat-metric balance: k12 = 0, k11 = k22 = beta per strip, as
-        (m_minus + m_plus, 1) columns that broadcast along x1."""
-        beta = np.r_[np.full(m_minus, beta_minus), np.full(m_plus, beta_plus)][:, None]
-        return cls(StripGrid(LOWER, n1, m_minus), StripGrid(UPPER, n1, m_plus),
+        (n2_minus + n2_plus, 1) columns that broadcast along x1."""
+        beta = np.r_[np.full(n2_minus, beta_minus), np.full(n2_plus, beta_plus)][:, None]
+        return cls(StripGrid(UPPER, n1, n2_plus), StripGrid(LOWER, n1, n2_minus),
                    beta, np.zeros_like(beta), beta)
 
     def _stencil(self, v: np.ndarray) -> np.ndarray:
@@ -385,13 +386,18 @@ class _FlatInverse:
     rfft of that response to a unit head in column 0).  Each mode's system
     is a symmetric M-matrix, factored once from the floor up (Thomas): the
     pivots u, and the multipliers m[g] = face[g-1] / u[g-1] in (0, 1], which
-    serve both sweeps:
+    serve both sweeps.  A pivot is kept as its excess over its upper face,
+    u[g] = face[g] + d[g], with d[0] = e[0], d[g] = m[g] d[g-1] + e[g] and
+    e = (-height k11) s2 >= 0: no step subtracts, so d = 0 exactly where
+    s2 = 0, at k = 0 and n1/2 (the diagonal minus m[g] face[g-1] cancels
+    there, by up to 2e-11 of max|sigma_h| at contrast 1e5).  For a right
+    side b:
 
-        forward  y[g] = d[g] + m[g] y[g-1]
+        forward  y[g] = b[g] + m[g] y[g-1]
         back     x[g] = y[g] / u[g] + m[g+1] x[g+1]
 
     With R the running product of m, both are prefix sums,
-    y = R cumsum(d / R) and x = revcumsum(R y / u) / R, so a solve is one
+    y = R cumsum(b / R) and x = revcumsum(R y / u) / R, so a solve is one
     rfft, three multiplies by kept factors (1/R, R^2/u, 1/R) in the float
     view of the modes, repeated for the re/im pairs, two cumsums along the
     levels in its complex view (about twice as fast as in the float view)
@@ -412,8 +418,8 @@ class _FlatInverse:
     sigma_h is the top-line Dirichlet-to-Neumann symbol of the flat balance:
     mode k of h_t = w2 is sigma_h[k] times mode k of h, k = 0..n1/2.  It is
     minus the Schur complement of the free levels in the top line's row,
-    -(face_top + (-height k11)_top s2 - face_top^2 / u_last), with u_last
-    the last pivot, real.
+    -(face_top / u_last * d_last + e_top) with the last pivot and its
+    excess: real, nonpositive, and 0.0 at both rest modes.
     """
 
     def __init__(self, flat: _CellBalance):
@@ -422,15 +428,16 @@ class _FlatInverse:
         unit[:, 0] = 1.0
         s2 = np.fft.rfft(flat._stencil(flat._stencil(unit))[0]).real
         face = flat.face_k22[:, 0]
-        neg_height_k11 = flat._neg_height_k11[:, 0]
+        e = flat._neg_height_k11 * s2
         # no face below the floor; the last free row's upper neighbour is
         # the top line, which is not free
-        diag = (np.r_[0.0, face[:-1]] + face)[:, None] + neg_height_k11[:-1, None] * s2
-        u, m = np.empty_like(diag), np.zeros_like(diag)
-        u[0] = diag[0]
+        u, m = np.empty_like(e[:-1]), np.zeros_like(e[:-1])
+        d = e[0]
+        u[0] = face[0] + d
         for g in range(1, n_lev):
             m[g] = face[g - 1] / u[g - 1]
-            u[g] = diag[g] - m[g] * face[g - 1]
+            d = m[g] * d + e[g]
+            u[g] = face[g] + d
         # running products of m, restarted at each block's first row
         smallest = np.finfo(float).tiny * np.maximum(u, 1.0)
         r = np.ones_like(u)
@@ -446,7 +453,7 @@ class _FlatInverse:
         self._m, self._r = np.repeat(m, 2, axis=1), np.repeat(r, 2, axis=1)
         self._inv_r = 1.0 / self._r
         self._r2_over_u = self._r * self._r / np.repeat(u, 2, axis=1)
-        self.sigma_h = -(face[-1] + neg_height_k11[-1] * s2 - face[-1] ** 2 / u[-1])
+        self.sigma_h = -(face[-1] / u[-1] * d + e[-1])
         self.sigma_h.setflags(write=False)  # every caller shares the cached array
 
     def solve(self, r: np.ndarray) -> np.ndarray:
@@ -470,18 +477,12 @@ class _FlatInverse:
 
 
 @lru_cache(maxsize=8)
-def _flat_inverse(n1: int, m_minus: int, m_plus: int,
-                  beta_plus: float, beta_minus: float) -> _FlatInverse:
-    """Flat-metric inverse: CG's preconditioner and _picard's splitting."""
-    return _FlatInverse(_CellBalance.flat(n1, m_minus, m_plus, beta_plus, beta_minus))
-
-
-def flat_top_rates(n1: int, n2_plus: int, n2_minus: int,
-                   beta_plus: float, beta_minus: float) -> np.ndarray:
-    """sigma_h(k), k = 0..n1/2, of the flat-metric balance (real), read
-    from the cached flat inverse that also preconditions the Krylov head
-    solve."""
-    return _flat_inverse(n1, n2_minus, n2_plus, beta_plus, beta_minus).sigma_h
+def flat_inverse(n1: int, n2_plus: int, n2_minus: int,
+                 beta_plus: float, beta_minus: float) -> _FlatInverse:
+    """The flat-metric inverse, shared: CG's preconditioner and _picard's
+    splitting (.solve), and the flat top-line rates sigma_h that
+    evolution's exponential step integrates and its step is set by."""
+    return _FlatInverse(_CellBalance.flat(n1, n2_plus, n2_minus, beta_plus, beta_minus))
 
 
 def _cg(apply, b: np.ndarray, precond, rtol: float,
@@ -609,7 +610,7 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     if solver not in ("direct", "krylov", "picard"):
         raise ValueError(f"unknown solver {solver!r}")
     _check_inputs(pack_plus, pack_minus, h, profile)
-    balance = _CellBalance.from_packs(pack_minus, pack_plus)
+    balance = _CellBalance.from_packs(pack_plus, pack_minus)
     zero = np.zeros((balance.n_lev, balance.n1))
     scale = float(np.max(np.abs(h.values)))
     if scale == 0.0:
@@ -621,8 +622,8 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     if solver == "direct":
         x = _solve_direct(balance, b)
     else:
-        flat = _flat_inverse(balance.n1, balance.m_minus, balance.m_plus,
-                             profile.beta_plus, profile.beta_minus)
+        flat = flat_inverse(balance.n1, balance.m_plus, balance.m_minus,
+                            profile.beta_plus, profile.beta_minus)
         if solver == "picard":
             x = _picard(balance.free_rows, b, flat.solve)
         else:

@@ -120,6 +120,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("text, message", [('{"n1": 32,', "is not valid JSON"),
+                                               ("[1, 2]", "must be a JSON object")],
+                             ids=["invalid_json", "not_an_object"])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg_path)
+
     def test_cg_solver_rejected(self, tmp_path):
         # runs always solve with CG; there is no solver key to set
         cfg_path = tmp_path / "run.json"
@@ -560,6 +569,18 @@ class TestCmdCheck:
         assert cmd_check(str(cfg_path)) == 4
         assert "FAIL cfl" in capsys.readouterr().out
 
+    def test_raising_check_fails_and_the_suite_goes_on(self, tmp_path, capsys, monkeypatch):
+        def broken(config):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli_io, "_check_piola", broken)
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path)
+        assert cmd_check(str(cfg_path)) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "FAIL piola: raised RuntimeError: injected"
+        assert [line.split()[0] for line in lines] == ["PASS", "FAIL", "PASS", "PASS", "PASS"]
+
 
 class TestCmdConvergence:
     def test_orders_reported(self, tmp_path, capsys, monkeypatch):
@@ -605,6 +626,11 @@ class TestCmdConvergence:
         assert cmd_convergence(str(cfg_path)) == 0
         out = capsys.readouterr().out
         assert out.count("exact") == 2
+
+    def test_one_difference_at_roundoff_reported_unresolved(self):
+        finals = [np.array([1e-3]), np.zeros(1), np.zeros(1)]
+        assert (cli_io._order(finals, "levels", "refinement")
+                == "order: unresolved (refinement differences 1.0e-03, 0.0e+00)")
 
     @pytest.mark.parametrize("error, code", [(None, 2), (DiffeoDegenerate, 2),
                                              (SolverDivergence, 3)])
@@ -691,6 +717,15 @@ class TestMain:
 
     def test_no_command_usage(self, capsys):
         assert main([]) == 1
+
+    def test_help(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: muskat")
+
+    @pytest.mark.parametrize("command", ["check", "convergence"])
+    def test_dispatch_config_commands(self, monkeypatch, command):
+        monkeypatch.setattr(cli_io, f"cmd_{command}", lambda path: f"{command} {path}")
+        assert main([command, "run.json"]) == f"{command} run.json"
 
     def test_run_dispatch(self, tmp_path):
         cfg_path = tmp_path / "run.json"

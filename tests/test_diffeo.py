@@ -259,6 +259,13 @@ class TestStripTypes:
             with pytest.raises(ResolutionMismatch):
                 StripField(StripGrid(UPPER, 16, 9), np.zeros(shape))
 
+    def test_field_values_must_be_finite(self):
+        for bad in (np.nan, np.inf):
+            values = np.zeros((9, 16))
+            values[4, 7] = bad
+            with pytest.raises(ValueError, match="finite"):
+                StripField(StripGrid(UPPER, 16, 9), values)
+
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             PermeabilityProfile(PeriodicField1D.zeros(8), -1.0, 1.0)

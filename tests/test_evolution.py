@@ -79,6 +79,15 @@ class TestStep:
         assert new.t == pytest.approx(0.01)
         assert new.step_count == 1
 
+    def test_nonpositive_step_rejected(self):
+        state = SimState(h=cos_field(32, amp=1e-3))
+        prof = profile_for(COARSE)
+        pack_minus = lower_pack(prof, COARSE)
+        head = evolution._evaluate(state.h.values, prof, COARSE, pack_minus)
+        for dt in (0.0, -0.01, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                step(state, prof, COARSE, dt, pack_minus, head)
+
     def test_rk4_temporal_order(self):
         # Richardson: error(dt) / error(dt/2) ~ 2^4 over a fixed interval
         config = SimConfig(n1=32, n2_plus=9, n2_minus=9)
@@ -107,7 +116,7 @@ class TestStep:
         # is exact in a step short enough that the exponent stays above the
         # floor
         config = SimConfig(n1=32, n2_plus=9, n2_minus=9, beta_plus=1.0, beta_minus=0.5)
-        rate = 2.0 * pressure.flat_top_rates(32, 9, 9, 1.0, 0.5).real[k]
+        rate = 2.0 * pressure.flat_inverse(32, 9, 9, 1.0, 0.5).sigma_h.real[k]
         dt = min(config.dt, evolution.DISSIPATION_EXPONENT_FLOOR / rate)
         prof = profile_for(config)
         pack_minus = lower_pack(prof, config)
@@ -295,12 +304,12 @@ class TestRun:
         assert traj.max_abs_mean_h == pytest.approx(1e-6 * 0.3, rel=1e-3)
 
     def test_initial_gap_builds_no_flat_inverse(self):
-        pressure._flat_inverse.cache_clear()
+        pressure.flat_inverse.cache_clear()
         config = SimConfig(n1=32, n2_plus=9, n2_minus=9, t_end=0.3)
         traj = run(config, cos_field(32, amp=0.01), PeriodicField1D(np.full(32, 0.98)))
         assert traj.termination == TERMINATION_GAP
         assert traj.head_solves == 0
-        assert pressure._flat_inverse.cache_info().currsize == 0
+        assert pressure.flat_inverse.cache_info().currsize == 0
 
     def test_temporal_self_convergence(self):
         base = dict(n1=32, n2_plus=9, n2_minus=9, t_end=0.4, report_every=10 ** 6)
@@ -401,7 +410,7 @@ class TestEtdWeights:
         assert self.weights_over_dt(c, dt) == pytest.approx(series, rel=1e-12)
 
     def test_half_step_propagator_is_root_of_full_step(self):
-        rates = pressure.flat_top_rates(32, 9, 9, 1.0, 0.5).real
+        rates = pressure.flat_inverse(32, 9, 9, 1.0, 0.5).sigma_h.real
         full = evolution._etd_weights(rates, 0.1)
         half = evolution._etd_weights(rates, 0.05)
         assert half[1] == pytest.approx(np.sqrt(full[1]), rel=1e-14)
@@ -417,7 +426,7 @@ class TestEtdWeights:
         # of itself is held to the roundoff of a unit amplitude instead.
         config = SimConfig(n1=32, n2_plus=n2[0], n2_minus=n2[1], beta_plus=betas[0],
                            beta_minus=betas[1])
-        sigma = pressure.flat_top_rates(32, n2[0], n2[1], *betas).real
+        sigma = pressure.flat_inverse(32, n2[0], n2[1], *betas).sigma_h.real
         dt = factor * 2.78529356340529 / np.max(np.abs(sigma))
         h = PeriodicField1D.from_modes(32, [(k, 1e-8, 0.0)])
         prof = profile_for(config)
@@ -460,7 +469,7 @@ class TestDissipationWeights:
 class TestConfig:
     def test_dt_formula(self):
         config = SimConfig(n1=128, beta_plus=2.0, beta_minus=0.5, dt_safety=0.5)
-        sigma = pressure.flat_top_rates(128, 64, 64, 2.0, 0.5)
+        sigma = pressure.flat_inverse(128, 64, 64, 2.0, 0.5).sigma_h
         assert config.dt == pytest.approx(0.5 * 3.0 / (8.0 * abs(sigma[1])), rel=1e-14)
         # the slowest flat rate, k = 1, is the two-layer rate to 3e-5
         assert config.dt == pytest.approx(0.5 * 3.0 / (8.0 * 1.66290), rel=1e-5)

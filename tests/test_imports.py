@@ -3,8 +3,9 @@ name its __all__ exports is defined there, every private function or class
 it defines at module level is read there, every field of a record (a
 dataclass) is read as an attribute somewhere in the package, every
 method or property of a class is read in the package or the benchmark, and
-every name in an __all__ is read in the package or taken from it by the
-benchmark, so that no public name exists for tests alone.
+every name in an __all__ is read under its own module, inside it or as
+imported from or read off it by the package or the benchmark, so that no
+public name exists for tests alone or as a second name of another's.
 
 An AST scan stands in for a linter: a binding counts as used when it is
 read as a name anywhere in the module (attribute chains included) or is
@@ -187,49 +188,67 @@ def test_every_method_is_read():
 def unread_exports(sources: dict[str, str], readers: list[str],
                    package: str = "muskat") -> list[str]:
     """Names in the __all__ of the package's modules (sources, by module
-    name), as module.name, that no module of the package reads as a name or
-    an attribute, and that no reader imports from the package or reads off
-    one of its modules: exports that only tests use.  A name that a reader
+    name, the root as "__init__"), as module.name, that are not read under
+    their own module: not read as a name inside it, not imported from it
+    (from .m import X, from package.m import X, from package import X for
+    the root) and not read off it (m.X, package.m.X) by a module of the
+    package or a reader.  So an export that only tests use is flagged, and
+    so is one that the package reads only through an import from another
+    module, as a root re-export of a sibling's name.  A name that a reader
     defines itself does not count, even where it reads it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
+    read = {(module, node.id) for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+    def module_name(dotted: str) -> str:  # the package itself is the root
+        return dotted[len(package) + 1:] or "__init__"
+
+    for tree in list(trees.values()) + [ast.parse(source) for source in readers]:
+        modules = {}  # the source's names for the package and its modules, dotted
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    for tree in map(ast.parse, readers):
-        modules = set()  # the reader's names for the package and its modules
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package:
-                read.update(alias.name for alias in node.names)
-                modules.update(alias.asname or alias.name for alias in node.names)
+            if isinstance(node, ast.ImportFrom):
+                origin = (".".join(filter(None, [package, node.module])) if node.level
+                          else node.module or "")
+                if origin.split(".")[0] != package:
+                    continue
+                for alias in node.names:
+                    read.add((module_name(origin), alias.name))
+                    modules[alias.asname or alias.name] = f"{origin}.{alias.name}"
             elif isinstance(node, ast.Import):
-                modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names
-                               if alias.name.split(".")[0] == package)
+                for alias in node.names:
+                    if alias.name.split(".")[0] == package:
+                        modules[alias.asname or package] = alias.name if alias.asname else package
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                root = node.value
+                path, root = [], node.value
                 while isinstance(root, ast.Attribute):
+                    path.insert(0, root.attr)
                     root = root.value
                 if isinstance(root, ast.Name) and root.id in modules:
-                    read.add(node.attr)
+                    read.add((module_name(".".join([modules[root.id]] + path)), node.attr))
     return sorted(f"{module}.{name}" for module, tree in trees.items()
-                  for name in exported_names(tree) if name not in read)
+                  for name in exported_names(tree) if (module, name) not in read)
 
 
 def test_scan_flags_an_export_only_tests_read():
-    module = ("__all__ = ['called', 'imported', 'read_off', 'deep', 'redefined', 'unread']\n"
+    module = ("__all__ = ['called', 'imported', 'read_off', 'deep', 'redefined', 'unread',\n"
+              "           'inside']\n"
               "def called(): pass\ndef imported(): pass\ndef read_off(): pass\n"
-              "def deep(): pass\ndef redefined(): pass\ndef unread(): pass\n")
-    package = {"a": module, "b": "from .a import called\ncalled()\n"}
+              "def deep(): pass\ndef redefined(): pass\ndef unread(): pass\n"
+              "def inside(): pass\ninside()\n")
+    # the root re-exports a's called, which b reads only through its own
+    # import from a, and exports one name of its own
+    root = "from .a import called\ndef rooted(): pass\n__all__ = ['called', 'rooted']\n"
+    package = {"__init__": root, "a": module, "b": "from .a import called\ncalled()\n"}
     reader = ("from pkg.a import imported\nimport pkg.a\nfrom pkg import a as mod\n"
               "def redefined(): pass\n"
-              "imported(), mod.read_off(), pkg.a.deep(), redefined(), other.unread()\n")
-    assert unread_exports(package, [reader], "pkg") == ["a.redefined", "a.unread"]
+              "imported(), mod.read_off(), pkg.a.deep(), redefined(), other.unread()\n"
+              "pkg.rooted()\n")
+    assert unread_exports(package, [reader], "pkg") == [
+        "__init__.called", "a.redefined", "a.unread"]
     assert unread_exports(package, [], "pkg") == [
-        "a.deep", "a.imported", "a.read_off", "a.redefined", "a.unread"]
+        "__init__.called", "__init__.rooted", "a.deep", "a.imported", "a.read_off",
+        "a.redefined", "a.unread"]
 
 
 def test_every_export_is_read_outside_tests():

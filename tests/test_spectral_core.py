@@ -40,6 +40,11 @@ class TestPeriodicField:
         with pytest.raises(ValueError):
             PeriodicField1D(np.array([0.0, np.nan, 0.0, 0.0]))
 
+    def test_rejects_2d_values(self):
+        # an even number of finite samples, but not one row of them
+        with pytest.raises(ValueError, match="1-D"):
+            PeriodicField1D(np.zeros((2, 4)))
+
 
 class TestX1Derivative:
     def test_cos_on_strip_and_stacked_arrays(self):
