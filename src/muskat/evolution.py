@@ -250,7 +250,7 @@ def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
     """
     h = PeriodicField1D(h_values)
     pack_plus = _strip_pack(h, profile, config, config.grids()[0])
-    return solve_head(pack_plus, pack_minus, h, profile, solver="krylov", guess=guess)
+    return solve_head(pack_plus, pack_minus, h, profile, guess=guess)
 
 
 def _etd_weights(rates: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:

@@ -31,7 +31,7 @@ strips, from the gradient it forms for w, with the balance's own trapezoid
 cell heights.  The permeability line appears once in the solve and twice,
 once per strip, only in the outputs.
 
-Solvers: "krylov" (used by every run) is conjugate gradient on the balance
+Solvers: "krylov", the default, is conjugate gradient on the balance
 itself, no matrix formed, preconditioned by the exact inverse of the
 flat-metric balance (k12 = 0, constant k11 = k22 = beta per strip), which
 an rfft in x1 reduces to one tridiagonal level system per Fourier mode,
@@ -44,11 +44,11 @@ RK stage) and from zero otherwise; its stopping test is relative to the
 right side either way.  One apply of the balance at the solved head
 serves both the residual gate (its free rows) and the recovery (its
 top-line row).  The apply runs the x1 stencil without its 1/(12 dx1),
-which its coefficients carry.  The run path is numpy only.
+which its coefficients carry.  Every run solves this way, with numpy only.
 "direct" is sparse LU of the matrix read off the balance by coloured unit
-probes (Curtis, Powell & Reid 1974); it is the oracle the Krylov path is
-tested against, and the only code that imports scipy, when it is first
-called.
+probes (Curtis, Powell & Reid 1974): the oracle the Krylov path is tested
+against, and the only code that imports scipy (the test extra), on its
+first call.
 "picard" is a fixed-point cross-check built on the same flat inverse; all
 three solvers share solve_head's scaling, residual gate and recovery.
 flat_inverse(...).sigma_h, off the last pivot of that factorization, is the
@@ -583,15 +583,15 @@ def _solve_direct(balance: _CellBalance, b: np.ndarray) -> np.ndarray:
 
 
 def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D,
-               profile: PermeabilityProfile, solver: str = "direct",
+               profile: PermeabilityProfile, solver: str = "krylov",
                guess: np.ndarray | None = None) -> HeadSolution:
     """Solve the head system; recover the velocity and traces.
 
-    solver: "direct" (sparse LU of the probed matrix, the default here and
-    the test oracle), "krylov" (CG on the matrix-free balance,
-    preconditioned by the flat-metric inverse, used by every run) or
-    "picard" (the fixed-point cross-check on the same flat inverse, _picard;
-    NoContraction outside its small-shift regime).
+    solver: "krylov" (the default and every run's: CG on the matrix-free
+    balance, preconditioned by the flat-metric inverse), "direct" (sparse
+    LU of the probed matrix, the test oracle; it needs scipy, of the test
+    extra) or "picard" (the fixed-point cross-check on the same flat
+    inverse, _picard; NoContraction outside its small-shift regime).
     The system is solved for h / max|h| and every output rescaled, since it
     is linear in h; h = 0 gives the exact zero solution.
 

@@ -205,7 +205,7 @@ def test_criterion_8_picard_cross_check():
     profile = PermeabilityProfile(f, 1.0, 0.5)
     pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, N1, N2)), profile)
     pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, N1, N2)), profile)
-    direct = solve_head(pack_p, pack_m, h, profile)
+    direct = solve_head(pack_p, pack_m, h, profile, solver="direct")
     fixed = solve_head(pack_p, pack_m, h, profile, solver="picard")
     diff = float(np.max(np.abs(direct.p - fixed.p)))
     assert diff <= 1e-8

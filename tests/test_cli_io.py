@@ -732,21 +732,42 @@ class TestMain:
         write_config(cfg_path, t_end=0.1)
         assert main(["run", str(cfg_path)]) == 0
 
-    def test_run_loads_no_scipy(self, tmp_path):
-        # scipy is the direct oracle's only: a run in a fresh interpreter
-        # must not pay for importing it
-        cfg_path = tmp_path / "run.json"
-        write_config(cfg_path, t_end=0.1)
-        script = ("import sys\n"
-                  "from muskat import cli_io\n"
-                  f"code = cli_io.main(['run', {str(cfg_path)!r}])\n"
-                  "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-                  "print(loaded)\n"
-                  "sys.exit(code)\n")
+    # scipy is the direct oracle's only, in the test extra: neither a run nor
+    # solve_head with its default solver may import it
+    @staticmethod
+    def scipy_loaded_by(script):
+        """The scipy modules loaded once script has run in a fresh
+        interpreter, which must exit 0."""
+        script += ("\nimport sys\n"
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         src = str(Path(muskat.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        return done.stdout.splitlines()[-1]
+
+    def test_run_loads_no_scipy(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, t_end=0.1)
+        script = ("from muskat import cli_io\n"
+                  f"assert cli_io.main(['run', {str(cfg_path)!r}]) == 0\n")
+        assert self.scipy_loaded_by(script) == "[]"
+
+    def test_default_solve_loads_no_scipy(self):
+        # the default is the run's Krylov path: it counts CG iterations,
+        # where the direct oracle reports none
+        script = (
+            "import numpy as np\n"
+            "from muskat.diffeo import (LOWER, UPPER, PermeabilityProfile, StripGrid,\n"
+            "                           harmonic_extension, metric_terms)\n"
+            "from muskat.pressure import solve_head\n"
+            "from muskat.spectral_core import PeriodicField1D, nodes\n"
+            "x = nodes(16)\n"
+            "h, f = PeriodicField1D(0.05 * np.cos(x)), PeriodicField1D(0.1 * np.sin(x))\n"
+            "profile = PermeabilityProfile(f, 1.0, 0.5)\n"
+            "packs = [metric_terms(harmonic_extension(h, f, StripGrid(strip, 16, 5)), profile)\n"
+            "         for strip in (UPPER, LOWER)]\n"
+            "assert solve_head(*packs, h, profile).cg_iterations > 0\n")
+        assert self.scipy_loaded_by(script) == "[]"

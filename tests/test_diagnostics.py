@@ -123,7 +123,7 @@ def small_solve(h_amp=0.05, f_amp=0.1, n1=32, n2=9, betas=(1.0, 0.5)):
     profile = PermeabilityProfile(f, *betas)
     pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, n1, n2)), profile)
     pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, n1, n2)), profile)
-    head = solve_head(pack_p, pack_m, h, profile)
+    head = solve_head(pack_p, pack_m, h, profile, solver="direct")
     return h, head
 
 

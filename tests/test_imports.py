@@ -5,7 +5,10 @@ dataclass) is read as an attribute somewhere in the package, every
 method or property of a class is read in the package or the benchmark, and
 every name in an __all__ is read under its own module, inside it or as
 imported from or read off it by the package or the benchmark, so that no
-public name exists for tests alone or as a second name of another's.
+public name exists for tests alone or as a second name of another's.  The
+third-party modules the package imports at module level are the
+dependencies that pyproject.toml declares, and those it imports only
+inside a function are in its test extra.
 
 An AST scan stands in for a linter: a binding counts as used when it is
 read as a name anywhere in the module (attribute chains included) or is
@@ -14,6 +17,8 @@ def, class, assignment or import binds it.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,7 @@ import muskat
 MODULES = sorted(Path(muskat.__file__).parent.glob("*.py"))
 # the benchmark reads the package too: HeadSolution.p_plus and p_minus
 BENCHMARK = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def exported_names(tree: ast.Module) -> list[str]:
@@ -254,3 +260,59 @@ def test_scan_flags_an_export_only_tests_read():
 def test_every_export_is_read_outside_tests():
     assert unread_exports({m.stem: m.read_text() for m in MODULES},
                           [b.read_text() for b in BENCHMARK]) == []
+
+
+def dependency_gaps(sources: list[str], dependencies: list[str], test_extra: list[str],
+                    package: str = "muskat") -> list[str]:
+    """Where the third-party imports of sources (neither the standard library
+    nor the package) disagree with the declared requirements: a module-level
+    import that is no dependency, a dependency that no module imports at
+    module level, and an import inside a function that is in neither the
+    test extra nor the dependencies.  A requirement's distribution name is
+    taken as its import name, as for numpy and scipy."""
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
+
+    module_level, in_functions = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        deferred = {id(node) for f in ast.walk(tree)
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported = [node.module]
+            else:
+                continue
+            for name in {name.split(".")[0] for name in imported}:
+                if name != package and name not in sys.stdlib_module_names:
+                    (in_functions if id(node) in deferred else module_level).add(name)
+    dependencies, test_extra = names(dependencies), names(test_extra)
+    return ([f"{n}: imported at module level, not a dependency"
+             for n in sorted(module_level - dependencies)]
+            + [f"{n}: a dependency that no module imports at module level"
+               for n in sorted(dependencies - module_level)]
+            + [f"{n}: imported in a function, not in the test extra"
+               for n in sorted(in_functions - test_extra - dependencies)])
+
+
+def test_scan_flags_a_dependency_gap():
+    module = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from . import sibling\nfrom pkg.a import b\nfrom requests import get\n"
+              "def f():\n    import scipy.sparse.linalg\n    from yaml import load\n"
+              "    import numpy.linalg\n    import sys\n")
+    other = "import numpy\nclass C:\n    def m(self):\n        import toml\n"
+    assert dependency_gaps([module, other], ["NumPy>=1.24", "attrs"], ["scipy>=1.12", "toml"],
+                           "pkg") == [
+        "requests: imported at module level, not a dependency",
+        "attrs: a dependency that no module imports at module level",
+        "yaml: imported in a function, not in the test extra"]
+
+
+def test_dependencies_are_the_module_level_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on; the package supports 3.10
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert dependency_gaps([m.read_text() for m in MODULES], project["dependencies"],
+                           project["optional-dependencies"]["test"]) == []

@@ -31,21 +31,21 @@ from muskat.pressure import PICARD_TOL, RESIDUAL_TOL, solve_head
 from muskat.spectral_core import PeriodicField1D, nodes, x1_derivative
 
 
-def setup(n1, n2, h_vals, f_vals, beta_plus, beta_minus):
+def setup(n1, n2_plus, n2_minus, h_vals, f_vals, beta_plus, beta_minus):
+    """solve_head's arguments: the packs of both strips, upper first, the
+    interface h and the permeability profile."""
     h = PeriodicField1D(h_vals)
     f = PeriodicField1D(f_vals)
     profile = PermeabilityProfile(f, beta_plus, beta_minus)
-    grid_p = StripGrid(UPPER, n1, n2)
-    grid_m = StripGrid(LOWER, n1, n2)
-    pack_p = metric_terms(harmonic_extension(h, f, grid_p), profile)
-    pack_m = metric_terms(harmonic_extension(h, f, grid_m), profile)
+    pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, n1, n2_plus)), profile)
+    pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, n1, n2_minus)), profile)
     return pack_p, pack_m, h, profile
 
 
 def gate_problem():
     # an interface and a curve that both paths solve within the gate
     x = nodes(64)
-    return setup(64, 17, 0.07 * np.cos(x) + 0.02 * np.sin(3 * x), 0.1 * np.cos(2 * x),
+    return setup(64, 17, 17, 0.07 * np.cos(x) + 0.02 * np.sin(3 * x), 0.1 * np.cos(2 * x),
                  1.3, 0.4)
 
 
@@ -68,7 +68,7 @@ def line_row(head, pack_p, pack_m, h):
 
 class TestRestStates:
     def test_flat_everything(self):
-        head = solve_head(*setup(64, 17, np.zeros(64), np.zeros(64), 1.0, 1.0))
+        head = solve_head(*setup(64, 17, 17, np.zeros(64), np.zeros(64), 1.0, 1.0))
         assert w_max(head) <= 1e-12
         assert np.max(np.abs(head.p)) <= 1e-12
 
@@ -83,7 +83,7 @@ class TestRestStates:
         # per-mode amplitude f_amp / k, as in the Krylov property test
         f = PeriodicField1D.from_modes(
             64, [(k, f_amp * c / max(k, 1), f_amp * s / max(k, 1)) for k, c, s in f_modes])
-        head = solve_head(*setup(64, 17, np.zeros(64), f.values, *betas))
+        head = solve_head(*setup(64, 17, 17, np.zeros(64), f.values, *betas))
         assert w_max(head) <= 1e-12
         assert np.max(np.abs(head.gamma_trace_w2)) <= 1e-13
 
@@ -96,8 +96,8 @@ class TestSingleModeOracle:
         x = nodes(n1)
         eps = 1e-4
         pack_p, pack_m, h, profile = setup(
-            n1, n2, eps * np.cos(k * x), np.zeros(n1), *beta)
-        head = solve_head(pack_p, pack_m, h, profile)
+            n1, n2, n2, eps * np.cos(k * x), np.zeros(n1), *beta)
+        head = solve_head(pack_p, pack_m, h, profile, solver="direct")
         sigma = dispersion_rate(k, profile)
         mode = np.cos(k * x)
         measured = np.dot(head.gamma_trace_w2, mode) / np.dot(eps * mode, mode)
@@ -111,8 +111,8 @@ class TestSingleModeOracle:
         eps = 1e-4
         beta = 0.7
         pack_p, pack_m, h, profile = setup(
-            n1, n2, eps * np.cos(2 * x), np.zeros(n1), beta, beta)
-        head = solve_head(pack_p, pack_m, h, profile)
+            n1, n2, n2, eps * np.cos(2 * x), np.zeros(n1), beta, beta)
+        head = solve_head(pack_p, pack_m, h, profile, solver="direct")
         mode = np.cos(2 * x)
         measured = np.dot(head.gamma_trace_w2, mode) / np.dot(eps * mode, mode)
         assert measured == pytest.approx(-beta * 2 * math.tanh(4.0), rel=1e-2)
@@ -134,19 +134,13 @@ def two_layer_heads(k, contrast):
     return lower, upper
 
 
-def random_interface(count, amplitudes, decay):
+def random_interface(rng, count, amplitudes, decay):
     """sum over m = 1..count of a_m m^-decay cos(m x1 + phi_m) on 256 nodes,
-    each a_m uniform in amplitudes and each phase phi_m random."""
+    each a_m uniform in amplitudes and each phase phi_m uniform in
+    [0, 2 pi), drawn from the numpy Generator rng."""
     x1 = nodes(256)
-    return st.lists(st.tuples(st.floats(*amplitudes), st.floats(0.0, 2 * math.pi)),
-                    min_size=count, max_size=count).map(
-        lambda terms: sum(a * m ** -decay * np.cos(m * x1 + phi)
-                          for m, (a, phi) in enumerate(terms, start=1)))
-
-
-# random cases of each manufactured head; each draw takes three solves up to
-# 256 x (65+65)
-MANUFACTURED_DRAWS = 20
+    terms = zip(rng.uniform(*amplitudes, count), rng.uniform(0.0, 2 * math.pi, count))
+    return sum(a * m ** -decay * np.cos(m * x1 + phi) for m, (a, phi) in enumerate(terms, 1))
 
 
 class TestManufacturedHead:
@@ -179,7 +173,7 @@ class TestManufacturedHead:
         # stacked as HeadSolution stacks them: the permeability line twice
         exact = np.vstack(exact)
         top = PeriodicField1D(heads[1](x1, h.values))
-        solved = solve_head(packs[1], packs[0], top, profile, solver="krylov")
+        solved = solve_head(packs[1], packs[0], top, profile)
         step = 1e-30
         d1p = heads[1](x1 + 1j * step, h.values).imag / step
         d2p = heads[1](x1, h.values + 1j * step).imag / step
@@ -212,18 +206,23 @@ class TestManufacturedHead:
         self.assert_second_order(self.fixed_h(128), np.zeros(128), (1.0, 1e4),
                                  two_layer_heads(1.0, 1e4))
 
-    @settings(max_examples=MANUFACTURED_DRAWS, deadline=None, derandomize=True)
-    @given(h=random_interface(4, (0.05, 0.15), 2.5), f=random_interface(3, (0.1, 0.2), 3.0),
-           beta=st.floats(0.1, 10.0), k=st.integers(1, 2))
-    def test_random_equal_betas(self, h, f, beta, k):
+    # random cases, 20 seeds per test and none shared; each case takes three
+    # solves up to 256 x (65+65).  numpy draws them, not hypothesis, whose
+    # draws move with the literals of the package's source
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_equal_betas(self, seed):
+        rng = np.random.default_rng(seed)
+        h = random_interface(rng, 4, (0.05, 0.15), 2.5)
+        f = random_interface(rng, 3, (0.1, 0.2), 3.0)
+        beta, k = rng.uniform(0.1, 10.0), int(rng.integers(1, 3))
         head, _ = two_layer_heads(k, 1.0)
         self.assert_second_order(h, f, (beta, beta), (head, head))
 
-    @settings(max_examples=MANUFACTURED_DRAWS, deadline=None, derandomize=True)
-    @given(h=random_interface(4, (0.05, 0.15), 2.5), log_contrast=st.floats(-4.0, 4.0),
-           k=st.integers(1, 2))
-    def test_random_contrast_across_a_flat_line(self, h, log_contrast, k):
-        contrast = 10.0 ** log_contrast
+    @pytest.mark.parametrize("seed", range(20, 40))
+    def test_random_contrast_across_a_flat_line(self, seed):
+        rng = np.random.default_rng(seed)
+        h = random_interface(rng, 4, (0.05, 0.15), 2.5)
+        contrast, k = 10.0 ** rng.uniform(-4.0, 4.0), int(rng.integers(1, 3))
         self.assert_second_order(h, np.zeros(256), (1.0, contrast),
                                  two_layer_heads(k, contrast))
 
@@ -291,7 +290,7 @@ class TestFlatTopRates:
         eps = 1e-8
         for k in range(1, n1 // 2 + 1):
             mode = np.cos(k * x)
-            head = solve_head(*setup(n1, n2, eps * mode, np.zeros(n1), *beta))
+            head = solve_head(*setup(n1, n2, n2, eps * mode, np.zeros(n1), *beta), solver="direct")
             measured = np.dot(head.gamma_trace_w2, mode) / np.dot(eps * mode, mode)
             assert abs(measured - sigma[k].real) <= 1e-6 * np.max(np.abs(sigma)), k
 
@@ -302,7 +301,7 @@ class TestConservation:
         x = nodes(64)
         h_vals = 0.05 * np.cos(x) + 0.02 * np.sin(2 * x)
         f_vals = 0.1 * np.cos(x) + 0.03 * np.sin(3 * x)
-        head = solve_head(*setup(64, 33, h_vals, f_vals, 1.0, 0.5))
+        head = solve_head(*setup(64, 33, 33, h_vals, f_vals, 1.0, 0.5), solver="direct")
         assert abs(head.top_flux_total) <= 1e-12
 
     @pytest.mark.parametrize("solver", ["direct", "krylov"])
@@ -311,7 +310,7 @@ class TestConservation:
         # its flux jump, the outputs copy its heads to both strips, and
         # free_unknowns reads the solved rows back from them
         x = nodes(64)
-        pack_p, pack_m, h, profile = setup(64, 33, 0.05 * np.cos(x), 0.1 * np.sin(x),
+        pack_p, pack_m, h, profile = setup(64, 33, 33, 0.05 * np.cos(x), 0.1 * np.sin(x),
                                            1.0, 0.25)
         solved = []
         recover = pressure._recover
@@ -339,8 +338,8 @@ class TestConservation:
         jumps = {}
         for n2 in (17, 33, 65):
             pack_p, pack_m, h, profile = setup(
-                64, n2, 0.05 * np.cos(x), 0.1 * np.sin(x), 1.0, 0.25)
-            head = solve_head(pack_p, pack_m, h, profile)
+                64, n2, n2, 0.05 * np.cos(x), 0.1 * np.sin(x), 1.0, 0.25)
+            head = solve_head(pack_p, pack_m, h, profile, solver="direct")
             d = 1.0 / (n2 - 1)
             pm, pp = head.p[:n2], head.p[n2:]
             dp2_below = (3 * pm[-1] - 4 * pm[-2] + pm[-3]) / (2 * d)
@@ -356,8 +355,8 @@ class TestConservation:
         x = nodes(64)
         vals = {}
         for n2 in (17, 33):
-            head = solve_head(*setup(64, n2, 0.05 * np.cos(x), 0.1 * np.cos(2 * x),
-                                     1.0, 0.5))
+            head = solve_head(*setup(64, n2, n2, 0.05 * np.cos(x), 0.1 * np.cos(2 * x),
+                                     1.0, 0.5), solver="direct")
             vals[n2] = np.max(np.abs(head.w2[0]))
         assert math.log2(vals[17] / vals[33]) >= 1.5
 
@@ -366,8 +365,8 @@ class TestConservation:
         res = {}
         for n2 in (17, 33):
             pack_p, pack_m, h, profile = setup(
-                64, n2, 0.04 * np.cos(x), 0.08 * np.sin(x), 1.0, 0.5)
-            head = solve_head(pack_p, pack_m, h, profile)
+                64, n2, n2, 0.04 * np.cos(x), 0.08 * np.sin(x), 1.0, 0.5)
+            head = solve_head(pack_p, pack_m, h, profile, solver="direct")
             # the upper strip's rows, without the two levels next to each line
             w1, w2 = head.w1[n2:], head.w2[n2:]
             div = x1_derivative(w1) + vertical_derivative(w2, pack_p.grid.dx2)
@@ -380,8 +379,8 @@ class TestSymmetryAndPositivity:
         # even h, f: P even and w1 odd under x1 -> -x1
         n1 = 64
         x = nodes(n1)
-        head = solve_head(*setup(n1, 17, 0.05 * np.cos(x), 0.1 * np.cos(2 * x),
-                                 1.0, 0.5))
+        head = solve_head(*setup(n1, 17, 17, 0.05 * np.cos(x), 0.1 * np.cos(2 * x),
+                                 1.0, 0.5), solver="direct")
         refl = (-np.arange(n1)) % n1
         # both strips: P and w2 even, w1 odd
         assert np.max(np.abs(head.p - head.p[:, refl])) < 1e-12
@@ -394,7 +393,7 @@ class TestSymmetryAndPositivity:
         for _ in range(3):
             h_vals = 0.1 * rng.normal() * np.cos(x) + 0.05 * rng.normal() * np.sin(2 * x)
             f_vals = 0.1 * rng.normal() * np.cos(x)
-            head = solve_head(*setup(32, 9, h_vals, f_vals, 1.3, 0.4))
+            head = solve_head(*setup(32, 9, 9, h_vals, f_vals, 1.3, 0.4), solver="direct")
             assert head.dissipation >= 0.0
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -421,14 +420,12 @@ class TestSymmetryAndPositivity:
         def field(modes, amp):
             # per-mode amplitude amp / k, far from a degenerate strip map
             return PeriodicField1D.from_modes(
-                n1, [(k, amp * c / k, amp * s / k) for k, c, s in modes])
+                n1, [(k, amp * c / k, amp * s / k) for k, c, s in modes]).values
 
-        h, f = field(h_modes, h_amp), field(f_modes, f_amp)
-        profile = PermeabilityProfile(f, *betas)
-        pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, n1, m_plus)), profile)
-        pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, n1, m_minus)), profile)
+        pack_p, pack_m, h, profile = setup(n1, m_plus, m_minus, field(h_modes, h_amp),
+                                           field(f_modes, f_amp), *betas)
         assert np.max(np.abs(pack_p.k12)) > 0.0
-        head = solve_head(pack_p, pack_m, h, profile)
+        head = solve_head(pack_p, pack_m, h, profile, solver="direct")
         oracle = 0.0
         for pack, rows in ((pack_p, slice(m_minus, None)), (pack_m, slice(None, m_minus))):
             w1, w2 = head.w1[rows], head.w2[rows]
@@ -443,23 +440,23 @@ class TestSymmetryAndPositivity:
 
 class TestPicard:
     def test_rest_state_converges_immediately(self):
-        head = solve_head(*setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0),
+        head = solve_head(*setup(32, 9, 9, np.zeros(32), np.zeros(32), 1.0, 1.0),
                           solver="picard")
         assert w_max(head) <= 1e-12
 
     def test_agrees_with_direct_in_small_regime(self):
         x = nodes(64)
-        args = setup(64, 33, 0.005 * np.cos(x), 0.02 * np.cos(2 * x), 1.0, 0.5)
-        direct = solve_head(*args)
+        args = setup(64, 33, 33, 0.005 * np.cos(x), 0.02 * np.cos(2 * x), 1.0, 0.5)
+        direct = solve_head(*args, solver="direct")
         fixed = solve_head(*args, solver="picard")
         assert np.max(np.abs(direct.p - fixed.p)) <= 10 * PICARD_TOL
         assert fixed.cg_iterations == 0
 
     def test_diverges_at_large_amplitude_while_direct_succeeds(self):
         x = nodes(64)
-        args = setup(64, 17, 0.55 * np.cos(x), np.zeros(64), 1.0, 1.0)
+        args = setup(64, 17, 17, 0.55 * np.cos(x), np.zeros(64), 1.0, 1.0)
         assert np.min(args[0].J) < 0.45  # well outside the contraction regime
-        solve_head(*args)  # direct path is fine
+        solve_head(*args, solver="direct")  # direct path is fine
         with pytest.raises(NoContraction):
             solve_head(*args, solver="picard")
 
@@ -467,7 +464,7 @@ class TestPicard:
 class TestSolverOptions:
     def test_krylov_matches_direct(self):
         x = nodes(64)
-        args = setup(64, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
+        args = setup(64, 17, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
         direct = solve_head(*args, solver="direct")
         krylov = solve_head(*args, solver="krylov")
         assert np.max(np.abs(direct.p - krylov.p)) < 1e-8
@@ -497,11 +494,11 @@ class TestSolverOptions:
             ).values
 
         f = field(f_modes, f_amp)
-        args = setup(n1, 9, field(h_modes, h_amp), f, *betas)
+        args = setup(n1, 9, 9, field(h_modes, h_amp), f, *betas)
         # the warm start is the head of a perturbed interface, as a
         # neighbouring RK stage hands it on
         k, eps = perturbation
-        nearby = solve_head(*setup(n1, 9, args[2].values + eps * field([(k, 1.0, 0.0)], 0.1),
+        nearby = solve_head(*setup(n1, 9, 9, args[2].values + eps * field([(k, 1.0, 0.0)], 0.1),
                                    f, *betas), solver="krylov")
         direct = solve_head(*args, solver="direct")
         cold = solve_head(*args, solver="krylov")
@@ -522,7 +519,7 @@ class TestSolverOptions:
     @pytest.mark.parametrize("betas", [(1.0, 1e6), (1e-3, 1e3)])
     def test_krylov_matches_direct_at_high_contrast(self, betas):
         x = nodes(32)
-        args = setup(32, 16, 0.05 * np.cos(x), np.zeros(32), *betas)
+        args = setup(32, 16, 16, 0.05 * np.cos(x), np.zeros(32), *betas)
         direct = solve_head(*args, solver="direct")
         krylov = solve_head(*args, solver="krylov")
         assert krylov.cg_iterations <= 20
@@ -550,13 +547,10 @@ class TestSolverOptions:
 
         def field(modes, amp):
             return PeriodicField1D.from_modes(
-                n1, [(k, amp * c / max(k, 1), amp * s / max(k, 1)) for k, c, s in modes])
+                n1, [(k, amp * c / max(k, 1), amp * s / max(k, 1)) for k, c, s in modes]).values
 
-        h, f = field(h_modes, h_amp), field(f_modes, f_amp)
-        profile = PermeabilityProfile(f, beta_plus, beta_plus * 10.0 ** log_contrast)
-        args = (metric_terms(harmonic_extension(h, f, StripGrid(UPPER, n1, m_plus)), profile),
-                metric_terms(harmonic_extension(h, f, StripGrid(LOWER, n1, m_minus)), profile),
-                h, profile)
+        args = setup(n1, m_plus, m_minus, field(h_modes, h_amp), field(f_modes, f_amp),
+                     beta_plus, beta_plus * 10.0 ** log_contrast)
         # each solve passes its own residual gate, or raises
         direct = solve_head(*args, solver="direct")
         krylov = solve_head(*args, solver="krylov")
@@ -564,7 +558,7 @@ class TestSolverOptions:
 
     def test_solution_as_guess_takes_no_iteration(self):
         x = nodes(64)
-        args = setup(64, 17, 0.07 * np.cos(x) + 0.02 * np.sin(3 * x),
+        args = setup(64, 17, 17, 0.07 * np.cos(x) + 0.02 * np.sin(3 * x),
                      0.1 * np.cos(2 * x), 1.3, 0.4)
         cold = solve_head(*args, solver="krylov")
         assert cold.cg_iterations > 0
@@ -575,7 +569,7 @@ class TestSolverOptions:
             assert diff <= 1e-12, name
         assert np.max(np.abs(warm.gamma_trace_w2 - cold.gamma_trace_w2)) <= 1e-12
         # the direct path counts no iteration and ignores the guess
-        assert solve_head(*args, guess=cold.p).cg_iterations == 0
+        assert solve_head(*args, solver="direct", guess=cold.p).cg_iterations == 0
 
     # the ids keep the x1 stencil order (4) as their last field
     @pytest.mark.parametrize("n1, m_minus, m_plus",
@@ -661,9 +655,8 @@ class TestSolverOptions:
                 n1, [(k, amp * c / max(k, 1), amp * s / max(k, 1)) for k, c, s in modes])
 
         shape, f = field(h_modes, 1.0), field(f_modes, 0.15)
-        profile = PermeabilityProfile(f, *betas)
         m_minus, m_plus = levels
-        grid_p, grid_m = StripGrid(UPPER, n1, m_plus), StripGrid(LOWER, n1, m_minus)
+        grid_p = StripGrid(UPPER, n1, m_plus)
 
         def jacobian(h):  # J of the upper strip, as metric_terms forms it
             delta_psi = harmonic_extension(h, f, grid_p).values
@@ -676,11 +669,9 @@ class TestSolverOptions:
         # move J at all (zero or subnormal coefficients)
         assume(np.any(falling))
         a_max = float(np.min((j0[falling] - DEFAULT_J_MIN) / -dj[falling]))
-        h = PeriodicField1D(reach * a_max * shape.values)
-        pack_p = metric_terms(harmonic_extension(h, f, grid_p), profile)
-        pack_m = metric_terms(harmonic_extension(h, f, grid_m), profile)
-        direct = solve_head(pack_p, pack_m, h, profile, solver="direct")
-        krylov = solve_head(pack_p, pack_m, h, profile, solver="krylov")  # the gate passes
+        args = setup(n1, m_plus, m_minus, reach * a_max * shape.values, f.values, *betas)
+        direct = solve_head(*args, solver="direct")
+        krylov = solve_head(*args, solver="krylov")  # the gate passes
         assert np.max(np.abs(direct.p - krylov.p)) <= 1e-8
         assert np.max(np.abs(direct.gamma_trace_w2
                              - krylov.gamma_trace_w2)) <= 1e-8
@@ -717,11 +708,8 @@ class TestSolverOptions:
                               (18, 12, 7), (22, 4, 13), (64, 17, 9)])
     def test_probe_reproduces_balance(self, n1, m_minus, m_plus):
         x = nodes(n1)
-        h = PeriodicField1D(0.08 * np.cos(x) + 0.03 * np.sin(x))
-        f = PeriodicField1D(0.1 * np.sin(x) + 0.05 * np.cos(2 * x))
-        profile = PermeabilityProfile(f, 1.3, 0.4)
-        pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, n1, m_plus)), profile)
-        pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, n1, m_minus)), profile)
+        pack_p, pack_m, _, _ = setup(n1, m_plus, m_minus, 0.08 * np.cos(x) + 0.03 * np.sin(x),
+                                     0.1 * np.sin(x) + 0.05 * np.cos(2 * x), 1.3, 0.4)
         assert np.min(np.abs(pack_p.k12)) > 0.0  # sheared: every coupling present
         balance = pressure._CellBalance.from_packs(pack_p, pack_m)
         matrix = pressure._probe(balance)
@@ -747,13 +735,11 @@ class TestSolverOptions:
         def field(modes, amp):
             return PeriodicField1D.from_modes(
                 n1, [(k, amp * c / max(k, 1), amp * s / max(k, 1)) for k, c, s in modes]
-            )
+            ).values
 
-        h, f = field(h_modes, 0.1), field(f_modes, 0.15)
-        profile = PermeabilityProfile(f, *betas)
         m_minus, m_plus = levels
-        pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, n1, m_plus)), profile)
-        pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, n1, m_minus)), profile)
+        pack_p, pack_m, _, _ = setup(n1, m_plus, m_minus, field(h_modes, 0.1),
+                                     field(f_modes, 0.15), *betas)
         matrix = pressure._probe(pressure._CellBalance.from_packs(pack_p, pack_m))
         scale = abs(matrix).max()
         assert abs(matrix - matrix.T).max() <= 1e-13 * scale
@@ -762,7 +748,7 @@ class TestSolverOptions:
 
     def test_krylov_failure_raises_without_fallback(self, monkeypatch):
         x = nodes(64)
-        args = setup(64, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
+        args = setup(64, 17, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
         monkeypatch.setattr(pressure, "KRYLOV_MAXITER", 1)
         with pytest.raises(SolverDivergence, match="stalled"):
             solve_head(*args, solver="krylov")
@@ -799,7 +785,7 @@ class TestSolverOptions:
             assert np.max(np.abs(x - exact)) <= 1e-13
 
     def test_unknown_solver_rejected(self):
-        args = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
+        args = setup(32, 9, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
         with pytest.raises(ValueError):
             solve_head(*args, solver="magic")
 
@@ -814,11 +800,8 @@ class TestWorkBuffers:
 
     def test_balance_returns_unaliased_arrays(self):
         x = nodes(16)
-        h = PeriodicField1D(0.08 * np.cos(x) + 0.03 * np.sin(x))
-        f = PeriodicField1D(0.1 * np.sin(x) + 0.05 * np.cos(2 * x))
-        profile = PermeabilityProfile(f, 1.3, 0.4)
-        pack_p = metric_terms(harmonic_extension(h, f, StripGrid(UPPER, 16, 7)), profile)
-        pack_m = metric_terms(harmonic_extension(h, f, StripGrid(LOWER, 16, 5)), profile)
+        pack_p, pack_m, _, _ = setup(16, 7, 5, 0.08 * np.cos(x) + 0.03 * np.sin(x),
+                                     0.1 * np.sin(x) + 0.05 * np.cos(2 * x), 1.3, 0.4)
         balance = pressure._CellBalance.from_packs(pack_p, pack_m)
         p = np.random.default_rng(3).normal(size=(balance.n_lev + 1, 16))
         p_before = p.copy()
@@ -864,8 +847,8 @@ class TestDataScaling:
         n1 = 32
         x = nodes(n1)
         tiny = 2.2e-313
-        pack_p, pack_m, h, profile = setup(n1, 9, tiny * np.sin(x), np.zeros(n1), 1.0, 1.0)
-        unit = solve_head(pack_p, pack_m, PeriodicField1D(np.sin(x)), profile)
+        pack_p, pack_m, h, profile = setup(n1, 9, 9, tiny * np.sin(x), np.zeros(n1), 1.0, 1.0)
+        unit = solve_head(pack_p, pack_m, PeriodicField1D(np.sin(x)), profile, solver="direct")
         for solver in ("direct", "krylov"):
             head = solve_head(pack_p, pack_m, h, profile, solver=solver)
             for name in ("p", "w2"):
@@ -877,7 +860,7 @@ class TestDataScaling:
     @pytest.mark.parametrize("solver", ["direct", "krylov", "picard"])
     def test_zero_interface_gives_exact_zero(self, solver):
         x = nodes(32)
-        head = solve_head(*setup(32, 9, np.zeros(32), 0.2 * np.cos(x), 1.0, 0.3),
+        head = solve_head(*setup(32, 9, 9, np.zeros(32), 0.2 * np.cos(x), 1.0, 0.3),
                           solver=solver)
         assert w_max(head) == 0.0
         assert not np.any(head.p)
@@ -888,24 +871,24 @@ class TestDataScaling:
 
 class TestErrorPaths:
     def test_resolution_mismatch(self):
-        pack_p, pack_m, h, profile = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
+        pack_p, pack_m, h, profile = setup(32, 9, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
         with pytest.raises(ResolutionMismatch):
             solve_head(pack_p, pack_m, PeriodicField1D.zeros(64), profile)
 
     def test_swapped_strips_rejected(self):
-        pack_p, pack_m, h, profile = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
+        pack_p, pack_m, h, profile = setup(32, 9, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
         with pytest.raises(ValueError):
             solve_head(pack_m, pack_p, h, profile)
 
     def test_degenerate_pack_rejected(self):
-        pack_p, pack_m, h, profile = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
+        pack_p, pack_m, h, profile = setup(32, 9, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
         bad_j = pack_p.J.copy()
         bad_j[0, 0] = -0.5
         with pytest.raises(NonSPDSystem):
             solve_head(replace(pack_p, J=bad_j), pack_m, h, profile)
 
     def test_pack_beta_disagreeing_with_profile_rejected(self):
-        pack_p, pack_m, h, profile = setup(32, 9, np.zeros(32), np.zeros(32), 1.0, 0.5)
+        pack_p, pack_m, h, profile = setup(32, 9, 9, np.zeros(32), np.zeros(32), 1.0, 0.5)
         for betas in ((1.1, 0.5), (1.0, 0.6)):
             with pytest.raises(ValueError, match="disagrees with profile"):
                 solve_head(pack_p, pack_m, h, PermeabilityProfile(profile.f, *betas))
@@ -925,7 +908,7 @@ class TestErrorPaths:
         probe = pressure._probe
         monkeypatch.setattr(pressure, "_probe", lambda balance: -probe(balance))
         with pytest.raises(NonSPDSystem, match="lost positive diagonal"):
-            solve_head(*gate_problem())
+            solve_head(*gate_problem(), solver="direct")
 
     def test_direct_rejects_a_singular_factor(self, monkeypatch):
         # a positive diagonal, and rank one
@@ -933,4 +916,4 @@ class TestErrorPaths:
             np.ones((balance.n_lev * balance.n1,) * 2)))
         x = nodes(8)
         with pytest.raises(NonSPDSystem, match="sparse factorization failed"):
-            solve_head(*setup(8, 3, 0.05 * np.cos(x), np.zeros(8), 1.0, 1.0))
+            solve_head(*setup(8, 3, 3, 0.05 * np.cos(x), np.zeros(8), 1.0, 1.0), solver="direct")
