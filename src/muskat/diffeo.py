@@ -4,9 +4,10 @@ The moving domain is flattened onto two fixed reference strips,
 upper = S^1 x (-1, 0) and lower = S^1 x (-2, -1), by the vertical shift map
 psi = (x1, x2 + delta_psi) where delta_psi solves Laplace's equation in each
 strip with the interface trace h, the permeability-curve trace f, and zero on
-the floor as Dirichlet data.  From delta_psi we assemble the Jacobian
-J = 1 + delta_psi,2 and the pulled-back Darcy conductivity K = beta J A A^T,
-with A the inverse-gradient matrix.
+the floor as Dirichlet data.  From its gradient (d1, d2) we assemble the
+pulled-back Darcy conductivity K = beta J A A^T per node, with the Jacobian
+J = 1 + d2 and A the inverse-gradient matrix; piola_divergence checks the
+map's Piola identity on that gradient.
 
 Every strip array is C-ordered (n2, n1), one row per x2 level from the bottom
 up: the head balance stacks these rows as they are, so nothing is transposed.
@@ -32,7 +33,6 @@ __all__ = [
     "vertical_derivative_exact",
     "vertical_derivative",
     "MetricPack",
-    "assemble_metric",
     "metric_terms",
     "piola_divergence",
     "DEFAULT_J_MIN",
@@ -200,27 +200,32 @@ def vertical_derivative(values: np.ndarray, dx2: float) -> np.ndarray:
 
 @dataclass
 class MetricPack:
-    """Pulled-back geometry of one strip: the shift gradient's x1 part d1,
-    the Jacobian J and the conductivity K, each (n2, n1) like StripField.
-
-    J = 1 + delta_psi,2 pointwise; A = (1/J) [[J, 0], [-delta_psi,1, 1]];
-    K = beta J A A^T = beta [[J, -d1], [-d1, (1 + d1^2)/J]], symmetric and
-    positive definite wherever J > 0.
+    """Pulled-back conductivity K of one strip per node, each entry (n2, n1)
+    like StripField.  With the shift gradient (d1, d2), J = 1 + d2 and
+    A = (1/J) [[J, 0], [-d1, 1]], K = beta J A A^T = beta [[J, -d1], [-d1,
+    (1 + d1^2)/J]]: det K = beta^2, so K is positive definite where k11 > 0.
     """
 
     grid: StripGrid
     beta: float
-    d1: np.ndarray
-    J: np.ndarray
     k11: np.ndarray
     k12: np.ndarray
     k22: np.ndarray
 
 
-def assemble_metric(grid: StripGrid, beta: float, d1: np.ndarray, d2: np.ndarray,
-                    j_min: float = DEFAULT_J_MIN) -> MetricPack:
-    """Assemble J and K pointwise from the shift gradient (d1, d2)."""
-    J = 1.0 + d2
+def metric_terms(delta_psi: StripField, profile: PermeabilityProfile,
+                 j_min: float = DEFAULT_J_MIN) -> MetricPack:
+    """Conductivity of one strip from the gradient of its shift.
+
+    d1 is the spectral x1-derivative per level; d2 uses finite differences of
+    the grid values (not the analytic mode derivative) so the downstream
+    discrete identities hold in the same calculus as the head solver.
+    DiffeoDegenerate where J = 1 + d2 falls to j_min.
+    """
+    grid = delta_psi.grid
+    beta = profile.beta(grid.strip)
+    d1 = x1_derivative(delta_psi.values)
+    J = 1.0 + vertical_derivative(delta_psi.values, grid.dx2)
     if float(np.min(J)) <= j_min:
         raise DiffeoDegenerate(
             f"strip map degenerate on {grid.strip} strip: min J = {np.min(J):.4g} "
@@ -229,28 +234,14 @@ def assemble_metric(grid: StripGrid, beta: float, d1: np.ndarray, d2: np.ndarray
     k11 = beta * J
     k12 = -beta * d1
     k22 = beta * (1.0 + d1 * d1) / J
-    return MetricPack(grid, float(beta), d1, J, k11, k12, k22)
+    return MetricPack(grid, float(beta), k11, k12, k22)
 
 
-def metric_terms(delta_psi: StripField, profile: PermeabilityProfile,
-                 j_min: float = DEFAULT_J_MIN) -> MetricPack:
-    """Gradient of the shift and the metric coefficients of one strip.
-
-    d1 is the spectral x1-derivative per level; d2 uses finite differences of
-    the grid values (not the analytic mode derivative) so the downstream
-    discrete identities hold in the same calculus as the head solver.  A
-    pack with the analytic d2 is assemble_metric's, from the same d1.
-    """
-    grid = delta_psi.grid
+def piola_divergence(delta_psi: StripField, d2: np.ndarray) -> np.ndarray:
+    """Discrete divergence (J A^k_1),_k = d2,1 - d1,2 of the strip map, d1
+    spectral in x1 and d2 as given: vertical_derivative of the shift
+    (metric_terms' d2) leaves it at roundoff, the analytic
+    vertical_derivative_exact the x2 truncation gap.  The i = 2 component
+    is (J A^k_2),_k = 0,_1 + 1,_2, which both stencils annihilate exactly."""
     d1 = x1_derivative(delta_psi.values)
-    d2 = vertical_derivative(delta_psi.values, grid.dx2)
-    return assemble_metric(grid, profile.beta(grid.strip), d1, d2, j_min)
-
-
-def piola_divergence(pack: MetricPack) -> np.ndarray:
-    """Discrete divergence (J A^k_1),_k, using the pack's own stencils
-    (spectral in x1, one-sided/centered differences in x2).  The i = 2
-    component differentiates the constants J A^1_2 = 0 and J A^2_2 = 1,
-    which both stencils annihilate, so it is exactly zero."""
-    return x1_derivative(pack.J) + vertical_derivative(-pack.d1, pack.grid.dx2)
-
+    return x1_derivative(d2) - vertical_derivative(d1, delta_psi.grid.dx2)

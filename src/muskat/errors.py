@@ -24,7 +24,7 @@ class GapViolation(MuskatError):
 class NonSPDSystem(MuskatError):
     """The head system is not positive definite (degenerate metric).
 
-    Raised for J <= 0, by the conjugate-gradient curvature test (a search
+    Raised for k11 <= 0, by the conjugate-gradient curvature test (a search
     direction with p.Lp <= 0) and by the direct path's check for a
     nonpositive diagonal of the probed matrix.
     """

@@ -96,7 +96,8 @@ _TERMINATIONS = {
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Resolutions, physics constants, and run controls."""
+    """Resolutions, physics constants, and run controls; ValueError when built
+    with a value out of range (__post_init__)."""
 
     n1: int = 128
     n2_plus: int = 64
@@ -110,7 +111,7 @@ class SimConfig:
     report_every: int = 1
     output_dir: str | None = None
 
-    def validate(self) -> "SimConfig":
+    def __post_init__(self):
         for name in ("n1", "n2_plus", "n2_minus", "report_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -141,7 +142,6 @@ class SimConfig:
             raise ValueError("j_min must lie in (0, 1)")
         if self.report_every < 1:
             raise ValueError("report_every must be >= 1")
-        return self
 
     @property
     def dt(self) -> float:
@@ -376,7 +376,6 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
 
 def check_data(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> None:
     """The checks run makes before it starts: ValueError for data it rejects."""
-    config.validate()
     if h0.n != config.n1 or f.n != config.n1:
         raise ValueError("initial data resolution must match config.n1")
     if float(np.min(f.values)) <= -1.0 + config.gap_tol:

@@ -328,8 +328,8 @@ def _check_inputs(pack_plus: MetricPack, pack_minus: MetricPack,
     for pack in (pack_plus, pack_minus):
         if abs(pack.beta - profile.beta(pack.grid.strip)) > 1e-14 * pack.beta:
             raise ValueError("metric pack permeability disagrees with profile")
-        if float(np.min(pack.J)) <= 0.0:
-            raise NonSPDSystem("conductivity tensor not positive definite: J <= 0")
+        if float(np.min(pack.k11)) <= 0.0:
+            raise NonSPDSystem("conductivity tensor not positive definite: k11 <= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +605,7 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     Whatever the solver, the max-norm residual relative to the right side
     must come out below RESIDUAL_TOL, else SolverDivergence is raised; a CG
     stall or non-finite value raises it too.  NonSPDSystem is raised for
-    J <= 0, by CG's curvature test and by the direct path's diagonal check.
+    k11 <= 0, by CG's curvature test and by the direct path's diagonal check.
     """
     if solver not in ("direct", "krylov", "picard"):
         raise ValueError(f"unknown solver {solver!r}")

@@ -12,10 +12,10 @@ from muskat.diffeo import (
     PermeabilityProfile,
     StripField,
     StripGrid,
-    assemble_metric,
     harmonic_extension,
     metric_terms,
     piola_divergence,
+    vertical_derivative,
     vertical_derivative_exact,
 )
 from muskat.errors import DiffeoDegenerate, ResolutionMismatch
@@ -162,33 +162,36 @@ class TestHarmonicExtension:
         assert diffeo._extension_profiles(StripGrid(UPPER, 32, 9), derivative) is not tables
 
 
-def pack_from_gradients(d1_const, d2_const, beta=1.0, n1=16, n2=5, strip=UPPER):
-    grid = StripGrid(strip, n1, n2)
-    shape = (n2, n1)
-    return assemble_metric(grid, beta, np.full(shape, d1_const), np.full(shape, d2_const))
+def linear_shift_pack(slope, beta=1.0, n1=16, n2=5):
+    # delta_psi = slope (x2 + 1) on the upper strip: d1 = 0 and d2 = slope
+    # (the differences are exact on a linear shift), so J = 1 + slope
+    grid = StripGrid(UPPER, n1, n2)
+    shift = StripField(grid, slope * (grid.x2 + 1.0)[:, None] * np.ones((1, n1)))
+    return metric_terms(shift, PermeabilityProfile(PeriodicField1D.zeros(n1), beta, beta))
 
 
 class TestMetricTerms:
     def test_identity_map(self):
-        pack = pack_from_gradients(0.0, 0.0, beta=2.0)
-        assert np.all(pack.J == 1.0)
+        pack = linear_shift_pack(0.0, beta=2.0)
         assert np.all(pack.k11 == 2.0) and np.all(pack.k22 == 2.0)
         assert np.all(pack.k12 == 0.0)
 
     def test_vertical_stretch(self):
         # d2 = 1: J = 2, K = beta [[2,0],[0,1/2]]
-        pack = pack_from_gradients(0.0, 1.0, beta=3.0)
-        assert np.all(pack.J == 2.0)
-        assert np.allclose(pack.k11, 6.0) and np.allclose(pack.k22, 1.5)
+        pack = linear_shift_pack(1.0, beta=3.0)
+        assert np.allclose(pack.k11, 6.0, rtol=1e-13) and np.allclose(pack.k22, 1.5)
         assert np.allclose(pack.k12, 0.0)
 
     def test_horizontal_shear(self):
-        # d1 = 1: J = 1, K = beta [[1,-1],[-1,2]]
-        pack = pack_from_gradients(1.0, 0.0, beta=1.0)
-        assert np.all(pack.J == 1.0)
-        assert np.allclose(pack.k11, 1.0)
-        assert np.allclose(pack.k12, -1.0)
-        assert np.allclose(pack.k22, 2.0)
+        # delta_psi = sin x1: d1 = cos x1 and d2 = 0, so J = 1 and
+        # K = beta [[1, -cos x1], [-cos x1, 1 + cos^2 x1]]
+        grid = StripGrid(UPPER, 16, 5)
+        c = np.cos(nodes(16))[None, :]
+        shift = StripField(grid, np.tile(np.sin(nodes(16)), (5, 1)))
+        pack = metric_terms(shift, PermeabilityProfile(PeriodicField1D.zeros(16), 2.0, 2.0))
+        assert np.allclose(pack.k11, 2.0, atol=1e-14)
+        assert np.allclose(pack.k12, -2.0 * c, atol=1e-14)
+        assert np.allclose(pack.k22, 2.0 * (1.0 + c ** 2), atol=1e-14)
 
     def test_det_k_equals_beta_squared(self):
         rng = np.random.default_rng(13)
@@ -208,12 +211,10 @@ class TestMetricTerms:
                          PermeabilityProfile(PeriodicField1D.zeros(16), 1.0, 1.0))
 
     def test_fd_gradient_of_linear_shift_is_exact(self):
-        grid = StripGrid(UPPER, 16, 7)
-        vals = 0.4 * (grid.x2 + 1.0)[:, None] * np.ones((1, 16))
-        pack = metric_terms(StripField(grid, vals),
-                            PermeabilityProfile(PeriodicField1D.zeros(16), 1.0, 1.0))
-        assert np.allclose(pack.J - 1.0, 0.4, atol=1e-13)
-        assert np.allclose(pack.d1, 0.0, atol=1e-13)
+        # k11 = beta J with J - 1 = d2 = 0.4, and k12 = -beta d1 with d1 = 0
+        pack = linear_shift_pack(0.4, n2=7)
+        assert np.allclose(pack.k11 - 1.0, 0.4, atol=1e-13)
+        assert np.allclose(pack.k12, 0.0, atol=1e-13)
 
 
 class TestPiola:
@@ -221,25 +222,22 @@ class TestPiola:
         # d1 spectral and d2 by differences commute exactly on the grid
         h = cos_field(64, k=1, amp=0.1)
         f = PeriodicField1D(0.1 * np.sin(nodes(64)))
-        profile = PermeabilityProfile(f, 1.0, 1.0)
         for strip in (UPPER, LOWER):
             grid = StripGrid(strip, 64, 33)
-            pack = metric_terms(harmonic_extension(h, f, grid), profile)
-            assert np.max(np.abs(piola_divergence(pack))) < 1e-11
+            shift = harmonic_extension(h, f, grid)
+            d2 = vertical_derivative(shift.values, grid.dx2)
+            assert np.max(np.abs(piola_divergence(shift, d2))) < 1e-11
 
     def test_analytic_gradient_divergence_second_order(self):
-        # with the exact vertical derivative in the pack, the discrete
-        # divergence exposes the x2 truncation gap at second order
+        # with the exact vertical derivative as d2, the discrete divergence
+        # exposes the x2 truncation gap at second order
         h = cos_field(64, k=1, amp=0.1)
         f = PeriodicField1D(0.1 * np.sin(nodes(64)))
-        profile = PermeabilityProfile(f, 1.0, 1.0)
         res = {}
         for n2 in (17, 33, 65):
             grid = StripGrid(UPPER, 64, n2)
-            pack = metric_terms(harmonic_extension(h, f, grid), profile)
-            d2 = vertical_derivative_exact(h, f, grid)
-            res[n2] = np.max(np.abs(
-                piola_divergence(assemble_metric(grid, pack.beta, pack.d1, d2.values))))
+            d2 = vertical_derivative_exact(h, f, grid).values
+            res[n2] = np.max(np.abs(piola_divergence(harmonic_extension(h, f, grid), d2)))
         assert math.log2(res[17] / res[33]) >= 1.9
         assert math.log2(res[33] / res[65]) >= 1.9
 

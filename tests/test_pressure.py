@@ -429,9 +429,12 @@ class TestSymmetryAndPositivity:
         oracle = 0.0
         for pack, rows in ((pack_p, slice(m_minus, None)), (pack_m, slice(None, m_minus))):
             w1, w2 = head.w1[rows], head.w2[rows]
-            v1 = w1 / pack.J
-            v2 = pack.d1 * w1 / pack.J + w2
-            integrand = (pack.J / pack.beta) * (v1 * v1 + v2 * v2)
+            # the pack's conductivity gives back the gradient: k11 = beta J
+            # and k12 = -beta d1
+            J, d1 = pack.k11 / pack.beta, -pack.k12 / pack.beta
+            v1 = w1 / J
+            v2 = d1 * w1 / J + w2
+            integrand = (J / pack.beta) * (v1 * v1 + v2 * v2)
             per_level = integrand.sum(axis=1) * pack.grid.dx1
             oracle += pack.grid.dx2 * (per_level.sum() - 0.5 * (per_level[0] + per_level[-1]))
         assert oracle > 0.0
@@ -455,7 +458,8 @@ class TestPicard:
     def test_diverges_at_large_amplitude_while_direct_succeeds(self):
         x = nodes(64)
         args = setup(64, 17, 17, 0.55 * np.cos(x), np.zeros(64), 1.0, 1.0)
-        assert np.min(args[0].J) < 0.45  # well outside the contraction regime
+        # min J = k11 / beta, well outside the contraction regime
+        assert np.min(args[0].k11 / args[0].beta) < 0.45
         solve_head(*args, solver="direct")  # direct path is fine
         with pytest.raises(NoContraction):
             solve_head(*args, solver="picard")
@@ -882,10 +886,10 @@ class TestErrorPaths:
 
     def test_degenerate_pack_rejected(self):
         pack_p, pack_m, h, profile = setup(32, 9, 9, np.zeros(32), np.zeros(32), 1.0, 1.0)
-        bad_j = pack_p.J.copy()
-        bad_j[0, 0] = -0.5
-        with pytest.raises(NonSPDSystem):
-            solve_head(replace(pack_p, J=bad_j), pack_m, h, profile)
+        bad_k11 = pack_p.k11.copy()
+        bad_k11[0, 0] = -0.5
+        with pytest.raises(NonSPDSystem, match="k11 <= 0"):
+            solve_head(replace(pack_p, k11=bad_k11), pack_m, h, profile)
 
     def test_pack_beta_disagreeing_with_profile_rejected(self):
         pack_p, pack_m, h, profile = setup(32, 9, 9, np.zeros(32), np.zeros(32), 1.0, 0.5)
