@@ -30,7 +30,7 @@ from .diffeo import (
     vertical_derivative,
     vertical_derivative_exact,
 )
-from .pressure import HeadSolution, flat_inverse
+from .pressure import HeadSolution
 from .spectral_core import PeriodicField1D
 
 __all__ = [
@@ -85,7 +85,7 @@ def _field_from_modes(n1: int, modes, what: str) -> PeriodicField1D:
         return PeriodicField1D.zeros(n1)
     if not (isinstance(modes, list) and all(
             isinstance(mode, list) and len(mode) == 3 and isinstance(mode[0], int)
-            and all(map(evolution._is_finite_number, mode)) for mode in modes)):
+            and all(map(evolution.is_finite_number, mode)) for mode in modes)):
         raise ConfigError(f"{what} must be a list of [k, cos_amp, sin_amp] triples "
                           "with an integer k and finite amplitudes")
     for k, _, sin_amp in modes:
@@ -285,9 +285,7 @@ def _check_rest_state(config) -> tuple[bool, str]:
     h0 = PeriodicField1D.zeros(small.n1)
     for f_modes in ([], [(1, 0.2, 0.0)]):
         f = PeriodicField1D.from_modes(small.n1, f_modes)
-        profile = PermeabilityProfile(f, small.beta_plus, small.beta_minus)
-        head = evolution._evaluate(h0.values, profile, small,
-                                   evolution.lower_pack(profile, small))
+        head = evolution.Flow(small, f).head(h0.values)
         w_max = max(float(np.max(np.abs(w))) for w in (head.w1, head.w2))
         if w_max > 1e-9:
             return False, f"rest-state velocity {w_max:.3e} exceeds 1e-9"
@@ -367,9 +365,7 @@ def _check_cfl(config) -> tuple[bool, str]:
     worst = max(r.script_E for r in traj.reports)
     if worst > 2.0 * e0:
         return False, f"curvature energy grew by x{worst / e0:.3g} over the probe"
-    stiff = probe.dt * float(np.max(np.abs(flat_inverse(
-        probe.n1, probe.n2_plus, probe.n2_minus, probe.beta_plus,
-        probe.beta_minus).sigma_h)))
+    stiff = probe.dt * float(np.max(np.abs(probe.sigma_h)))
     return True, (f"exponential step stable at dt_safety = {config.dt_safety}, "
                   f"dt max|sigma_h| = {stiff:.3g} (classical RK4: 2.785)")
 

@@ -26,9 +26,10 @@ stage c from 2 H_b - H_1, since c sits at t + dt, about twice as far from
 the state as b, and the next state from H_c.  The start saves iterations
 only; the solver's stopping test does not change.
 
-The lower strip's map has the traces 0 and f, never h, so its metric is the
-same for every interface: run builds it once (lower_pack) and every
-evaluation of the run reads it.
+Flow(config, f) is the right side h -> h_t of one run.  The lower strip's
+map has the traces 0 and f, never h, so its metric is the same for every
+interface: a Flow builds it at its first evaluation, after the upper
+strip's map (so a degenerate upper map is reported first), and keeps it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .diffeo import (
     DEFAULT_J_MIN,
     LOWER,
     UPPER,
-    MetricPack,
     PermeabilityProfile,
     StripGrid,
     harmonic_extension,
@@ -58,8 +58,8 @@ from .errors import (
 from .pressure import HeadSolution, flat_inverse, solve_head
 from .spectral_core import PeriodicField1D, sobolev_norm
 
-__all__ = ["SimConfig", "SimState", "Trajectory", "check_data", "lower_pack", "step",
-           "run"]
+__all__ = ["SimConfig", "SimState", "Trajectory", "Flow", "check_data", "step", "run",
+           "is_finite_number"]
 
 # the ETDRK4 weights are means over CONTOUR_POINTS points on the upper half
 # of a radius-1 circle about each c = dt rate; the rates are real, so the
@@ -77,7 +77,9 @@ DISSIPATION_EXPONENT_FLOOR = -2.0
 # gate is relative to the right side, which sits in the upper rows, so the
 # gate's roundoff floor grows like eps * beta_minus / beta_plus: both solvers
 # failed it from 2e6 on 64 x (32+32) and 192 x (96+96).  This is one decade
-# under that.  A more permeable upper strip has no such floor.
+# under that, but no guarantee on coarse grids: at 24 x (3+8) and contrast
+# 5.3e4 a run fails the gate at t = 0 (ROADMAP item 4).  A more permeable
+# upper strip has no such floor.
 MAX_PERMEABILITY_CONTRAST = 1e5
 
 TERMINATION_COMPLETED = "completed"
@@ -118,7 +120,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("beta_plus", "beta_minus", "dt_safety", "t_end", "gap_tol", "j_min"):
             value = getattr(self, name)
-            if not _is_finite_number(value):
+            if not is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.n1 < 4 or self.n1 % 2 != 0:
             raise ValueError("n1 must be even and >= 4")
@@ -144,13 +146,17 @@ class SimConfig:
             raise ValueError("report_every must be >= 1")
 
     @property
+    def sigma_h(self) -> np.ndarray:
+        """The flat-metric balance's top-line rates per rfft mode, 0.0 at
+        k = 0 and n1/2: the cached pressure.flat_inverse(...).sigma_h."""
+        return flat_inverse(self.n1, self.n2_plus, self.n2_minus,
+                            self.beta_plus, self.beta_minus).sigma_h
+
+    @property
     def dt(self) -> float:
         """Step: 3 dt_safety / (8 |sigma_h(1)|).
 
-        sigma_h, the discrete top-line rate of the flat-metric balance, is
-        pressure.flat_inverse(...).sigma_h, the cached flat inverse that
-        the Krylov head solve uses: 0.0 at the rest modes k = 0 and n1/2,
-        and |sigma_h(1)| the smallest nonzero one, so at the default
+        |sigma_h(1)| is the smallest nonzero flat rate, so at the default
         dt_safety = 0.5 a step is three sixteenths of the e-folding time of
         the slowest flat mode.  The exponential step integrates every flat
         rate exactly, so the stiff rates set no limit: at 128 x (8+8) with
@@ -160,16 +166,14 @@ class SimConfig:
         measure, and the energy law's dissipation integral is what limits
         it (see the module docstring).
         """
-        sigma_h = flat_inverse(self.n1, self.n2_plus, self.n2_minus,
-                               self.beta_plus, self.beta_minus).sigma_h
-        return self.dt_safety * 3.0 / (8.0 * abs(float(sigma_h[1])))
+        return self.dt_safety * 3.0 / (8.0 * abs(float(self.sigma_h[1])))
 
     def grids(self) -> tuple[StripGrid, StripGrid]:
         return (StripGrid(UPPER, self.n1, self.n2_plus),
                 StripGrid(LOWER, self.n1, self.n2_minus))
 
 
-def _is_finite_number(value) -> bool:
+def is_finite_number(value) -> bool:
     """An int or a float that converts to a finite float; not a bool."""
     return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
@@ -217,17 +221,6 @@ def _gap_margin(h_values: np.ndarray, f_values: np.ndarray) -> float:
     return float(np.min(h_values + 1.0 - f_values))
 
 
-def _strip_pack(h: PeriodicField1D, profile: PermeabilityProfile, config: SimConfig,
-                grid: StripGrid) -> MetricPack:
-    return metric_terms(harmonic_extension(h, profile.f, grid), profile, j_min=config.j_min)
-
-
-def lower_pack(profile: PermeabilityProfile, config: SimConfig) -> MetricPack:
-    """The lower strip's metric, the same for every interface (its map's
-    traces are 0 and f); DiffeoDegenerate if that map is degenerate."""
-    return _strip_pack(PeriodicField1D.zeros(config.n1), profile, config, config.grids()[1])
-
-
 def _project_rest_modes(v: np.ndarray) -> np.ndarray:
     """Zero, in place, the two modes of the rfft v of h whose flat rate
     sigma_h is zero, and return v: the mean (mode 0), which the dynamics
@@ -237,20 +230,33 @@ def _project_rest_modes(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _evaluate(h_values: np.ndarray, profile: PermeabilityProfile,
-              config: SimConfig, pack_minus: MetricPack, guess=None) -> HeadSolution:
-    """One full right-side evaluation: upper strip map, metric, head solve.
+class Flow:
+    """The right side h -> h_t of one run: its config, the permeability
+    profile of its curve f and, once built, the lower strip's metric."""
 
-    pack_minus is lower_pack(profile, config).  guess is solve_head's start,
-    the head p of a nearby solution or None.  Returns the head: its top-line
-    trace gamma_trace_w2 is the right side h_t, and it carries the weighted
-    dissipation.  The trace's analytic mean is zero and the conservative
-    recovery keeps its discrete mean at roundoff; step zeroes that mode of
-    its update anyway.
-    """
-    h = PeriodicField1D(h_values)
-    pack_plus = _strip_pack(h, profile, config, config.grids()[0])
-    return solve_head(pack_plus, pack_minus, h, profile, guess=guess)
+    def __init__(self, config: SimConfig, f: PeriodicField1D):
+        self.config = config
+        self.profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
+        self._pack_minus = None
+
+    def head(self, h_values: np.ndarray, guess=None) -> HeadSolution:
+        """One evaluation: upper strip map, metric, head solve.
+
+        guess is solve_head's start, the head p of a nearby solution or
+        None.  Returns the head: its top-line trace gamma_trace_w2 is the
+        right side h_t, and it carries the weighted dissipation.  The
+        trace's analytic mean is zero and the conservative recovery keeps
+        its discrete mean at roundoff; step zeroes that mode anyway.
+        """
+        config, profile = self.config, self.profile
+        upper, lower = config.grids()
+        h = PeriodicField1D(h_values)
+        pack_plus = metric_terms(harmonic_extension(h, profile.f, upper), profile,
+                                 j_min=config.j_min)
+        if self._pack_minus is None:
+            self._pack_minus = metric_terms(harmonic_extension(
+                PeriodicField1D.zeros(config.n1), profile.f, lower), profile, j_min=config.j_min)
+        return solve_head(pack_plus, self._pack_minus, h, profile, guess=guess)
 
 
 def _etd_weights(rates: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
@@ -283,13 +289,11 @@ def _etd_weights(rates: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
             *(dt * np.mean(w, axis=1).real for w in weights))
 
 
-def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
-         dt: float, pack_minus: MetricPack,
+def step(state: SimState, flow: Flow, dt: float,
          head1: HeadSolution) -> tuple[SimState, list[HeadSolution]]:
-    """One ETDRK4 step of h_t = w2 on the top line (_evaluate), with the
-    lower strip's metric pack_minus = lower_pack(profile, config) and the
-    head of the state, head1 = _evaluate(state.h.values, ...), which the
-    caller has solved.
+    """One ETDRK4 step of h_t = w2 on the top line (flow.head), from the
+    head of the state, head1 = flow.head(state.h.values), which the caller
+    has solved.
 
     In the rfft modes v of h, L is diag(sigma_h) and N(v) the trace's modes
     minus L v; the stages a and b sit at t + dt/2, c at t + dt (Cox &
@@ -312,16 +316,15 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    rates, e, e2, q, f1, f2, f3 = _etd_weights(flat_inverse(
-        config.n1, config.n2_plus, config.n2_minus, config.beta_plus,
-        config.beta_minus).sigma_h, dt)
+    config = flow.config
+    rates, e, e2, q, f1, f2, f3 = _etd_weights(config.sigma_h, dt)
     n1 = config.n1
 
     def nonlinear(head, v):
         return np.fft.rfft(head.gamma_trace_w2) - rates * v
 
     def stage(v, guess):
-        head = _evaluate(np.fft.irfft(v, n=n1), profile, config, pack_minus, guess)
+        head = flow.head(np.fft.irfft(v, n=n1), guess)
         return nonlinear(head, v), head
 
     v = np.fft.rfft(state.h.values)
@@ -358,7 +361,7 @@ def step(state: SimState, profile: PermeabilityProfile, config: SimConfig,
                                + shares(b) * head_b.dissipation))
         + weights[2] @ shares(c) * head_c.dissipation)
 
-    margin = _gap_margin(h_new.values, profile.f.values)
+    margin = _gap_margin(h_new.values, flow.profile.f.values)
     if margin <= config.gap_tol:
         raise GapViolation(
             f"interface within {margin:.4g} of the permeability curve at "
@@ -389,7 +392,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
     failures terminate the run with the reason and time on the trajectory.
     """
     check_data(config, h0, f)
-    profile = PermeabilityProfile(f, config.beta_plus, config.beta_minus)
+    flow = Flow(config, f)
 
     h0 = PeriodicField1D(np.fft.irfft(_project_rest_modes(np.fft.rfft(h0.values)), n=h0.n))
     traj = Trajectory()
@@ -399,17 +402,10 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
     try:
         if _gap_margin(h0.values, f.values) <= config.gap_tol:
             raise GapViolation("initial interface within gap_tol of the permeability curve")
-        try:
-            pack_minus = lower_pack(profile, config)
-        except DiffeoDegenerate:
-            # an evaluation maps the upper strip first: if both maps are
-            # degenerate, the upper one is reported
-            _strip_pack(state.h, profile, config, config.grids()[0])
-            raise
         # each pass visits one evaluated state: ledger, report, then stop at
         # t_end or step
         while True:
-            head = _evaluate(state.h.values, profile, config, pack_minus, guess)
+            head = flow.head(state.h.values, guess)
             traj.head_solves += 1
             traj.cg_iterations += head.cg_iterations
             traj.max_abs_mean_h = max(traj.max_abs_mean_h, abs(state.mean_drift))
@@ -423,8 +419,7 @@ def run(config: SimConfig, h0: PeriodicField1D, f: PeriodicField1D) -> Trajector
                 traj.reports.append(diagnostics.report(state, head, h0_l2_sq))
             if at_end:
                 break
-            state, solved = step(state, profile, config,
-                                 min(config.dt, config.t_end - state.t), pack_minus, head)
+            state, solved = step(state, flow, min(config.dt, config.t_end - state.t), head)
             traj.head_solves += len(solved)
             traj.cg_iterations += sum(stage.cg_iterations for stage in solved)
             guess = solved[-1].p

@@ -24,7 +24,7 @@ from muskat.diffeo import (
     vertical_derivative_exact,
 )
 from muskat.diagnostics import decay_fit, dispersion_rate
-from muskat.evolution import SimConfig, TERMINATION_COMPLETED, _evaluate, lower_pack, run
+from muskat.evolution import Flow, SimConfig, TERMINATION_COMPLETED, run
 from muskat.pressure import solve_head
 from muskat.spectral_core import PeriodicField1D, nodes, sobolev_norm
 
@@ -88,15 +88,14 @@ def test_criterion_1_rest_state_exactness():
         f = cos_field(amp=f_amp)
         config = SimConfig(n1=N1, n2_plus=N2, n2_minus=N2, beta_plus=1.0,
                            beta_minus=1.0, t_end=1.0, report_every=10)
-        profile = PermeabilityProfile(f, 1.0, 1.0)
+        flow = Flow(config, f)
         traj = run(config, PeriodicField1D.zeros(N1), f)
         assert traj.termination == TERMINATION_COMPLETED
         w_inf = 0.0
         h_inf = 0.0
         for state in traj.states:
             h_inf = max(h_inf, float(np.max(np.abs(state.h.values))))
-            head = _evaluate(state.h.values, profile, config,
-                             lower_pack(profile, config))
+            head = flow.head(state.h.values)
             w_inf = max(w_inf, max(float(np.max(np.abs(w))) for w in (head.w1, head.w2)))
         assert w_inf <= 1e-9
         assert h_inf == 0.0

@@ -5,7 +5,8 @@ dataclass) is read as an attribute somewhere in the package, every
 method or property of a class is read in the package or the benchmark, and
 every name in an __all__ is read under its own module, inside it or as
 imported from or read off it by the package or the benchmark, so that no
-public name exists for tests alone or as a second name of another's.  The
+public name exists for tests alone or as a second name of another's, and
+no module reads another's private name.  The
 third-party modules the package imports at module level are the
 dependencies that pyproject.toml declares, and those it imports only
 inside a function are in its test extra.
@@ -112,6 +113,50 @@ def test_scan_flags_an_unused_private_definition():
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_no_unused_private_definitions(module):
     assert unused_private_definitions(module.read_text()) == []
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(source: str, package: str = "muskat") -> list[str]:
+    """Reads of another module's private name: m._x for a module m of the
+    package, as bound by from . import m, from package import m or import
+    package.m as m, and from .m import _x (dunder names are not private)."""
+    tree = ast.parse(source)
+    modules, reads = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if not node.level and (node.module or "").split(".")[0] != package:
+                continue
+            for alias in node.names:
+                if is_private(alias.name):
+                    reads.append(f"from {'.' * node.level}{node.module or ''} import "
+                                 f"{alias.name} (line {node.lineno})")
+                elif node.module in (None, package):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith(f"{package}."))
+    reads += [f"{node.value.id}.{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and is_private(node.attr)]
+    return sorted(reads)
+
+
+def test_scan_flags_a_private_read():
+    source = ("from . import evolution, __version__\nfrom .pressure import _flat, solve\n"
+              "from pkg import diffeo as d\nimport pkg.errors as errs\nimport os\n"
+              "evolution._evaluate(), evolution.run(), d._pack, errs._x, evolution.__name__\n"
+              "self._y, os._exit, solve._cache\n")
+    assert private_reads(source, "pkg") == [
+        "d._pack (line 6)", "errs._x (line 6)", "evolution._evaluate (line 6)",
+        "from .pressure import _flat (line 2)"]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_no_private_reads_across_modules(module):
+    assert private_reads(module.read_text()) == []
 
 
 # records written whole, so that every field reaches an output without an
