@@ -3,7 +3,9 @@
 Commands: run <config.json>, dispersion <beta+> <beta-> <k_max>,
 check <config.json>, convergence <config.json>.  Exit codes: 0 success,
 1 usage/config error, 2 physical termination (gap or degenerate map),
-3 solver failure, 4 failed check.
+3 solver failure, 4 failed check.  The config commands raise ConfigError
+for a bad config or an output directory they cannot create; main prints it
+as one error: line and returns 1, as it does for bad arguments.
 """
 
 from __future__ import annotations
@@ -212,19 +214,15 @@ def _now() -> str:
 
 def cmd_run(config_path: str) -> int:
     """Run a config and write timeseries.csv, the initial and final snapshots
-    (the run's own head solutions: nothing is solved after the run) and manifest.json."""
-    try:
-        config, h0, f, echo = load_config(config_path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    (the run's own head solutions: nothing is solved after the run) and manifest.json.
+    ConfigError, before anything is written, for a bad config or an output
+    directory that cannot be created."""
+    config, h0, f, echo = load_config(config_path)
     out_dir = Path(config.output_dir) if config.output_dir else Path.cwd()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     start = _now()
     traj = evolution.run(config, h0, f)
 
@@ -371,12 +369,7 @@ def _check_cfl(config) -> tuple[bool, str]:
 
 
 def cmd_check(config_path: str) -> int:
-    try:
-        config = load_config(config_path)[0]
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    config = load_config(config_path)[0]
     checks = [
         ("rest_state", _check_rest_state),
         ("piola", _check_piola),
@@ -396,12 +389,7 @@ def cmd_check(config_path: str) -> int:
 
 
 def cmd_convergence(config_path: str) -> int:
-    try:
-        config, h0, f, _ = load_config(config_path)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    config, h0, f, _ = load_config(config_path)
     for name, field in (("h0", h0), ("f", f)):
         tail = _spectral_tail_fraction(field)
         if tail > 1e-10:
@@ -492,14 +480,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
-    if args.command == "run":
-        return cmd_run(args.config)
-    if args.command == "dispersion":
-        return cmd_dispersion(args.beta_plus, args.beta_minus, args.k_max)
-    if args.command == "check":
-        return cmd_check(args.config)
-    if args.command == "convergence":
-        return cmd_convergence(args.config)
+    try:
+        if args.command == "run":
+            return cmd_run(args.config)
+        if args.command == "dispersion":
+            return cmd_dispersion(args.beta_plus, args.beta_minus, args.k_max)
+        if args.command == "check":
+            return cmd_check(args.config)
+        if args.command == "convergence":
+            return cmd_convergence(args.config)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     parser.print_usage(sys.stderr)
     return EXIT_USAGE
 

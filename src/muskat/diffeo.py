@@ -59,9 +59,9 @@ class StripGrid:
         if self.strip not in _STRIP_BOUNDS:
             raise ValueError(f"strip must be '{UPPER}' or '{LOWER}', got {self.strip!r}")
         if self.n1 < 4 or self.n1 % 2 != 0:
-            raise ValueError("n1 must be even and >= 4")
+            raise ValueError(f"{self.strip} strip: n1 must be even and >= 4, got {self.n1}")
         if self.n2 < 3:
-            raise ValueError("n2 must be >= 3")
+            raise ValueError(f"{self.strip} strip: n2 must be >= 3, got {self.n2}")
 
     @property
     def bounds(self) -> tuple[float, float]:

@@ -99,7 +99,8 @@ _TERMINATIONS = {
 @dataclass(frozen=True)
 class SimConfig:
     """Resolutions, physics constants, and run controls; ValueError when built
-    with a value out of range (__post_init__)."""
+    with a value out of range (__post_init__).  The grid sizes are checked
+    by the two StripGrids that grids() builds."""
 
     n1: int = 128
     n2_plus: int = 64
@@ -118,14 +119,11 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        self.grids()  # StripGrid checks the grid sizes
         for name in ("beta_plus", "beta_minus", "dt_safety", "t_end", "gap_tol", "j_min"):
             value = getattr(self, name)
             if not is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.n1 < 4 or self.n1 % 2 != 0:
-            raise ValueError("n1 must be even and >= 4")
-        if self.n2_plus < 3 or self.n2_minus < 3:
-            raise ValueError("n2_plus and n2_minus must be >= 3")
         if not (self.beta_plus > 0 and self.beta_minus > 0):
             raise ValueError("permeabilities must be positive")
         contrast = self.beta_minus / self.beta_plus

@@ -422,7 +422,7 @@ class TestCmdRun:
         # rejects it, and cmd_run must do so before it creates out/
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, n1=16, n2_plus=5, n2_minus=5, f_modes=[[0, -0.97, 0.0]])
-        assert cmd_run(str(cfg_path)) == 1
+        assert main(["run", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: permeability curve within gap_tol of the floor\n"
         assert not (tmp_path / "out").exists()
@@ -432,7 +432,7 @@ class TestCmdRun:
         # residual gate: the config is rejected before out/ is created
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, beta_plus=1.0, beta_minus=2e5)
-        assert cmd_run(str(cfg_path)) == 1
+        assert main(["run", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config: beta_minus / beta_plus = 2e+05 ")
         assert "residual gate cannot be certified" in err
@@ -464,7 +464,7 @@ class TestCmdRun:
         (tmp_path / "blocker").write_text("")
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, output_dir="blocker/out")
-        assert cmd_run(str(cfg_path)) == 1
+        assert main(["run", str(cfg_path)]) == 1
         out_dir = tmp_path / "blocker" / "out"
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot create output directory {out_dir}: ")
@@ -504,7 +504,7 @@ class TestCmdRun:
         assert manifest["error_time"] == load_config(cfg_path)[0].dt
 
     def test_missing_config_exit(self, tmp_path, capsys):
-        assert cmd_run(str(tmp_path / "nope.json")) == 1
+        assert main(["run", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_non_integer_count_exit(self, tmp_path, capsys):
@@ -513,7 +513,7 @@ class TestCmdRun:
         cfg_path = tmp_path / "run.json"
         for bad in (dict(n1=64.0), dict(n2_plus=9.0), dict(report_every=1.5)):
             write_config(cfg_path, **bad)
-            assert cmd_run(str(cfg_path)) == 1
+            assert main(["run", str(cfg_path)]) == 1
             assert "error: invalid config" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
@@ -523,9 +523,33 @@ class TestCmdRun:
         cfg_path = tmp_path / "run.json"
         for bad in (dict(t_end=True), dict(beta_plus=math.inf), dict(j_min=math.nan)):
             write_config(cfg_path, **bad)
-            assert cmd_run(str(cfg_path)) == 1
+            assert main(["run", str(cfg_path)]) == 1
             assert "error: invalid config" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    # StripGrid owns the grid-size rule: its message names the strip and the
+    # value, so the user still learns which key is wrong
+    @pytest.mark.parametrize("bad, message", [
+        (dict(n1=13), "upper strip: n1 must be even and >= 4, got 13"),
+        (dict(n2_plus=2), "upper strip: n2 must be >= 3, got 2"),
+        (dict(n2_minus=2), "lower strip: n2 must be >= 3, got 2"),
+    ], ids=["n1", "n2_plus", "n2_minus"])
+    def test_grid_size_exit(self, tmp_path, capsys, bad, message):
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path, **bad)
+        assert main(["run", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_errors_raise_below_main(self, tmp_path, capsys):
+        # cmd_run raises ConfigError; main prints it as one line and exits 1
+        missing = tmp_path / "nope.json"
+        with pytest.raises(ConfigError, match="cannot read config"):
+            cmd_run(str(missing))
+        assert main(["run", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {missing}: ")
+        assert err.count("\n") == 1
 
 
 class TestCmdDispersion:
@@ -569,7 +593,7 @@ class TestCmdCheck:
     def test_invalid_config_exit(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, beta_plus=-2.0)
-        assert cmd_check(str(cfg_path)) == 1
+        assert main(["check", str(cfg_path)]) == 1
 
     def test_all_probes_pass_at_defaults(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
@@ -604,6 +628,45 @@ class TestCmdCheck:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "FAIL piola: raised RuntimeError: injected"
         assert [line.split()[0] for line in lines] == ["PASS", "FAIL", "PASS", "PASS", "PASS"]
+
+    @staticmethod
+    def moving_rest_state(monkeypatch):
+        real_head = evolution.Flow.head
+
+        def head(self, h_values, guess=None):
+            solution = real_head(self, h_values, guess)
+            solution.w2 = solution.w2 + 1e-6
+            return solution
+
+        monkeypatch.setattr(evolution.Flow, "head", head)
+
+    @staticmethod
+    def fake_run(monkeypatch, termination, energies=()):
+        reports = [SimpleNamespace(script_E=e) for e in energies]
+        monkeypatch.setattr(evolution, "run", lambda *args: SimpleNamespace(
+            termination=termination, reports=reports))
+
+    # each check's own FAIL branch, forced by one injected fault; the run
+    # probes share evolution.run, so a terminated run fails all three
+    @pytest.mark.parametrize("inject, line", [
+        (lambda mp: TestCmdCheck.moving_rest_state(mp),
+         "FAIL rest_state: rest-state velocity 1.000e-06 exceeds 1e-9"),
+        (lambda mp: mp.setattr(cli_io, "piola_divergence",
+                               lambda shift, d2: np.full((3, 4), 2e-3)),
+         "FAIL piola: same-stencil divergence 2.000e-03 not at roundoff"),
+        (lambda mp: TestCmdCheck.fake_run(mp, evolution.TERMINATION_GAP),
+         "FAIL dispersion_consistency: probe run terminated with gap_violation"),
+        (lambda mp: TestCmdCheck.fake_run(mp, evolution.TERMINATION_SOLVER),
+         "FAIL l2_law: probe run terminated with solver_failure"),
+        (lambda mp: TestCmdCheck.fake_run(mp, evolution.TERMINATION_COMPLETED, (1.0, 2.5)),
+         "FAIL cfl: curvature energy grew by x2.5 over the probe"),
+    ], ids=["rest_state", "piola", "dispersion", "l2_law", "cfl_growth"])
+    def test_fail_branches(self, tmp_path, capsys, monkeypatch, inject, line):
+        inject(monkeypatch)
+        cfg_path = tmp_path / "run.json"
+        write_config(cfg_path)
+        assert cmd_check(str(cfg_path)) == 4
+        assert line in capsys.readouterr().out.splitlines()
 
 
 class TestCmdConvergence:
@@ -684,7 +747,7 @@ class TestCmdConvergence:
     def test_rejected_data_exit(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, n1=16, n2_plus=5, n2_minus=5, f_modes=[[0, -0.97, 0.0]])
-        assert cmd_convergence(str(cfg_path)) == 1
+        assert main(["convergence", str(cfg_path)]) == 1
         assert (capsys.readouterr().err
                 == "error: permeability curve within gap_tol of the floor\n")
 
