@@ -31,13 +31,9 @@ class NonSPDSystem(MuskatError):
 
 
 class SolverDivergence(MuskatError):
-    """The linear solve failed to reach the required relative residual."""
-
-
-class NoContraction(MuskatError):
-    """The fixed-point head iteration, solve_head(..., solver="picard"),
-    diverged or ran out of steps (amplitude outside the contraction
-    regime); the direct and Krylov solvers are still available."""
+    """The head solve failed to reach the required relative residual: the
+    residual gate of any solver, or a CG or Picard solve that stalled or
+    diverged (Picard diverges outside its small-shift regime)."""
 
 
 class InsufficientData(MuskatError):

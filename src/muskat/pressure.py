@@ -49,8 +49,9 @@ which its coefficients carry.  Every run solves this way, with numpy only.
 probes (Curtis, Powell & Reid 1974): the oracle the Krylov path is tested
 against, and the only code that imports scipy (the test extra), on its
 first call.
-"picard" is a fixed-point cross-check built on the same flat inverse; all
-three solvers share solve_head's scaling, residual gate and recovery.
+"picard" is a fixed-point cross-check on the same flat inverse that stops
+where CG stops; all three solvers share solve_head's scaling, residual
+gate and recovery.
 flat_inverse(...).sigma_h, off the last pivot of that factorization, is the
 rate of each interface mode over the flat metric: the linear part that
 evolution's exponential step integrates exactly; the slowest sets its step.
@@ -73,7 +74,6 @@ from .diffeo import (
     vertical_derivative,
 )
 from .errors import (
-    NoContraction,
     NonSPDSystem,
     ResolutionMismatch,
     SolverDivergence,
@@ -82,12 +82,10 @@ from .spectral_core import PeriodicField1D
 
 __all__ = ["HeadSolution", "solve_head", "flat_inverse"]
 
+# CG and Picard converge once |b - L x|_2 <= rtol |b|_2, with solve_head's
+# rtol from RESIDUAL_TOL, and raise SolverDivergence after MAX_ITERATIONS
 RESIDUAL_TOL = 1e-10
-KRYLOV_MAXITER = 500
-# _picard converges once a step changes no value of the scaled head by more
-# than PICARD_TOL * max(1, max|head|), and gives up after PICARD_MAX_ITER steps
-PICARD_TOL = 1e-10
-PICARD_MAX_ITER = 100
+MAX_ITERATIONS = 500
 
 
 @dataclass
@@ -485,6 +483,14 @@ def flat_inverse(n1: int, n2_plus: int, n2_minus: int,
     return _FlatInverse(_CellBalance.flat(n1, n2_plus, n2_minus, beta_plus, beta_minus))
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """The inner product of both iterative solves.  einsum, not BLAS dot:
+    OpenBLAS threads ddot on long vectors, and with another process busy on
+    a two-core host that made a reference-scale solve about nine times
+    slower; einsum also beats (u * v).sum(), which allocates the product."""
+    return float(np.einsum("ij,ij->", u, v))
+
+
 def _cg(apply, b: np.ndarray, precond, rtol: float,
         x0: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Preconditioned conjugate gradient (Hestenes & Stiefel 1952) from x0,
@@ -500,23 +506,16 @@ def _cg(apply, b: np.ndarray, precond, rtol: float,
     and one that overflows leaves a non-finite residual, which fails too.
 
     Raises NonSPDSystem when a search direction has p.Lp <= 0,
-    SolverDivergence on a non-finite value or after KRYLOV_MAXITER
+    SolverDivergence on a non-finite value or after MAX_ITERATIONS
     iterations.  x, r and p are updated in place through one scratch
     vector; z and lp are the new arrays that precond and apply return.
-    Inner products are einsum, not BLAS dot: OpenBLAS threads ddot on long
-    vectors, and with another process busy on a two-core host that made a
-    reference-scale solve about nine times slower; einsum also beats
-    (u * v).sum(), which allocates the product.
     """
-    def dot(u, v):
-        return float(np.einsum("ij,ij->", u, v))
-
-    b_sq = dot(b, b)
+    b_sq = _dot(b, b)
     x, r = np.zeros_like(b), b.copy()
     if x0 is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             r0 = b - apply(x0)
-            start = dot(r0, r0) <= b_sq
+            start = _dot(r0, r0) <= b_sq
         if start:
             x, r = x0.copy(), r0
     p = np.zeros_like(b)
@@ -524,16 +523,16 @@ def _cg(apply, b: np.ndarray, precond, rtol: float,
     rz_prev = 1.0
     stop = rtol * np.sqrt(b_sq)
     iterations = 0
-    while not np.sqrt(dot(r, r)) <= stop:  # a NaN residual iterates on
-        if iterations == KRYLOV_MAXITER:
-            raise SolverDivergence(f"CG stalled: not converged in {KRYLOV_MAXITER} iterations")
+    while not np.sqrt(_dot(r, r)) <= stop:  # a NaN residual iterates on
+        if iterations == MAX_ITERATIONS:
+            raise SolverDivergence(f"CG stalled: not converged in {MAX_ITERATIONS} iterations")
         iterations += 1
         z = precond(r)
-        rz = dot(r, z)
+        rz = _dot(r, z)
         p *= rz / rz_prev
         p += z
         lp = apply(p)
-        curvature = dot(p, lp)
+        curvature = _dot(p, lp)
         if not np.isfinite(curvature):
             raise SolverDivergence("CG diverged: non-finite p.Lp")
         if curvature <= 0.0:
@@ -545,28 +544,26 @@ def _cg(apply, b: np.ndarray, precond, rtol: float,
     return x, iterations
 
 
-def _picard(apply, b: np.ndarray, precond) -> np.ndarray:
+def _picard(apply, b: np.ndarray, precond, rtol: float) -> np.ndarray:
     """Fixed-point iteration x <- x + precond(b - apply(x)) from zero: with
-    precond = L0^-1, x <- L0^-1 (b - (L - L0) x).  Contraction needs the
-    small-shift regime; raises NoContraction when the step change grows
-    three times in a row or is not finite, or after PICARD_MAX_ITER steps."""
-    x = np.zeros_like(b)
-    prev_diff = np.inf
-    growth_streak = 0
-    for _ in range(PICARD_MAX_ITER):
-        x_new = x + precond(b - apply(x))
-        diff = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if diff <= PICARD_TOL * max(1.0, float(np.max(np.abs(x)))):
-            return x
-        growth_streak = growth_streak + 1 if diff > prev_diff else 0
-        if growth_streak >= 3 or not np.isfinite(diff):
-            raise NoContraction(
-                f"fixed-point head iteration diverging (step change {diff:.3e})"
-            )
-        prev_diff = diff
-    raise NoContraction(
-        f"fixed-point head iteration not converged in {PICARD_MAX_ITER} steps")
+    precond = L0^-1, x <- L0^-1 (b - (L - L0) x).  Stops where _cg does,
+    once |r|_2 <= rtol |b|_2 for r = b - apply(x).  Contraction needs the
+    small-shift regime; raises SolverDivergence when the residual grows
+    three times in a row or is not finite, or after MAX_ITERATIONS steps."""
+    x, r = np.zeros_like(b), b
+    stop = rtol * np.sqrt(_dot(b, b))
+    res_prev, growth_streak, steps = np.inf, 0, 0
+    while not (res := np.sqrt(_dot(r, r))) <= stop:
+        growth_streak = growth_streak + 1 if res > res_prev else 0
+        if growth_streak >= 3 or not np.isfinite(res):
+            raise SolverDivergence(f"fixed-point head iteration diverging (residual {res:.3e})")
+        if steps == MAX_ITERATIONS:
+            raise SolverDivergence(
+                f"fixed-point head iteration not converged in {MAX_ITERATIONS} steps")
+        steps += 1
+        x += precond(r)
+        r, res_prev = b - apply(x), res
+    return x
 
 
 def _solve_direct(balance: _CellBalance, b: np.ndarray) -> np.ndarray:
@@ -591,7 +588,8 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     balance, preconditioned by the flat-metric inverse), "direct" (sparse
     LU of the probed matrix, the test oracle; it needs scipy, of the test
     extra) or "picard" (the fixed-point cross-check on the same flat
-    inverse, _picard; NoContraction outside its small-shift regime).
+    inverse, _picard, which stops where CG stops and diverges outside its
+    small-shift regime).
     The system is solved for h / max|h| and every output rescaled, since it
     is linear in h; h = 0 gives the exact zero solution.
 
@@ -603,9 +601,10 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     the start.
 
     Whatever the solver, the max-norm residual relative to the right side
-    must come out below RESIDUAL_TOL, else SolverDivergence is raised; a CG
-    stall or non-finite value raises it too.  NonSPDSystem is raised for
-    k11 <= 0, by CG's curvature test and by the direct path's diagonal check.
+    must come out below RESIDUAL_TOL, else SolverDivergence is raised; a
+    CG or Picard solve that stalls or diverges raises it too.  NonSPDSystem
+    is raised for k11 <= 0, by CG's curvature test and by the direct path's
+    diagonal check.
     """
     if solver not in ("direct", "krylov", "picard"):
         raise ValueError(f"unknown solver {solver!r}")
@@ -624,15 +623,15 @@ def solve_head(pack_plus: MetricPack, pack_minus: MetricPack, h: PeriodicField1D
     else:
         flat = flat_inverse(balance.n1, balance.m_plus, balance.m_minus,
                             profile.beta_plus, profile.beta_minus)
+        # |r|_inf <= |r|_2 <= rtol |b|_2 <= rtol sqrt(n_free) |b|_inf, so
+        # this rtol meets the max-norm residual gate below
+        rtol = RESIDUAL_TOL / np.sqrt(b.size)
         if solver == "picard":
-            x = _picard(balance.free_rows, b, flat.solve)
+            x = _picard(balance.free_rows, b, flat.solve, rtol)
         else:
             with np.errstate(over="ignore"):  # inf for a subnormal h: _cg drops it
                 x0 = None if guess is None else balance.free_unknowns(guess) / scale
-            # |r|_inf <= |r|_2 <= rtol |b|_2 <= rtol sqrt(n_free) |b|_inf, so
-            # this rtol meets the max-norm residual gate below
-            x, iterations = _cg(balance.free_rows, b, flat.solve,
-                                RESIDUAL_TOL / np.sqrt(b.size), x0)
+            x, iterations = _cg(balance.free_rows, b, flat.solve, rtol, x0)
     # one apply serves the gate and the recovery: the free rows of the
     # balance at (x, top) are L x - b
     p = balance.heads(x, top)

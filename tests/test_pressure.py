@@ -21,13 +21,12 @@ from muskat.diffeo import (
 )
 from muskat.diagnostics import dispersion_rate
 from muskat.errors import (
-    NoContraction,
     NonSPDSystem,
     ResolutionMismatch,
     SolverDivergence,
 )
 from muskat.evolution import MAX_PERMEABILITY_CONTRAST
-from muskat.pressure import PICARD_TOL, RESIDUAL_TOL, solve_head
+from muskat.pressure import RESIDUAL_TOL, solve_head
 from muskat.spectral_core import PeriodicField1D, nodes, x1_derivative
 
 
@@ -452,7 +451,7 @@ class TestPicard:
         args = setup(64, 33, 33, 0.005 * np.cos(x), 0.02 * np.cos(2 * x), 1.0, 0.5)
         direct = solve_head(*args, solver="direct")
         fixed = solve_head(*args, solver="picard")
-        assert np.max(np.abs(direct.p - fixed.p)) <= 10 * PICARD_TOL
+        assert np.max(np.abs(direct.p - fixed.p)) <= 1e-9
         assert fixed.cg_iterations == 0
 
     def test_diverges_at_large_amplitude_while_direct_succeeds(self):
@@ -461,8 +460,24 @@ class TestPicard:
         # min J = k11 / beta, well outside the contraction regime
         assert np.min(args[0].k11 / args[0].beta) < 0.45
         solve_head(*args, solver="direct")  # direct path is fine
-        with pytest.raises(NoContraction):
+        with pytest.raises(SolverDivergence, match="diverging"):
             solve_head(*args, solver="picard")
+
+    @pytest.mark.parametrize("rtol", [1e-4, 1e-8, None], ids=["1e-4", "1e-8", "solve"])
+    def test_stops_where_cg_stops(self, rtol):
+        # one rule for both iterative solves: |b - L x|_2 <= rtol |b|_2, with
+        # None standing for solve_head's rtol
+        pack_p, pack_m, h, profile = gate_problem()
+        balance = pressure._CellBalance.from_packs(pack_p, pack_m)
+        top = h.values / np.max(np.abs(h.values))
+        b = -balance.free_rows(np.zeros((balance.n_lev, balance.n1)), top)
+        rtol = RESIDUAL_TOL / np.sqrt(b.size) if rtol is None else rtol
+        flat = pressure.flat_inverse(balance.n1, balance.m_plus, balance.m_minus,
+                                     profile.beta_plus, profile.beta_minus)
+        fixed = pressure._picard(balance.free_rows, b, flat.solve, rtol)
+        krylov, _ = pressure._cg(balance.free_rows, b, flat.solve, rtol)
+        for x in (fixed, krylov):
+            assert np.linalg.norm(b - balance.free_rows(x)) <= rtol * np.linalg.norm(b)
 
 
 class TestSolverOptions:
@@ -753,7 +768,7 @@ class TestSolverOptions:
     def test_krylov_failure_raises_without_fallback(self, monkeypatch):
         x = nodes(64)
         args = setup(64, 17, 17, 0.02 * np.cos(x), 0.05 * np.cos(2 * x), 1.0, 0.5)
-        monkeypatch.setattr(pressure, "KRYLOV_MAXITER", 1)
+        monkeypatch.setattr(pressure, "MAX_ITERATIONS", 1)
         with pytest.raises(SolverDivergence, match="stalled"):
             solve_head(*args, solver="krylov")
         # an indefinite operator has p.Lp < 0 on the first direction
@@ -898,14 +913,14 @@ class TestErrorPaths:
                 solve_head(pack_p, pack_m, h, PermeabilityProfile(profile.f, *betas))
 
     def test_cg_rejects_a_non_finite_curvature(self):
-        # unchecked, the NaN would iterate on to the stall at KRYLOV_MAXITER
+        # unchecked, the NaN would iterate on to the stall at MAX_ITERATIONS
         with pytest.raises(SolverDivergence, match="non-finite p.Lp"):
             pressure._cg(lambda v: np.full_like(v, np.nan), np.array([[1.0, 0.0]]),
                          lambda r: r, 1e-12)
 
     def test_picard_gives_up_at_its_step_limit(self, monkeypatch):
-        monkeypatch.setattr(pressure, "PICARD_MAX_ITER", 2)
-        with pytest.raises(NoContraction, match="not converged in 2 steps"):
+        monkeypatch.setattr(pressure, "MAX_ITERATIONS", 2)
+        with pytest.raises(SolverDivergence, match="not converged in 2 steps"):
             solve_head(*gate_problem(), solver="picard")
 
     def test_direct_rejects_a_nonpositive_diagonal(self, monkeypatch):
